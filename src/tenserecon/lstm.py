@@ -27,12 +27,8 @@ _PARAM_NAMES = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out", "b_out
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # the logistic function through tanh: no overflow for large |z|, no masking
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 @dataclass(frozen=True)
@@ -148,24 +144,32 @@ def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h_t, c_t
 
 
-def _forward_batch(m: LstmModel, x: np.ndarray):
-    """Batched forward over normalized windows x (B, T, D) -> (preds_norm, cache)."""
-    b, t, d = x.shape
-    h = np.zeros((b, m.hidden_size))
-    c = np.zeros((b, m.hidden_size))
+def _forward_batch(m: LstmModel, x: np.ndarray, *, keep_cache: bool = False):
+    """Batched forward over normalized windows x (B, T, D) -> (preds_norm, cache).
+
+    The gate weights are stacked into one (4H, D+H) matrix, rows [f; i; o; g],
+    so one product per step computes all four gates.  The per-step cache
+    that backprop needs is built only with keep_cache=True, else it is None.
+    """
+    b, t, _ = x.shape
+    hs = m.hidden_size
+    w_t = np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h]).T
+    bias = np.concatenate([m.b_f, m.b_i, m.b_o, np.zeros(hs)])  # g has no bias
+    h = np.zeros((b, hs))
+    c = np.zeros((b, hs))
     cache = []
     for step in range(t):
         z = np.concatenate([x[:, step, :], h], axis=1)
-        f = _sigmoid(z @ m.w_f.T + m.b_f)
-        i = _sigmoid(z @ m.w_i.T + m.b_i)
-        g = np.tanh(z @ m.w_h.T)
-        c_new = f * c + i * g
-        o = _sigmoid(z @ m.w_o.T + m.b_o)
-        cache.append((z, f, i, g, c, c_new, o))
-        c = c_new
-        h = o * np.tanh(c_new)
+        a = z @ w_t + bias
+        a[:, :3 * hs] = _sigmoid(a[:, :3 * hs])
+        a[:, 3 * hs:] = np.tanh(a[:, 3 * hs:])
+        f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
+        c_prev, c = c, f * c + i * g
+        h = o * np.tanh(c)
+        if keep_cache:
+            cache.append((z, a, c_prev, c))
     y = h @ m.w_out + m.b_out
-    return y, (cache, h)
+    return y, ((cache, h) if keep_cache else None)
 
 
 def _normalize_windows(m: LstmModel, windows: np.ndarray) -> np.ndarray:
@@ -179,37 +183,47 @@ def _clip_to_hull(m: LstmModel, windows: np.ndarray) -> np.ndarray:
 
 
 def features_from_window(dr_window: np.ndarray) -> np.ndarray:
-    """Raw feature matrix (T, 2) from T dR/R samples: value and first difference.
+    """Raw features from T dR/R samples: value and first difference.
 
-    The difference is computed inside the window (first entry 0), so a window
-    is self-contained and needs no sample older than its own first entry.
+    A (T,) window gives a (T, 2) feature matrix; a (T, n) block of n
+    windows side by side gives an (n, T, 2) batch.  The difference is
+    computed inside the window (first entry 0), so a window is
+    self-contained and needs no sample older than its own first entry.
     """
     dr = np.asarray(dr_window, dtype=float)
-    if dr.ndim != 1:
-        raise ModelFormatError(f"dr window must be 1-D, got shape {dr.shape}")
-    diff = np.empty_like(dr)
-    diff[0] = 0.0
-    diff[1:] = np.diff(dr)
-    return np.stack([dr, diff], axis=1)
+    if dr.ndim not in (1, 2):
+        raise ModelFormatError(f"dr window must be 1-D or 2-D, got shape {dr.shape}")
+    cols = dr[None] if dr.ndim == 1 else dr.T
+    diff = np.zeros_like(cols)
+    diff[:, 1:] = np.diff(cols, axis=1)
+    feats = np.stack([cols, diff], axis=2)
+    return feats[0] if dr.ndim == 1 else feats
 
 
-def forward_sequence(window: np.ndarray, m: LstmModel) -> float:
-    """Run one raw feature window (T, D) through the cell and readout.
+def forward_sequence(window: np.ndarray, m: LstmModel):
+    """Run raw feature windows through the cell and readout.
 
-    The window is normalized with the model statistics, iterated from zero
+    Windows are normalized with the model statistics, iterated from zero
     initial states, and the readout on the final hidden state is mapped back
-    to physical strain.
+    to physical strain.  A (T, D) window gives a float; an (n, T, D) batch
+    gives n strains.
     """
     w = np.asarray(window, dtype=float)
-    if w.shape != (m.window, m.input_size):
+    if w.ndim not in (2, 3) or w.shape[-2:] != (m.window, m.input_size):
         raise ModelFormatError(
             f"window shape {w.shape} does not match (T={m.window}, D={m.input_size})")
-    y, _ = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, w))[None])
-    return float(y[0] * m.norm.target_scale + m.norm.target_mean)
+    batch = w.reshape(-1, m.window, m.input_size)
+    y, _ = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, batch)))
+    strains = y * m.norm.target_scale + m.norm.target_mean
+    return float(strains[0]) if w.ndim == 2 else strains
 
 
-def predict_strain(m: LstmModel, dr_window: np.ndarray) -> float:
-    """Strain prediction from a window of T raw dR/R samples."""
+def predict_strain(m: LstmModel, dr_window: np.ndarray):
+    """Strain prediction from T raw dR/R samples.
+
+    A (T,) window gives a float; a (T, n) block, one sensor per column,
+    gives the n strains from one batched forward pass.
+    """
     return forward_sequence(features_from_window(dr_window), m)
 
 
@@ -217,44 +231,35 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
     """Mean-squared-error gradients over a normalized batch.
 
     Returns (preds_norm, grads dict) where the loss is
-    mean((pred - target)^2) in normalized target space.
+    mean((pred - target)^2) in normalized target space.  Per step, one
+    product with the stacked gate matrix carries the gradient back to the
+    step's inputs and one accumulates the gate weight gradients.
     """
-    b, t, d = x.shape
-    y, (cache, h_final) = _forward_batch(m, x)
+    b, _, d = x.shape
+    hs = m.hidden_size
+    y, (cache, h_final) = _forward_batch(m, x, keep_cache=True)
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite forward pass during backprop")
     dy = 2.0 * (y - targets) / b
 
-    g_wf = np.zeros_like(m.w_f); g_bf = np.zeros_like(m.b_f)
-    g_wi = np.zeros_like(m.w_i); g_bi = np.zeros_like(m.b_i)
-    g_wh = np.zeros_like(m.w_h)
-    g_wo = np.zeros_like(m.w_o); g_bo = np.zeros_like(m.b_o)
-    g_wout = h_final.T @ dy
-    g_bout = float(dy.sum())
-
+    w = np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h])  # the forward's gate stacking
+    g_w = np.zeros_like(w)
+    g_b = np.zeros(4 * hs)
     dh = np.outer(dy, m.w_out)
-    dc = np.zeros((b, m.hidden_size))
-    for step in range(t - 1, -1, -1):
-        z, f, i, g, c_prev, c_new, o = cache[step]
+    dc = np.zeros((b, hs))
+    for z, a, c_prev, c_new in reversed(cache):
+        f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
         tc = np.tanh(c_new)
-        do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        af = df * f * (1.0 - f)
-        ai = di * i * (1.0 - i)
-        ah = dg * (1.0 - g * g)
-        ao = do * o * (1.0 - o)
-        g_wf += af.T @ z; g_bf += af.sum(axis=0)
-        g_wi += ai.T @ z; g_bi += ai.sum(axis=0)
-        g_wh += ah.T @ z
-        g_wo += ao.T @ z; g_bo += ao.sum(axis=0)
-        dz = af @ m.w_f + ai @ m.w_i + ah @ m.w_h + ao @ m.w_o
-        dh = dz[:, d:]
+        da = np.concatenate([dc * c_prev * f * (1.0 - f), dc * g * i * (1.0 - i),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+        g_w += da.T @ z
+        g_b += da.sum(axis=0)
+        dh = (da @ w)[:, d:]
         dc = dc * f
-    grads = {"w_f": g_wf, "b_f": g_bf, "w_i": g_wi, "b_i": g_bi, "w_h": g_wh,
-             "w_o": g_wo, "b_o": g_bo, "w_out": g_wout, "b_out": g_bout}
+    grads = {"w_f": g_w[:hs], "b_f": g_b[:hs], "w_i": g_w[hs:2 * hs], "b_i": g_b[hs:2 * hs],
+             "w_o": g_w[2 * hs:3 * hs], "b_o": g_b[2 * hs:3 * hs], "w_h": g_w[3 * hs:],
+             "w_out": h_final.T @ dy, "b_out": float(dy.sum())}
     return y, grads
 
 
@@ -325,7 +330,7 @@ def make_stretch_dataset(seed: int = 0, rates: tuple[float, ...] = (0.05, 0.1, 0
     """
     rng = np.random.default_rng(seed)
     dt = 1.0 / sample_rate_hz
-    windows, targets, split = [], [], []
+    windows, targets, is_val = [], [], []
     for rate in rates:
         ramp = max_strain / rate
         period = 2.0 * (ramp + hold_s)
@@ -342,18 +347,14 @@ def make_stretch_dataset(seed: int = 0, rates: tuple[float, ...] = (0.05, 0.1, 0
             lo, hi = noise_band
             dr = dr + rng.uniform(lo, hi, size=len(dr))
         n_val_start = int(np.floor(len(t) * (1.0 - val_fraction)))
-        for k in range(window, len(t) + 1):
-            windows.append(features_from_window(dr[k - window:k]))
-            targets.append(strain[k - 1])
-            split.append("val" if k - 1 >= n_val_start else "train")
-    windows = np.array(windows)
-    targets = np.array(targets)
-    split = np.array(split)
+        last = np.arange(window - 1, len(t))  # final sample of each window
+        windows.append(features_from_window(dr[last[:, None] + np.arange(1 - window, 1)].T))
+        targets.append(strain[last])
+        is_val.append(last >= n_val_start)
+    is_val = np.concatenate(is_val)
     return SequenceDataset(
-        windows=windows, targets=targets,
-        train_idx=np.flatnonzero(split == "train"),
-        val_idx=np.flatnonzero(split == "val"),
-    )
+        windows=np.concatenate(windows), targets=np.concatenate(targets),
+        train_idx=np.flatnonzero(~is_val), val_idx=np.flatnonzero(is_val))
 
 
 def _clipped_update(m: LstmModel, grads: dict, lr: float, clip: float) -> LstmModel:
@@ -424,11 +425,8 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
             best = (vl, epoch, m)
 
     best_model = best[2]
-    chunks = []
-    for k in range(0, len(va), 512):
-        y, _ = _forward_batch(best_model, xn[va[k:k + 512]])
-        chunks.append(y)
-    preds = np.concatenate(chunks) * t_scale + t_mean
+    y, _ = _forward_batch(best_model, xn[va])
+    preds = y * t_scale + t_mean
     errors = preds - data.targets[va]
     counts, edges = np.histogram(errors, bins=41, range=(-0.2, 0.2))
     report = TrainReport(train_losses=train_losses, val_losses=val_losses,

@@ -23,6 +23,7 @@ from .sensors import (
     SensorFrame,
     StrainVector,
     lengths_from_strain,
+    select_mode,
     strains_from_frame,
 )
 from .topology import Topology, edge_lengths
@@ -44,6 +45,19 @@ class SessionLog:
             tts = [f.timestamp_ms for f in self.truth_frames]
             if tts != ts:
                 raise TenseReconError("truth frames not aligned with sensor frames")
+
+
+def _dr_windows(frames: list[SensorFrame], baseline: SensorFrame,
+                window: int) -> list[np.ndarray]:
+    """Per frame, the (window, 24) dR/R history whose last row is that frame.
+
+    Histories are left-padded with the earliest sample until enough frames
+    have arrived, so every frame has a full window.
+    """
+    r0 = baseline.resistances
+    dr = (np.stack([f.resistances for f in frames]) - r0) / r0
+    padded = np.concatenate([np.repeat(dr[:1], window - 1, axis=0), dr])
+    return [padded[n:n + window] for n in range(len(frames))]
 
 
 def reconstruct_session(frames, t: Topology, cal: BendCalibration,
@@ -69,34 +83,18 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
         raise TenseReconError("reconstruct_session needs a stretching model")
 
     rest = t.rest_lengths()
-    window = model.window
     tracker = Tracker(t, opts)
     results: list[SolveResult] = []
-    history: list[np.ndarray] = []
-    prev_lengths: np.ndarray | None = None
+    modes = [Mode.STRETCHING] * N_SENSORS
 
-    for frame in frames:
-        dr = (frame.resistances - baseline.resistances) / baseline.resistances
-        history.append(dr)
-        if len(history) > window:
-            history.pop(0)
-        hist = np.stack(history)
-        if hist.shape[0] < window:  # left-pad with the earliest sample
-            pad = np.repeat(hist[:1], window - hist.shape[0], axis=0)
-            hist = np.concatenate([pad, hist])
-
-        if prev_lengths is None:
-            modes = [Mode.STRETCHING] * N_SENSORS
-        else:
-            modes = [Mode.BENDING if prev_lengths[k] < rest[k] else Mode.STRETCHING
-                     for k in range(N_SENSORS)]
-
+    for frame, hist in zip(frames, _dr_windows(frames, baseline, model.window)):
         strains = strains_from_frame(frame, baseline, modes, cal, model, hist,
                                      clamp=clamp)
         lengths = lengths_from_strain(strains, t)
         result = tracker.process(frame.timestamp_ms, lengths)
         results.append(result)
-        prev_lengths = edge_lengths(t, result.state)
+        prev = edge_lengths(t, result.state)
+        modes = [select_mode(prev[k], rest[k]) for k in range(N_SENSORS)]
     return results
 
 
@@ -115,17 +113,8 @@ def strains_only(frames, cal: BendCalibration, model: LstmModel | None,
         baseline = frames[0]
     window = model.window if model is not None else 1
     out = []
-    history: list[np.ndarray] = []
-    for frame in frames:
-        dr = (frame.resistances - baseline.resistances) / baseline.resistances
-        history.append(dr)
-        if len(history) > window:
-            history.pop(0)
-        hist = np.stack(history)
-        if hist.shape[0] < window:
-            pad = np.repeat(hist[:1], window - hist.shape[0], axis=0)
-            hist = np.concatenate([pad, hist])
-        modes = [Mode.BENDING if d < 0 else Mode.STRETCHING for d in dr]
+    for frame, hist in zip(frames, _dr_windows(frames, baseline, window)):
+        modes = [Mode.BENDING if d < 0 else Mode.STRETCHING for d in hist[-1]]
         out.append(strains_from_frame(frame, baseline, modes, cal, model, hist,
                                       clamp=clamp))
     return out

@@ -25,6 +25,9 @@ from .errors import OrderingError, SingularGeometryError, TopologyError
 from .topology import Topology
 
 COINCIDENCE_LIMIT = 1e-9  # connected nodes closer than this are corrupt input
+# A step-tolerance stop counts as converged only at a stationary point: a
+# tiny step from heavy damping or a wrong Jacobian leaves the gradient large.
+STATIONARY_GRADIENT_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,11 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
 
     Accepted steps never increase the objective; the damping parameter is
     multiplied by 10 on a rejected step and divided by 10 on acceptance.
-    Convergence means a residual-tolerance or step-tolerance stop; hitting
-    the iteration cap reports converged=False.  Anchored coordinates are
-    never touched.  A final state whose free-node centroid sits below the
-    anchor plane is flagged mirrored (the structure lives above z = 0).
+    Convergence means a residual-tolerance stop, or a step-tolerance stop at
+    a stationary point; a stall or the iteration cap reports converged=False.
+    Anchored coordinates are never touched.  A final state whose free-node
+    centroid sits below the anchor plane is flagged mirrored (the structure
+    lives above z = 0).
     """
     coords0 = np.asarray(initial.coords, dtype=float)
     anchor_ref = t.nominal_coords[sorted(t.anchored)]
@@ -206,7 +210,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                 lam *= 10.0
                 continue
             if np.linalg.norm(step) < opts.step_tolerance:
-                converged = True
+                converged = bool(np.linalg.norm(grad) <= STATIONARY_GRADIENT_LIMIT)
                 break
             x_new = x + step
             coords_new = _assemble(t, coords0, free, x_new)
@@ -223,10 +227,8 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                 lam *= 10.0
                 if lam > 1e12:
                     break
-        if converged:
-            break
-        if not accepted and not converged:
-            break  # damping exhausted or pure-GN stall
+        if not accepted:
+            break  # converged, stalled, damping exhausted or pure-GN stall
         if cost < opts.residual_tolerance:
             converged = True
             break

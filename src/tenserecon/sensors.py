@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (
     CalibrationError,
     SaturatedReadingError,
     SensorDomainError,
+    TenseReconError,
     WindowUnderflowError,
 )
 
@@ -98,6 +100,11 @@ class BendCalibration:
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise CalibrationError(f"empty or invalid domain {self.domain}")
+
+    @cached_property
+    def peak(self) -> tuple[float, float]:
+        """Argmax and max over the domain, searched once per calibration."""
+        return _bend_peak(self)
 
 
 def resistance_from_adc(adc: float, cfg: DividerConfig = DividerConfig()) -> float:
@@ -204,7 +211,7 @@ def bend_inverse(strain: float, cal: BendCalibration = BendCalibration(), *,
     if not np.isfinite(strain):
         raise SensorDomainError(f"non-finite strain {strain}")
     lo, hi = cal.domain
-    x_peak, y_peak = _bend_peak(cal)
+    x_peak, y_peak = cal.peak
     y_lo = bending_strain(lo, cal)
     y_hi = bending_strain(hi, cal)
 
@@ -341,8 +348,10 @@ def strains_from_frame(frame: SensorFrame, baseline: SensorFrame,
     Per sensor: form dR/R against the baseline frame, then route to the
     bending polynomial or to the sequence model depending on its mode flag.
     ``history`` is a (window, 24) array of past dR/R samples whose last row
-    corresponds to ``frame``; stretching sensors consume their column as the
-    model input window.  Errors are tagged with the sensor index.
+    corresponds to ``frame``; the stretching sensors' columns go through the
+    sequence model together, as one batch.  Errors are tagged with the
+    sensor index; an error from the batched model names every stretching
+    sensor it covered.
 
     clamp=True clips out-of-domain bending inputs to the domain edge and
     bounds all strains away from -1; use it for noisy live data.
@@ -356,25 +365,25 @@ def strains_from_frame(frame: SensorFrame, baseline: SensorFrame,
     if history.ndim != 2 or history.shape[1] != N_SENSORS:
         raise SensorDomainError(f"history must be (window, {N_SENSORS}), got {history.shape}")
 
+    dr = (frame.resistances - baseline.resistances) / baseline.resistances
     out = np.empty(N_SENSORS)
     for k in range(N_SENSORS):
+        if modes[k] is Mode.BENDING:
+            try:
+                out[k] = bending_strain(dr[k], cal, clamp=clamp)
+            except SensorDomainError as exc:
+                raise SensorDomainError(str(exc), sensor=k) from exc
+    stretching = [k for k in range(N_SENSORS) if modes[k] is not Mode.BENDING]
+    if stretching:
+        if model is None:
+            raise WindowUnderflowError("no stretching model supplied", sensor=stretching[0])
+        if history.shape[0] < model.window:
+            raise WindowUnderflowError(
+                f"history {history.shape[0]} < window {model.window}", sensor=stretching[0])
         try:
-            dr = delta_r_ratio(baseline.resistances[k], frame.resistances[k])
-            if modes[k] is Mode.BENDING:
-                out[k] = bending_strain(dr, cal, clamp=clamp)
-            else:
-                if model is None:
-                    raise WindowUnderflowError("no stretching model supplied", sensor=k)
-                if history.shape[0] < model.window:
-                    raise WindowUnderflowError(
-                        f"history {history.shape[0]} < window {model.window}", sensor=k)
-                out[k] = predict_strain(model, history[-model.window:, k])
-        except (SensorDomainError, WindowUnderflowError) as exc:
-            if exc.sensor is None:  # tag errors raised by per-sensor helpers
-                raise type(exc)(str(exc), sensor=k) from exc
-            raise
-        except Exception as exc:
-            raise SensorDomainError(str(exc), sensor=k) from exc
+            out[stretching] = predict_strain(model, history[-model.window:, stretching])
+        except TenseReconError as exc:
+            raise SensorDomainError(f"stretching sensors {stretching}: {exc}") from exc
     if clamp:
         np.clip(out, -0.95, 2.0, out=out)
     return StrainVector(strains=out)

@@ -2,15 +2,20 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenserecon.errors import DivergenceError, ModelFormatError
 from tenserecon.lstm import (
     Normalization,
     _backward_batch,
+    _forward_batch,
     _normalize_windows,
+    _sigmoid,
     backward,
     features_from_window,
     forward_sequence,
@@ -111,6 +116,70 @@ class TestStep:
         c0 = rng.normal(size=6)
         _, c1 = lstm_step(rng.normal(size=2), rng.normal(size=6), c0, m)
         assert np.all(np.abs(c1) <= np.abs(c0) + 1e-12)
+
+
+def masked_sigmoid(z):
+    """Reference logistic function: exp only of non-positive arguments."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestFusedPaths:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=64))
+    def test_sigmoid_matches_masked_form(self, values):
+        z = np.array(values)
+        assert np.max(np.abs(_sigmoid(z) - masked_sigmoid(z))) <= 4.4e-16
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array([-1e3, 1e3]))
+        assert out.tolist() == [0.0, 1.0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 3), h=st.integers(1, 6),
+           t=st.integers(1, 6), b=st.integers(1, 4))
+    def test_forward_batch_matches_step_chain(self, seed, d, h, t, b):
+        rng = np.random.default_rng(seed)
+        m = init_model(d, h, t, seed=seed)
+        m = dataclasses.replace(m, b_f=rng.normal(size=h), b_i=rng.normal(size=h),
+                                b_o=rng.normal(size=h), b_out=float(rng.normal()))
+        x = rng.normal(scale=2.0, size=(b, t, d))
+        y, cache = _forward_batch(m, x)
+        assert cache is None
+        for k in range(b):
+            hk, ck = np.zeros(h), np.zeros(h)
+            for step in range(t):
+                hk, ck = lstm_step(x[k, step], hk, ck, m)
+            assert y[k] == pytest.approx(float(hk @ m.w_out + m.b_out), abs=1e-12)
+
+    def test_cache_is_kept_only_for_backprop(self):
+        m = init_model(2, 4, 5, seed=1)
+        x = np.random.default_rng(1).normal(size=(3, 5, 2))
+        y_plain, cache = _forward_batch(m, x)
+        y_kept, (steps, h_final) = _forward_batch(m, x, keep_cache=True)
+        assert cache is None
+        assert np.array_equal(y_plain, y_kept)
+        assert len(steps) == 5 and h_final.shape == (3, 4)
+
+    def test_block_of_windows_matches_single_windows(self):
+        m = init_model(2, 6, 7, seed=2)
+        block = np.random.default_rng(2).normal(scale=0.3, size=(7, 5))
+        batched = predict_strain(m, block)
+        assert batched.shape == (5,)
+        for k in range(5):
+            single = predict_strain(m, block[:, k])
+            assert isinstance(single, float)
+            assert batched[k] == pytest.approx(single, abs=1e-12)
+        feats = features_from_window(block)
+        assert feats.shape == (5, 7, 2)
+        for k in range(5):
+            assert np.array_equal(feats[k], features_from_window(block[:, k]))
 
 
 class TestForward:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tenserecon import reconstruction
 from tenserecon.errors import OrderingError, SingularGeometryError, TopologyError
 from tenserecon.reconstruction import (
     SolveOptions,
@@ -192,6 +193,21 @@ class TestSolve:
             out = solve(nominal_state(topo), edge_lengths(topo, coords_gt), topo)
             hist = np.array(out.cost_history)
             assert np.all(np.diff(hist) < 0)
+
+    def test_wrong_jacobian_stall_is_not_convergence(self, topo, monkeypatch):
+        # a sign-flipped Jacobian points every step uphill; damping grows
+        # until the step is tiny, which must not pass for convergence
+        rng = np.random.default_rng(4)
+        targets = [edge_lengths(topo, random_feasible_state(topo, rng))
+                   for _ in range(5)]
+        for lengths in targets:
+            assert solve(nominal_state(topo), lengths, topo).converged
+        exact = reconstruction.jacobian
+        monkeypatch.setattr(reconstruction, "jacobian", lambda c, t: -exact(c, t))
+        for lengths in targets:
+            out = solve(nominal_state(topo), lengths, topo)
+            assert not out.converged
+            assert out.residual_norm > 1e-3
 
     def test_bad_initial_anchors_rejected(self, topo):
         coords = topo.nominal_coords.copy()

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tenserecon import lstm, sensors
 from tenserecon.errors import (
     CalibrationError,
     SaturatedReadingError,
     SensorDomainError,
     WindowUnderflowError,
 )
+from tenserecon.lstm import init_model, predict_strain
 from tenserecon.sensors import (
     BendCalibration,
     DividerConfig,
@@ -17,6 +21,7 @@ from tenserecon.sensors import (
     StrainVector,
     StretchTable,
     bend_inverse,
+    _bend_peak,
     bending_strain,
     default_stretch_table,
     delta_r_ratio,
@@ -132,6 +137,52 @@ class TestBendInverse:
             bend_inverse(-0.99)
         with pytest.raises(SensorDomainError):
             bend_inverse(0.5)
+
+
+class TestBendInverseFastPath:
+    """The bend peak is found once per calibration; inversions stay exact."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = [0]
+        inner = sensors.bending_strain
+
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sensors, "bending_strain", wrapper)
+        return calls
+
+    def test_cached_peak_equals_fresh_search(self):
+        cal = BendCalibration()
+        bend_inverse(-0.3, cal)
+        assert cal.peak == _bend_peak(BendCalibration())
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_round_trips_both_branches(self, u):
+        cal = BendCalibration()
+        x_peak, y_peak = cal.peak
+        y_lo, y_hi = bending_strain(-1.0, cal), bending_strain(0.0, cal)
+        near = y_hi + u * (y_peak - y_hi)
+        x = bend_inverse(near, cal)
+        assert x_peak <= x <= 0.0
+        assert bending_strain(x, cal) == pytest.approx(near, abs=1e-9)
+        wide = y_lo + u * (y_hi - y_lo)
+        x = bend_inverse(wide, cal)
+        assert -1.0 <= x <= x_peak
+        assert bending_strain(x, cal) == pytest.approx(wide, abs=1e-9)
+
+    def test_calls_per_inversion_after_first(self, monkeypatch):
+        cal = BendCalibration()
+        calls = self.counting(monkeypatch)
+        bend_inverse(-0.3, cal)
+        assert calls[0] > 2001  # the first call scans the domain for the peak
+        for strain in np.linspace(-0.9, 0.0, 40):
+            calls[0] = 0
+            bend_inverse(float(strain), cal)
+            assert calls[0] <= 300
 
 
 class TestFit:
@@ -290,3 +341,45 @@ class TestStrainsFromFrame:
         out = strains_from_frame(frame, base, modes, BendCalibration(),
                                  clean_model, hist, clamp=True)
         assert out.strains[4] == -0.0016
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), mode_bits=st.integers(0, 2**24 - 1),
+           clamp=st.booleans())
+    def test_batch_matches_per_sensor_oracle(self, seed, mode_bits, clamp):
+        rng = np.random.default_rng(seed)
+        model = init_model(2, 8, 6, seed=seed % 97)
+        modes = [Mode.BENDING if mode_bits >> k & 1 else Mode.STRETCHING
+                 for k in range(24)]
+        base = self._frame(rng.uniform(1e6, 1e7, size=24))
+        frame = self._frame(base.resistances * rng.uniform(0.3, 1.0, size=24), ts=1)
+        hist = rng.normal(scale=0.4, size=(model.window + 3, 24))
+        out = strains_from_frame(frame, base, modes, BendCalibration(), model,
+                                 hist, clamp=clamp).strains
+        for k in range(24):
+            if modes[k] is Mode.BENDING:
+                dr = delta_r_ratio(base.resistances[k], frame.resistances[k])
+                expected = bending_strain(dr, BendCalibration(), clamp=clamp)
+            else:
+                expected = predict_strain(model, hist[-model.window:, k])
+            if clamp:
+                expected = min(max(expected, -0.95), 2.0)
+            assert out[k] == pytest.approx(expected, abs=1e-12)
+
+    def test_model_error_names_stretching_sensors(self):
+        base = self._frame(np.full(24, 5.8e6))
+        modes = [Mode.BENDING] * 24
+        modes[3] = modes[11] = Mode.STRETCHING
+        model = init_model(3, 4, 5, seed=0)  # expects 3 features, gets 2
+        with pytest.raises(SensorDomainError, match=r"stretching sensors \[3, 11\]"):
+            strains_from_frame(base, base, modes, BendCalibration(), model,
+                               np.zeros((5, 24)))
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(m, window):
+            raise TypeError("broken model")
+
+        monkeypatch.setattr(lstm, "predict_strain", broken)
+        base = self._frame(np.full(24, 5.8e6))
+        with pytest.raises(TypeError, match="broken model"):
+            strains_from_frame(base, base, [Mode.STRETCHING] * 24, BendCalibration(),
+                               init_model(2, 4, 5, seed=0), np.zeros((5, 24)))
