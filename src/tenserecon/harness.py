@@ -142,9 +142,10 @@ def load_frames(path, anchored=frozenset()) -> list[dict]:
     return out
 
 
-def _aligned_coords(est, truth) -> tuple[np.ndarray, np.ndarray]:
-    est = list(est)
-    truth = list(truth)
+def _aligned(est, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Stack both streams in timestamp order; they must share every timestamp."""
+    est = sorted(est, key=lambda s: int(s.timestamp_ms))
+    truth = sorted(truth, key=lambda s: int(s.timestamp_ms))
     if not est or not truth:
         raise MetricsError("empty estimate or truth stream")
     est_ts = [int(s.timestamp_ms) for s in est]
@@ -159,37 +160,33 @@ def _aligned_coords(est, truth) -> tuple[np.ndarray, np.ndarray]:
             np.stack([s.coords for s in truth]))
 
 
-def _frames_sorted(frames):
-    return sorted(frames, key=lambda s: int(s.timestamp_ms))
+def _rms_mm(err: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(err ** 2)) * 1000.0)
+
+
+def _face_dz(a: np.ndarray, b: np.ndarray, t: Topology) -> np.ndarray:
+    """Face-centroid z errors, (faces, frames) in C order: the order the RMSE sums in."""
+    tris = np.array(tendon_triangles(t), dtype=int)
+    if not len(tris):
+        raise MetricsError("topology has no tendon-triangle faces")
+    return np.ascontiguousarray((a[:, tris, 2].mean(axis=2) - b[:, tris, 2].mean(axis=2)).T)
 
 
 def rmse_nodes(est, truth, t: Topology) -> float:
     """Free-node height (z) RMSE between aligned state streams, in mm."""
-    a, b = _aligned_coords(_frames_sorted(est), _frames_sorted(truth))
-    free = list(t.free_nodes)
-    dz = a[:, free, 2] - b[:, free, 2]
-    return float(np.sqrt(np.mean(dz ** 2)) * 1000.0)
+    a, b = _aligned(est, truth)
+    return _rms_mm((a - b)[:, list(t.free_nodes), 2])
 
 
 def rmse_faces(est, truth, t: Topology) -> float:
     """Face-centroid height RMSE over the tendon-triangle faces, in mm."""
-    a, b = _aligned_coords(_frames_sorted(est), _frames_sorted(truth))
-    tris = tendon_triangles(t)
-    if not tris:
-        raise MetricsError("topology has no tendon-triangle faces")
-    errs = []
-    for tri in tris:
-        idx = list(tri)
-        errs.append(a[:, idx, 2].mean(axis=1) - b[:, idx, 2].mean(axis=1))
-    return float(np.sqrt(np.mean(np.stack(errs) ** 2)) * 1000.0)
+    return _rms_mm(_face_dz(*_aligned(est, truth), t))
 
 
 def rmse_system(est, truth, t: Topology) -> float:
     """All-coordinate free-node RMSE between aligned streams, in mm."""
-    a, b = _aligned_coords(_frames_sorted(est), _frames_sorted(truth))
-    free = list(t.free_nodes)
-    d = a[:, free, :] - b[:, free, :]
-    return float(np.sqrt(np.mean(d ** 2)) * 1000.0)
+    a, b = _aligned(est, truth)
+    return _rms_mm((a - b)[:, list(t.free_nodes)])
 
 
 def tendon_length_series(states, t: Topology) -> tuple[np.ndarray, np.ndarray]:
@@ -239,11 +236,9 @@ class MetricsReport:
 def evaluate(est_states, truth_states, t: Topology,
              converged_flags=None) -> MetricsReport:
     """Compute the full metrics report over aligned estimate/truth streams."""
-    est = _frames_sorted(est_states)
-    truth = _frames_sorted(truth_states)
-    a, b = _aligned_coords(est, truth)
-    free = list(t.free_nodes)
-    dz = a[:, free, 2] - b[:, free, 2]
+    a, b = _aligned(est_states, truth_states)
+    d = (a - b)[:, list(t.free_nodes)]
+    dz = d[:, :, 2]
     per_frame = tuple(float(v) for v in np.sqrt(np.mean(dz ** 2, axis=1)) * 1000.0)
     if converged_flags is None:
         conv = 1.0
@@ -251,10 +246,10 @@ def evaluate(est_states, truth_states, t: Topology,
         flags = list(converged_flags)
         conv = float(sum(bool(f) for f in flags) / len(flags)) if flags else 0.0
     return MetricsReport(
-        rmse_node_height_mm=rmse_nodes(est, truth, t),
-        rmse_face_height_mm=rmse_faces(est, truth, t),
-        rmse_system_mm=rmse_system(est, truth, t),
-        frames_evaluated=len(est),
+        rmse_node_height_mm=_rms_mm(dz),
+        rmse_face_height_mm=_rms_mm(_face_dz(a, b, t)),
+        rmse_system_mm=_rms_mm(d),
+        frames_evaluated=len(a),
         converged_fraction=conv,
         per_frame_node_height_mm=per_frame,
     )

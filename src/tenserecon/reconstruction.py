@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OrderingError, SingularGeometryError, TopologyError
-from .topology import Topology
+from .topology import Topology, row_norms, unit_jacobian
 
 COINCIDENCE_LIMIT = 1e-9  # connected nodes closer than this are corrupt input
 # A step-tolerance stop counts as converged only at a stationary point: a
@@ -87,19 +87,6 @@ class SolveResult:
     error: str | None = None
 
 
-def _member_rows(t: Topology):
-    """Fixed residual row order: anchor-triangle tendons, struts, remaining tendons."""
-    anchored = t.anchored
-    anchor_rows = [(td.i, td.j, td.k) for td in t.tendons
-                   if td.i in anchored and td.j in anchored]
-    other_rows = [(td.i, td.j, td.k) for td in t.tendons
-                  if not (td.i in anchored and td.j in anchored)]
-    rows = [(i, j, ("tendon", k)) for i, j, k in anchor_rows]
-    rows += [(i, j, ("strut", s)) for s, (i, j) in enumerate(t.struts)]
-    rows += [(i, j, ("tendon", k)) for i, j, k in other_rows]
-    return rows
-
-
 def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology) -> np.ndarray:
     """Signed distance residuals |Ni - Nj| - target, shape (30,).
 
@@ -113,11 +100,9 @@ def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology) -> np
         raise TopologyError(f"expected {len(t.tendons)} tendon lengths, got {lengths.shape}")
     if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0):
         raise TopologyError("tendon target lengths must be finite and > 0")
-    out = np.empty(len(t.tendons) + len(t.struts))
-    for n, (i, j, (kind, idx)) in enumerate(_member_rows(t)):
-        target = t.strut_length if kind == "strut" else lengths[idx]
-        out[n] = np.linalg.norm(coords[i] - coords[j]) - target
-    return out
+    m = t.members
+    targets = np.append(lengths, t.strut_length)[m.target]
+    return row_norms(coords[m.i] - coords[m.j]) - targets
 
 
 def jacobian(coords: np.ndarray, t: Topology) -> np.ndarray:
@@ -127,25 +112,18 @@ def jacobian(coords: np.ndarray, t: Topology) -> np.ndarray:
     columns.  Free-node columns are grouped by ascending node id, xyz within.
     """
     coords = np.asarray(coords, dtype=float)
-    free = [n for n in range(len(coords)) if n not in t.anchored]
-    col = {n: 3 * k for k, n in enumerate(free)}
-    rows = _member_rows(t)
-    jac = np.zeros((len(rows), 3 * len(free)))
-    for n, (i, j, _) in enumerate(rows):
-        e = coords[i] - coords[j]
-        d = np.linalg.norm(e)
-        if d < COINCIDENCE_LIMIT:
-            raise SingularGeometryError(
-                f"nodes {i} and {j} coincide (distance {d:.2e} m)")
-        u = e / d
-        if i in col:
-            jac[n, col[i]:col[i] + 3] = u
-        if j in col:
-            jac[n, col[j]:col[j] + 3] = -u
-    return jac
+    m = t.members
+    e = coords[m.i] - coords[m.j]
+    d = row_norms(e)
+    close = np.flatnonzero(d < COINCIDENCE_LIMIT)
+    if close.size:
+        n = close[0]
+        raise SingularGeometryError(
+            f"nodes {m.i[n]} and {m.j[n]} coincide (distance {d[n]:.2e} m)")
+    return unit_jacobian(e, d, m.i, m.j, len(coords), m.free)
 
 
-def _assemble(t: Topology, initial_coords: np.ndarray, free: list[int], x: np.ndarray):
+def _assemble(initial_coords: np.ndarray, free: np.ndarray, x: np.ndarray):
     coords = initial_coords.copy()
     coords[free] = x.reshape(-1, 3)
     return coords
@@ -164,11 +142,11 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
     lives above z = 0).
     """
     coords0 = np.asarray(initial.coords, dtype=float)
-    anchor_ref = t.nominal_coords[sorted(t.anchored)]
-    if not np.array_equal(coords0[sorted(t.anchored)], anchor_ref):
+    anchors = sorted(t.anchored)
+    if not np.array_equal(coords0[anchors], t.nominal_coords[anchors]):
         raise TopologyError("initial state does not satisfy anchor constraints")
 
-    free = [n for n in range(len(coords0)) if n not in t.anchored]
+    free = t.members.free
     x = coords0[free].reshape(-1).copy()
     x_prior = x.copy()
     w2 = opts.prior_weight ** 2
@@ -180,14 +158,14 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
             c += 0.5 * w2 * float(d @ d)
         return c
 
-    coords = _assemble(t, coords0, free, x)
+    coords = _assemble(coords0, free, x)
     res = residuals(coords, tendon_lengths, t)
     if not np.all(np.isfinite(res)):
         raise SingularGeometryError("non-finite residual at initial state")
     cost = cost_of(res, x)
     history = [cost]
     lam = opts.damping_init
-    n_unknowns = len(x)
+    eye = np.eye(len(x))
     converged = cost < opts.residual_tolerance  # already at tolerance: fixed point
     iterations = 0
 
@@ -197,13 +175,13 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
         normal = jac_m.T @ jac_m
         if w2 > 0.0:
             grad = grad + w2 * (x - x_prior)
-            normal = normal + w2 * np.eye(n_unknowns)
+            normal = normal + w2 * eye
 
         accepted = False
         while not accepted:
             damp = 0.0 if opts.gauss_newton else lam
             try:
-                step = np.linalg.solve(normal + damp * np.eye(n_unknowns), -grad)
+                step = np.linalg.solve(normal + damp * eye, -grad)
             except np.linalg.LinAlgError:
                 if opts.gauss_newton:
                     raise SingularGeometryError("singular normal matrix (pure Gauss-Newton)")
@@ -213,7 +191,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                 converged = bool(np.linalg.norm(grad) <= STATIONARY_GRADIENT_LIMIT)
                 break
             x_new = x + step
-            coords_new = _assemble(t, coords0, free, x_new)
+            coords_new = _assemble(coords0, free, x_new)
             res_new = residuals(coords_new, tendon_lengths, t)
             cost_new = cost_of(res_new, x_new) if np.all(np.isfinite(res_new)) else np.inf
             if cost_new < cost:

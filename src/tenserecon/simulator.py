@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CalibrationError, RelaxationError, SensorDomainError, TopologyError
 from .reconstruction import StateFrame
 from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
-from .topology import Topology
+from .topology import Topology, row_norms, unit_jacobian
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
 DEFAULT_BASELINE_OHMS = 5.8e6
@@ -105,26 +105,19 @@ def deform(t: Topology, displacements: dict[int, np.ndarray],
     for n, vec in displacements.items():
         coords[n] = coords[n] + np.asarray(vec, dtype=float)
 
-    free = [n for n in range(len(coords)) if n not in t.anchored]
-    col = {n: 3 * k for k, n in enumerate(free)}
+    free = t.members.free
+    si, sj = np.array(t.struts).T
     for _ in range(max_iter):
-        gaps = np.array([
-            np.linalg.norm(coords[i] - coords[j]) - t.strut_length
-            for i, j in t.struts
-        ])
+        e = coords[si] - coords[sj]
+        d = row_norms(e)
+        gaps = d - t.strut_length
         if np.max(np.abs(gaps)) < tol:
             return coords
-        jac = np.zeros((len(t.struts), 3 * len(free)))
-        for row, (i, j) in enumerate(t.struts):
-            e = coords[i] - coords[j]
-            d = np.linalg.norm(e)
-            if d < 1e-9:
-                raise RelaxationError(f"strut {i}-{j} collapsed during projection")
-            u = e / d
-            if i in col:
-                jac[row, col[i]:col[i] + 3] = u
-            if j in col:
-                jac[row, col[j]:col[j] + 3] = -u
+        collapsed = np.flatnonzero(d < 1e-9)
+        if collapsed.size:
+            n = collapsed[0]
+            raise RelaxationError(f"strut {si[n]}-{sj[n]} collapsed during projection")
+        jac = unit_jacobian(e, d, si, sj, len(coords), free)
         # least-norm correction: move as little as possible to close the gaps
         step = jac.T @ np.linalg.solve(jac @ jac.T, gaps)
         flat = coords[free].reshape(-1) - step

@@ -18,7 +18,9 @@ remaining pairs in lexicographic node order.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +38,10 @@ class Tendon:
     i: int
     j: int
     rest_length: float
+
+
+# index arrays of the member equations; see Topology.members
+MemberTable = namedtuple("MemberTable", "i j target free tendon_i tendon_j")
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,27 @@ class Topology:
 
     def tendon_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((t.i, t.j) for t in self.tendons)
+
+    @cached_property
+    def members(self) -> MemberTable:
+        """Member index arrays, built on first use and kept with the topology.
+
+        Rows: the anchored-triangle tendons, the struts, then the other tendons
+        in tendon-index order; row n joins nodes i[n] and j[n] at length
+        ``append(tendon_lengths, strut_length)[target[n]]``.  ``free`` holds
+        the free nodes ascending, ``tendon_i``/``tendon_j`` the tendon ends.
+        """
+        base = [td for td in self.tendons if td.i in self.anchored and td.j in self.anchored]
+        rest = [td for td in self.tendons if td not in base]
+        rows = ([(td.i, td.j, td.k) for td in base]
+                + [(i, j, len(self.tendons)) for i, j in self.struts]
+                + [(td.i, td.j, td.k) for td in rest])
+        i, j, target = np.array(rows, dtype=int).reshape(-1, 3).T
+        ti, tj = np.array(self.tendon_pairs(), dtype=int).reshape(-1, 2).T
+        table = MemberTable(i, j, target, np.array(self.free_nodes, dtype=int), ti, tj)
+        for arr in table:  # shared by every caller, like nominal_coords
+            arr.flags.writeable = False
+        return table
 
 
 def build_canonical(strut_length: float = 0.30,
@@ -215,9 +242,27 @@ def edge_lengths(t: Topology, state) -> np.ndarray:
     coords = np.asarray(getattr(state, "coords", state), dtype=float)
     if coords.shape != (len(t.nominal_coords), 3):
         raise TopologyError(f"state must be {len(t.nominal_coords)}x3, got {coords.shape}")
-    i = np.array([td.i for td in t.tendons])
-    j = np.array([td.j for td in t.tendons])
-    return np.linalg.norm(coords[i] - coords[j], axis=1)
+    m = t.members
+    return np.linalg.norm(coords[m.tendon_i] - coords[m.tendon_j], axis=1)
+
+
+def row_norms(e: np.ndarray) -> np.ndarray:
+    """Length of each row of e, bit-identical to np.linalg.norm of that row."""
+    return np.sqrt(np.vecdot(e, e))
+
+
+def unit_jacobian(e: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray,
+                  n_nodes: int, free: np.ndarray) -> np.ndarray:
+    """Rows of d|Ni - Nj| over the free-node coordinates, for e = Ni - Nj, d = |e|.
+
+    C-ordered on purpose: BLAS rounds products with a Fortran-ordered copy differently.
+    """
+    rows = np.arange(len(i))
+    full = np.zeros((len(i), n_nodes, 3))
+    u = e / d[:, None]
+    full[rows, i] = u
+    full[rows, j] = -u
+    return np.ascontiguousarray(full[:, free]).reshape(len(i), -1)
 
 
 def tendon_triangles(t: Topology) -> list[tuple[int, int, int]]:

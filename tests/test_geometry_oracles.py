@@ -1,0 +1,284 @@
+"""Slow per-row reference implementations of the vectorized geometry.
+
+Each fast path in residuals, jacobian, deform and evaluate is checked bit
+for bit against a straightforward Python loop over the members (or faces),
+and a tracked noisy solve is run once with each implementation.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tenserecon import reconstruction
+from tenserecon.errors import RelaxationError, SingularGeometryError, TopologyError
+from tenserecon.harness import evaluate
+from tenserecon.reconstruction import (
+    COINCIDENCE_LIMIT,
+    SolveOptions,
+    StateFrame,
+    jacobian,
+    residuals,
+    track,
+)
+from tenserecon.simulator import deform, press_scenario
+from tenserecon.topology import (
+    build_canonical,
+    edge_lengths,
+    from_json_dict,
+    tendon_triangles,
+    to_json_dict,
+)
+
+TOPO = build_canonical(0.30)
+FREE = list(TOPO.free_nodes)
+
+
+def ref_member_rows(t):
+    """Residual row order: anchor-triangle tendons, struts, remaining tendons."""
+    anchored = t.anchored
+    base = [td for td in t.tendons if td.i in anchored and td.j in anchored]
+    rest = [td for td in t.tendons if not (td.i in anchored and td.j in anchored)]
+    rows = [(td.i, td.j, ("tendon", td.k)) for td in base]
+    rows += [(i, j, ("strut", s)) for s, (i, j) in enumerate(t.struts)]
+    rows += [(td.i, td.j, ("tendon", td.k)) for td in rest]
+    return rows
+
+
+def ref_residuals(coords, tendon_lengths, t):
+    coords = np.asarray(coords, dtype=float)
+    lengths = np.asarray(tendon_lengths, dtype=float)
+    if lengths.shape != (len(t.tendons),):
+        raise TopologyError(f"expected {len(t.tendons)} tendon lengths, got {lengths.shape}")
+    if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0):
+        raise TopologyError("tendon target lengths must be finite and > 0")
+    out = np.empty(len(t.tendons) + len(t.struts))
+    for n, (i, j, (kind, idx)) in enumerate(ref_member_rows(t)):
+        target = t.strut_length if kind == "strut" else lengths[idx]
+        out[n] = np.linalg.norm(coords[i] - coords[j]) - target
+    return out
+
+
+def ref_jacobian(coords, t):
+    coords = np.asarray(coords, dtype=float)
+    free = [n for n in range(len(coords)) if n not in t.anchored]
+    col = {n: 3 * k for k, n in enumerate(free)}
+    rows = ref_member_rows(t)
+    jac = np.zeros((len(rows), 3 * len(free)))
+    for n, (i, j, _) in enumerate(rows):
+        e = coords[i] - coords[j]
+        d = np.linalg.norm(e)
+        if d < COINCIDENCE_LIMIT:
+            raise SingularGeometryError(
+                f"nodes {i} and {j} coincide (distance {d:.2e} m)")
+        u = e / d
+        if i in col:
+            jac[n, col[i]:col[i] + 3] = u
+        if j in col:
+            jac[n, col[j]:col[j] + 3] = -u
+    return jac
+
+
+def ref_deform(t, displacements, tol=1e-10, max_iter=100):
+    coords = t.nominal_coords.copy()
+    for n, vec in displacements.items():
+        coords[n] = coords[n] + np.asarray(vec, dtype=float)
+    free = [n for n in range(len(coords)) if n not in t.anchored]
+    col = {n: 3 * k for k, n in enumerate(free)}
+    for _ in range(max_iter):
+        gaps = np.array([np.linalg.norm(coords[i] - coords[j]) - t.strut_length
+                         for i, j in t.struts])
+        if np.max(np.abs(gaps)) < tol:
+            return coords
+        jac = np.zeros((len(t.struts), 3 * len(free)))
+        for row, (i, j) in enumerate(t.struts):
+            e = coords[i] - coords[j]
+            d = np.linalg.norm(e)
+            if d < 1e-9:
+                raise RelaxationError(f"strut {i}-{j} collapsed during projection")
+            u = e / d
+            if i in col:
+                jac[row, col[i]:col[i] + 3] = u
+            if j in col:
+                jac[row, col[j]:col[j] + 3] = -u
+        step = jac.T @ np.linalg.solve(jac @ jac.T, gaps)
+        flat = coords[free].reshape(-1) - step
+        coords[free] = flat.reshape(-1, 3)
+    raise RelaxationError(f"strut projection did not reach {tol} m in {max_iter} iterations")
+
+
+def ref_rmses(est, truth, t):
+    """(node, face, system) RMSEs in mm and the per-frame node trace, face by face."""
+    est = sorted(est, key=lambda s: s.timestamp_ms)
+    truth = sorted(truth, key=lambda s: s.timestamp_ms)
+    a = np.stack([s.coords for s in est])
+    b = np.stack([s.coords for s in truth])
+    dz = a[:, FREE, 2] - b[:, FREE, 2]
+    errs = []
+    for tri in tendon_triangles(t):
+        idx = list(tri)
+        errs.append(a[:, idx, 2].mean(axis=1) - b[:, idx, 2].mean(axis=1))
+    d = a[:, FREE, :] - b[:, FREE, :]
+    return (float(np.sqrt(np.mean(dz ** 2)) * 1000.0),
+            float(np.sqrt(np.mean(np.stack(errs) ** 2)) * 1000.0),
+            float(np.sqrt(np.mean(d ** 2)) * 1000.0),
+            tuple(float(v) for v in np.sqrt(np.mean(dz ** 2, axis=1)) * 1000.0))
+
+
+def outcome(fn, *args):
+    """Return value or (exception type, message) so failures compare too."""
+    try:
+        return fn(*args)
+    except (RelaxationError, SingularGeometryError) as exc:
+        return type(exc), str(exc)
+
+
+def same(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+# free nodes move up to 50 mm per axis; members stay >= 10 mm long
+offsets = arrays(np.float64, (9, 3), elements=st.floats(-0.05, 0.05))
+member_lengths = arrays(np.float64, 24, elements=st.floats(0.1, 0.3))
+small_moves = st.dictionaries(
+    st.sampled_from(FREE),
+    st.tuples(*[st.floats(-0.03, 0.03)] * 3),
+    max_size=9,
+)
+
+
+def perturbed(off):
+    coords = TOPO.nominal_coords.copy()
+    coords[FREE] += off
+    return coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(off=offsets, lengths=member_lengths)
+def test_residuals_bit_identical(off, lengths):
+    coords = perturbed(off)
+    assert np.array_equal(residuals(coords, lengths, TOPO),
+                          ref_residuals(coords, lengths, TOPO))
+
+
+@settings(max_examples=200, deadline=None)
+@given(off=offsets)
+def test_jacobian_bit_identical(off):
+    coords = perturbed(off)
+    fast = jacobian(coords, TOPO)
+    assert fast.flags.c_contiguous
+    assert np.array_equal(fast, ref_jacobian(coords, TOPO))
+
+
+def relabeled(t, shift=5):
+    """The same structure with node n renamed (n + shift) % 12, tendons reordered."""
+    doc = to_json_dict(t)
+    perm = [(n + shift) % 12 for n in range(12)]
+    doc["struts"] = [[perm[i], perm[j]] for i, j in doc["struts"]]
+    for row in doc["tendons"]:
+        row["i"], row["j"] = perm[row["i"]], perm[row["j"]]
+    doc["tendons"].reverse()
+    for k, row in enumerate(doc["tendons"]):
+        row["k"] = k
+    doc["anchored"] = [perm[n] for n in doc["anchored"]]
+    coords = [None] * 12
+    for n in range(12):
+        coords[perm[n]] = doc["nominal_coords_m"][n]
+    doc["nominal_coords_m"] = coords
+    return from_json_dict(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(off=offsets, lengths=member_lengths)
+def test_relabeled_topology_bit_identical(off, lengths):
+    t = relabeled(TOPO)
+    free = list(t.free_nodes)
+    coords = t.nominal_coords.copy()
+    coords[free] += off
+    assert np.array_equal(residuals(coords, lengths, t), ref_residuals(coords, lengths, t))
+    assert np.array_equal(jacobian(coords, t), ref_jacobian(coords, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(moves=small_moves)
+def test_deform_bit_identical(moves):
+    assert same(outcome(deform, TOPO, moves), outcome(ref_deform, TOPO, moves))
+
+
+@settings(max_examples=100, deadline=None)
+@given(off=offsets,
+       collapse=st.lists(st.integers(0, 29), min_size=1, max_size=3))
+def test_coincidence_message_names_first_pair(off, collapse):
+    # move one free endpoint of each chosen member onto the other endpoint
+    coords = perturbed(off)
+    rows = ref_member_rows(TOPO)
+    for n in collapse:
+        i, j, _ = rows[n]
+        if j in TOPO.anchored:
+            i, j = j, i
+        coords[j] = coords[i]
+    expected = outcome(ref_jacobian, coords, TOPO)
+    assert isinstance(expected, tuple)  # at least one pair coincides
+    assert outcome(jacobian, coords, TOPO) == expected
+
+
+@pytest.mark.parametrize("i,j", [(4, 5), (7, 8), (10, 11), (0, 3)])
+def test_collapsed_strut_named(i, j):
+    # put one free endpoint exactly on the other: the projection cannot proceed
+    mover, target = (j, i) if i in TOPO.anchored else (i, j)
+    moves = {mover: TOPO.nominal_coords[target] - TOPO.nominal_coords[mover]}
+    with pytest.raises(RelaxationError, match=f"strut {i}-{j} collapsed") as err:
+        deform(TOPO, moves)
+    assert outcome(ref_deform, TOPO, moves) == (RelaxationError, str(err.value))
+
+
+def noisy_press_lengths(seed=3, n_frames=40):
+    sc = press_scenario(TOPO)
+    rng = np.random.default_rng(seed)
+    frames = []
+    for k in range(n_frames):
+        t_ms = 200 * k
+        exact = edge_lengths(TOPO, deform(TOPO, sc.displacements_at(t_ms)))
+        frames.append((t_ms, exact * (1.0 + rng.normal(0.0, 2e-3, size=24))))
+    return frames
+
+
+def test_tracked_noisy_solve_matches_reference(monkeypatch):
+    frames = noisy_press_lengths()
+    opts = SolveOptions(prior_weight=1.0)
+    fast = list(track(frames, TOPO, opts))
+    monkeypatch.setattr(reconstruction, "residuals", ref_residuals)
+    monkeypatch.setattr(reconstruction, "jacobian", ref_jacobian)
+    slow = list(track(frames, TOPO, opts))
+    assert len(fast) == len(slow) == len(frames)
+    assert sum(r.iterations for r in fast) > len(frames)  # real solves, not no-ops
+    for f, s in zip(fast, slow):
+        assert np.array_equal(f.state.coords, s.state.coords)
+        assert f.iterations == s.iterations
+        assert f.cost_history == s.cost_history
+        assert f.converged == s.converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 40),
+       scale=st.floats(1e-6, 1e-1))
+def test_evaluate_matches_face_loop(seed, n_frames, scale):
+    rng = np.random.default_rng(seed)
+    est, truth = [], []
+    for k in range(n_frames):
+        e = TOPO.nominal_coords.copy()
+        g = TOPO.nominal_coords.copy()
+        e[FREE] += rng.normal(scale=scale, size=(9, 3))
+        g[FREE] += rng.normal(scale=scale, size=(9, 3))
+        est.append(StateFrame(100 * k, e))
+        truth.append(StateFrame(100 * k, g))
+    est = [est[i] for i in rng.permutation(n_frames)]
+    report = evaluate(est, truth, TOPO)
+    node, face, system, per_frame = ref_rmses(est, truth, TOPO)
+    assert report.rmse_node_height_mm == node
+    assert report.rmse_face_height_mm == face
+    assert report.rmse_system_mm == system
+    assert report.per_frame_node_height_mm == per_frame

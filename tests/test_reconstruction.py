@@ -113,7 +113,8 @@ class TestJacobian:
         coords = topo.nominal_coords.copy()
         td = topo.tendons[4]
         coords[td.i] = coords[td.j]
-        with pytest.raises(SingularGeometryError):
+        with pytest.raises(SingularGeometryError,
+                           match=rf"^nodes {td.i} and {td.j} coincide \(distance "):
             jacobian(coords, topo)
 
     @pytest.mark.xfail(

@@ -203,3 +203,16 @@ def test_alternate_labeling_loadable(tmp_path):
     t2 = from_json_dict(doc)
     assert validate(t2) == []
     assert t2.anchored == frozenset(perm[i] for i in (0, 1, 2))
+
+
+def test_member_table_cached_read_only_in_row_order():
+    t = build_canonical(0.30)
+    m = t.members
+    assert t.members is m
+    assert list(zip(m.i[:9], m.j[:9])) == [(0, 1), (1, 2), (0, 2), *t.struts]
+    assert list(m.target) == [0, 1, 2] + [24] * 6 + list(range(3, 24))
+    assert list(m.free) == list(t.free_nodes)
+    assert list(zip(m.tendon_i, m.tendon_j)) == list(t.tendon_pairs())
+    for arr in m:
+        with pytest.raises(ValueError):
+            arr[0] = 0
