@@ -12,7 +12,7 @@ Submodules:
 
 from .errors import TenseReconError
 from .reconstruction import SolveOptions, SolveResult, StateFrame, solve, track
-from .sensors import BendCalibration, DividerConfig, Mode, SensorFrame, StrainVector
+from .sensors import BendCalibration, Mode, SensorFrame, StrainVector
 from .topology import Topology, build_canonical, edge_lengths, validate
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TenseReconError",
     "SolveOptions", "SolveResult", "StateFrame", "solve", "track",
-    "BendCalibration", "DividerConfig", "Mode", "SensorFrame", "StrainVector",
+    "BendCalibration", "Mode", "SensorFrame", "StrainVector",
     "Topology", "build_canonical", "edge_lengths", "validate",
     "__version__",
 ]

@@ -56,6 +56,28 @@ def _resolve_stretch_table(args, cfg) -> sensors.StretchTable:
     return sensors.load_stretch_table(path) if path else sensors.default_stretch_table()
 
 
+def _resolve_scenario(args, cfg, topo) -> simulator.Scenario:
+    path = getattr(args, "scenario", None) or cfg.get("scenario")
+    if path:
+        return simulator.load_scenario(path)
+    noise = simulator.NoiseModel(kind="none" if args.no_noise else "uniform", seed=args.seed)
+    return simulator.press_scenario(topo, seed=args.seed, noise=noise)
+
+
+def _report_metrics(report: harness.MetricsReport, path, *, announce: bool) -> None:
+    """Write the metrics JSON to ``path`` when given, then print the headline lines."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report.to_json_dict(), fh, indent=1)
+            fh.write("\n")
+        if announce:
+            print(f"wrote {path}")
+    print(f"node height RMSE: {report.rmse_node_height_mm:.3f} mm")
+    print(f"face height RMSE: {report.rmse_face_height_mm:.3f} mm")
+    print(f"system RMSE:      {report.rmse_system_mm:.3f} mm")
+    print(f"converged:        {report.converged_fraction * 100.0:.1f}%")
+
+
 def cmd_topology(args, cfg) -> int:
     if args.validate:
         topo = topology.load_topology(args.validate)
@@ -127,13 +149,7 @@ def cmd_simulate(args, cfg) -> int:
     topo = _resolve_topology(args, cfg)
     cal = _resolve_calibration(args, cfg)
     table = _resolve_stretch_table(args, cfg)
-    scenario_path = args.scenario or cfg.get("scenario")
-    if scenario_path:
-        sc = simulator.load_scenario(scenario_path)
-    else:
-        noise = simulator.NoiseModel(seed=args.seed) if not args.no_noise \
-            else simulator.NoiseModel(kind="none", seed=args.seed)
-        sc = simulator.press_scenario(topo, seed=args.seed, noise=noise)
+    sc = _resolve_scenario(args, cfg, topo)
     truth, sensed = simulator.generate_session(sc, topo, cal, table)
     harness.write_sensor_csv(sensed, args.sensors_out)
     harness.export_frames(truth, args.truth_out)
@@ -170,16 +186,7 @@ def cmd_evaluate(args, cfg) -> int:
     report = harness.evaluate([d["state"] for d in est],
                               [d["state"] for d in truth], topo,
                               converged_flags=[d["converged"] for d in est])
-    doc = report.to_json_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    print(f"node height RMSE: {report.rmse_node_height_mm:.3f} mm")
-    print(f"face height RMSE: {report.rmse_face_height_mm:.3f} mm")
-    print(f"system RMSE:      {report.rmse_system_mm:.3f} mm")
-    print(f"converged:        {report.converged_fraction * 100.0:.1f}%")
+    _report_metrics(report, args.out, announce=True)
     return EXIT_OK
 
 
@@ -192,12 +199,7 @@ def cmd_run_all(args, cfg) -> int:
 
     topology.save_topology(topo, outdir / "topology.json")
 
-    if cfg.get("scenario"):
-        sc = simulator.load_scenario(cfg["scenario"])
-    else:
-        noise = simulator.NoiseModel(seed=args.seed) if not args.no_noise \
-            else simulator.NoiseModel(kind="none", seed=args.seed)
-        sc = simulator.press_scenario(topo, seed=args.seed, noise=noise)
+    sc = _resolve_scenario(args, cfg, topo)
     simulator.save_scenario(sc, outdir / "scenario.json")
     truth, sensed = simulator.generate_session(sc, topo, cal, table)
     harness.write_sensor_csv(sensed, outdir / "sensors.csv")
@@ -225,13 +227,7 @@ def cmd_run_all(args, cfg) -> int:
                                     outdir / "tendon_lengths.csv")
 
     report = pipeline.evaluate_session(results, truth, topo)
-    with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1)
-        fh.write("\n")
-    print(f"node height RMSE: {report.rmse_node_height_mm:.3f} mm")
-    print(f"face height RMSE: {report.rmse_face_height_mm:.3f} mm")
-    print(f"system RMSE:      {report.rmse_system_mm:.3f} mm")
-    print(f"converged:        {report.converged_fraction * 100.0:.1f}%")
+    _report_metrics(report, outdir / "metrics.json", announce=False)
     print(f"outputs in {outdir}")
     if report.converged_fraction < 1.0:
         return EXIT_NOCONV
@@ -336,7 +332,7 @@ def cli(argv=None) -> int:
     except TenseReconError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except json.JSONDecodeError as exc:

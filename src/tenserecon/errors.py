@@ -9,10 +9,6 @@ class TopologyError(TenseReconError):
     """Structurally invalid topology description."""
 
 
-class SaturatedReadingError(TenseReconError):
-    """ADC reading pinned at 0 or full scale (open or short circuit)."""
-
-
 class SensorDomainError(TenseReconError):
     """A sensor value left the valid domain of its calibration model."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, MetricsError
+from .errors import DataFormatError, MetricsError, TopologyError
 from .reconstruction import SolveResult, StateFrame
 from .sensors import N_SENSORS, SensorFrame
 from .topology import Topology, tendon_triangles
@@ -124,7 +124,11 @@ def export_frames(results, path) -> None:
 
 
 def load_frames(path, anchored=frozenset()) -> list[dict]:
-    """Read a frames JSONL file into dicts with a parsed StateFrame under "state"."""
+    """Read a frames JSONL file into dicts with a parsed StateFrame under "state".
+
+    A record needs "t_ms", a JSON boolean "converged" and an Nx3 "coords_m";
+    anything else raises DataFormatError naming the 1-based line.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -133,11 +137,16 @@ def load_frames(path, anchored=frozenset()) -> list[dict]:
                 continue
             try:
                 doc = json.loads(line)
+                converged = doc["converged"]
                 doc["state"] = StateFrame(timestamp_ms=int(doc["t_ms"]),
                                           coords=np.array(doc["coords_m"], dtype=float),
                                           anchored=anchored)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    TopologyError) as exc:
                 raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
+            if not isinstance(converged, bool):
+                raise DataFormatError(
+                    f'"converged" must be a JSON boolean, got {converged!r}', line=lineno)
             out.append(doc)
     return out
 
@@ -170,23 +179,6 @@ def _face_dz(a: np.ndarray, b: np.ndarray, t: Topology) -> np.ndarray:
     if not len(tris):
         raise MetricsError("topology has no tendon-triangle faces")
     return np.ascontiguousarray((a[:, tris, 2].mean(axis=2) - b[:, tris, 2].mean(axis=2)).T)
-
-
-def rmse_nodes(est, truth, t: Topology) -> float:
-    """Free-node height (z) RMSE between aligned state streams, in mm."""
-    a, b = _aligned(est, truth)
-    return _rms_mm((a - b)[:, list(t.free_nodes), 2])
-
-
-def rmse_faces(est, truth, t: Topology) -> float:
-    """Face-centroid height RMSE over the tendon-triangle faces, in mm."""
-    return _rms_mm(_face_dz(*_aligned(est, truth), t))
-
-
-def rmse_system(est, truth, t: Topology) -> float:
-    """All-coordinate free-node RMSE between aligned streams, in mm."""
-    a, b = _aligned(est, truth)
-    return _rms_mm((a - b)[:, list(t.free_nodes)])
 
 
 def tendon_length_series(states, t: Topology) -> tuple[np.ndarray, np.ndarray]:

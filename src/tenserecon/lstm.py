@@ -65,9 +65,6 @@ class LstmModel:
     b_out: float
     norm: Normalization
 
-    def params(self) -> dict[str, np.ndarray | float]:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
-
     def validate_shapes(self) -> None:
         d, h = self.input_size, self.hidden_size
         if h < 1 or self.window < 1:

@@ -8,8 +8,6 @@ geometric solver tracks node positions frame to frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import TenseReconError
@@ -21,30 +19,11 @@ from .sensors import (
     Mode,
     N_SENSORS,
     SensorFrame,
-    StrainVector,
     lengths_from_strain,
     select_mode,
     strains_from_frame,
 )
 from .topology import Topology, edge_lengths
-
-
-@dataclass
-class SessionLog:
-    """A recorded session: sensor frames, optional paired truth, metadata."""
-
-    sensor_frames: list[SensorFrame]
-    truth_frames: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        ts = [f.timestamp_ms for f in self.sensor_frames]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise TenseReconError("sensor frame timestamps must increase strictly")
-        if self.truth_frames:
-            tts = [f.timestamp_ms for f in self.truth_frames]
-            if tts != ts:
-                raise TenseReconError("truth frames not aligned with sensor frames")
 
 
 def _dr_windows(frames: list[SensorFrame], baseline: SensorFrame,
@@ -96,28 +75,6 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
         prev = edge_lengths(t, result.state)
         modes = [select_mode(prev[k], rest[k]) for k in range(N_SENSORS)]
     return results
-
-
-def strains_only(frames, cal: BendCalibration, model: LstmModel | None,
-                 *, clamp: bool = False,
-                 baseline: SensorFrame | None = None) -> list[StrainVector]:
-    """Sensor stream -> per-frame strain vectors without solving geometry.
-
-    Modes are chosen from the sign of the instantaneous dR/R here (no
-    reconstructed shape is available); mainly a debugging aid.
-    """
-    frames = list(frames)
-    if not frames:
-        return []
-    if baseline is None:
-        baseline = frames[0]
-    window = model.window if model is not None else 1
-    out = []
-    for frame, hist in zip(frames, _dr_windows(frames, baseline, window)):
-        modes = [Mode.BENDING if d < 0 else Mode.STRETCHING for d in hist[-1]]
-        out.append(strains_from_frame(frame, baseline, modes, cal, model, hist,
-                                      clamp=clamp))
-    return out
 
 
 def evaluate_session(results, truth_frames, t: Topology) -> MetricsReport:

@@ -56,7 +56,7 @@ class SolveOptions:
     step_tolerance is on the proposed update norm (m).  prior_weight > 0
     adds 0.5 * w^2 * ||x - x_initial||^2 to the objective, which bounds the
     data-blind flex direction; use it for noisy tracking, leave 0 for exact
-    data.  gauss_newton=True disables damping entirely (pure Gauss-Newton).
+    data.
     """
 
     max_iterations: int = 100
@@ -64,7 +64,6 @@ class SolveOptions:
     step_tolerance: float = 1e-12
     damping_init: float = 1e-3
     prior_weight: float = 0.0
-    gauss_newton: bool = False
 
     def __post_init__(self):
         if (self.max_iterations < 0 or self.residual_tolerance < 0
@@ -179,12 +178,9 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
 
         accepted = False
         while not accepted:
-            damp = 0.0 if opts.gauss_newton else lam
             try:
-                step = np.linalg.solve(normal + damp * eye, -grad)
+                step = np.linalg.solve(normal + lam * eye, -grad)
             except np.linalg.LinAlgError:
-                if opts.gauss_newton:
-                    raise SingularGeometryError("singular normal matrix (pure Gauss-Newton)")
                 lam *= 10.0
                 continue
             if np.linalg.norm(step) < opts.step_tolerance:
@@ -199,14 +195,12 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)
                 accepted = True
-            elif opts.gauss_newton:
-                break  # undamped step rejected; nothing else to try
             else:
                 lam *= 10.0
                 if lam > 1e12:
                     break
         if not accepted:
-            break  # converged, stalled, damping exhausted or pure-GN stall
+            break  # converged, stalled or damping exhausted
         if cost < opts.residual_tolerance:
             converged = True
             break
@@ -232,24 +226,14 @@ class Tracker:
     Frame 0 solves from the topology's nominal coordinates; every later
     frame starts from the previous good solution.  Solver failures are
     emitted in-stream (converged=False, error set) and tracking continues
-    from the last good state.  ``drop_to_latest`` implements the
-    latest-wins backpressure policy: superseded frames are counted in
-    ``skipped`` rather than processed.
+    from the last good state.
     """
 
     def __init__(self, t: Topology, opts: SolveOptions = SolveOptions()):
         self.topology = t
         self.opts = opts
-        self.skipped = 0
         self._last_good = nominal_state(t)
         self._last_ts: int | None = None
-
-    def drop_to_latest(self, pending: list) -> list:
-        """Keep only the newest pending frame; count the rest as skipped."""
-        if len(pending) > 1:
-            self.skipped += len(pending) - 1
-            return [pending[-1]]
-        return pending
 
     def process(self, timestamp_ms: int, tendon_lengths: np.ndarray) -> SolveResult:
         if self._last_ts is not None and timestamp_ms <= self._last_ts:

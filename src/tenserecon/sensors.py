@@ -1,4 +1,4 @@
-"""Sensor models: raw readings to resistance, resistance to strain, strain to length.
+"""Sensor models: resistance to strain, strain to length.
 
 Each tendon doubles as a conductive-rubber strain sensor with two regimes:
 a bending (compressive) regime described by a degree-5 polynomial in the
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     CalibrationError,
-    SaturatedReadingError,
     SensorDomainError,
     TenseReconError,
     WindowUnderflowError,
@@ -74,20 +73,6 @@ class StrainVector:
 
 
 @dataclass(frozen=True)
-class DividerConfig:
-    """Voltage-divider readout: sensor on the high side of a known resistor."""
-
-    v_supply: float = 5.0
-    r_known: float = 5.8e6
-    adc_full_scale: int = 1023
-    sensor_high_side: bool = True
-
-    def __post_init__(self):
-        if self.v_supply <= 0 or self.r_known <= 0 or self.adc_full_scale <= 0:
-            raise SensorDomainError("divider parameters must be positive")
-
-
-@dataclass(frozen=True)
 class BendCalibration:
     """Degree-5 polynomial strain(dR/R), coefficients highest power first."""
 
@@ -105,21 +90,6 @@ class BendCalibration:
     def peak(self) -> tuple[float, float]:
         """Argmax and max over the domain, searched once per calibration."""
         return _bend_peak(self)
-
-
-def resistance_from_adc(adc: float, cfg: DividerConfig = DividerConfig()) -> float:
-    """Invert the divider: ADC counts -> sensor resistance in ohms.
-
-    Raises SaturatedReadingError at 0 or full scale, which would indicate an
-    open or short circuit rather than a measurable resistance.
-    """
-    if adc <= 0 or adc >= cfg.adc_full_scale:
-        raise SaturatedReadingError(
-            f"ADC reading {adc} saturated (full scale {cfg.adc_full_scale})")
-    v = cfg.v_supply * adc / cfg.adc_full_scale
-    if cfg.sensor_high_side:
-        return cfg.r_known * (cfg.v_supply - v) / v
-    return cfg.r_known * v / (cfg.v_supply - v)
 
 
 def delta_r_ratio(r0: float, r1: float) -> float:
@@ -318,13 +288,6 @@ def load_calibration(path) -> BendCalibration:
                                domain=tuple(float(v) for v in d["domain"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CalibrationError(f"malformed calibration file {path}: {exc}") from exc
-
-
-def save_stretch_table(table: StretchTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"strain": [float(v) for v in table.strain],
-                   "dr_ratio": [float(v) for v in table.dr_ratio]}, fh)
-        fh.write("\n")
 
 
 def load_stretch_table(path) -> StretchTable:

@@ -139,3 +139,61 @@ def test_reconstruct_nonconvergence_exits_3(tmp_path, model_path):
                     "--max-iterations", "1", "--clamp", "--out", str(frames)])
     assert code == cli.EXIT_NOCONV
     assert len(frames.read_text().splitlines()) == 300
+
+
+def test_unreadable_input_path_is_data_error(tmp_path, capsys):
+    code = cli.cli(["evaluate", "--est", str(tmp_path), "--truth", str(tmp_path)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_frame_without_converged_names_line(tmp_path, capsys):
+    truth = tmp_path / "t.jsonl"
+    cli.cli(["simulate", "--seed", "3", "--sensors-out", str(tmp_path / "s.csv"),
+             "--truth-out", str(truth)])
+    lines = truth.read_text().splitlines()
+    doc = json.loads(lines[4])
+    del doc["converged"]
+    lines[4] = json.dumps(doc)
+    est = tmp_path / "est.jsonl"
+    est.write_text("\n".join(lines) + "\n")
+    assert cli.cli(["evaluate", "--est", str(est), "--truth", str(truth)]) == cli.EXIT_DATA
+    assert "line 5" in capsys.readouterr().err
+
+
+def test_evaluate_agrees_with_run_all(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code = cli.cli(["run-all", "--seed", "7", "--epochs", "5", "--outdir", str(outdir)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
+    run_lines = capsys.readouterr().out.splitlines()[:4]
+
+    metrics = tmp_path / "m.json"
+    assert cli.cli(["evaluate", "--est", str(outdir / "frames.jsonl"),
+                    "--truth", str(outdir / "truth.jsonl"),
+                    "--out", str(metrics)]) == cli.EXIT_OK
+    eval_lines = capsys.readouterr().out.splitlines()
+    assert metrics.read_bytes() == (outdir / "metrics.json").read_bytes()
+    assert eval_lines == [f"wrote {metrics}"] + run_lines
+    assert [ln.split(":")[0] for ln in run_lines] == [
+        "node height RMSE", "face height RMSE", "system RMSE", "converged"]
+
+
+def test_config_scenario_drives_simulate_and_run_all(tmp_path, model_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "sample_rate_hz": 10.0, "seed": 11,
+        "noise": {"kind": "uniform", "seed": 11},
+        "keyframes": [{"t_ms": 0, "displacements": {}},
+                      {"t_ms": 2000, "displacements": {"8": [0.0, 0.0, -0.01]}}],
+    }))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(scenario)}))
+    sensors = tmp_path / "s.csv"
+    assert cli.cli(["--config", str(cfg), "simulate", "--sensors-out", str(sensors),
+                    "--truth-out", str(tmp_path / "t.jsonl")]) == cli.EXIT_OK
+    outdir = tmp_path / "run"
+    code = cli.cli(["--config", str(cfg), "run-all", "--model", model_path,
+                    "--outdir", str(outdir)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
+    assert len(sensors.read_text().splitlines()) == 21  # header + 2 s at 10 Hz
+    assert sensors.read_bytes() == (outdir / "sensors.csv").read_bytes()

@@ -1,6 +1,7 @@
 """CSV ingestion, RMSE metrics, and frame export formats."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -13,9 +14,6 @@ from tenserecon.harness import (
     export_frames,
     load_frames,
     parse_sensor_csv,
-    rmse_faces,
-    rmse_nodes,
-    rmse_system,
     tendon_length_series,
     write_length_series_csv,
     write_sensor_csv,
@@ -108,9 +106,10 @@ class TestParse:
 class TestRmse:
     def test_identical_streams_are_zero(self, topo):
         frames = [state(i * 100, topo.nominal_coords, topo) for i in range(3)]
-        assert rmse_nodes(frames, frames, topo) == 0.0
-        assert rmse_faces(frames, frames, topo) == 0.0
-        assert rmse_system(frames, frames, topo) == 0.0
+        report = evaluate(frames, frames, topo)
+        assert report.rmse_node_height_mm == 0.0
+        assert report.rmse_face_height_mm == 0.0
+        assert report.rmse_system_mm == 0.0
 
     def test_node_rmse_hand_value(self, topo):
         # one node off by 9 mm in z among 9 free nodes: sqrt(81/9) = 3 mm
@@ -118,7 +117,7 @@ class TestRmse:
         est[5, 2] += 0.009
         a = [state(0, est, topo)]
         b = [state(0, topo.nominal_coords, topo)]
-        assert rmse_nodes(a, b, topo) == pytest.approx(3.0, rel=1e-12)
+        assert evaluate(a, b, topo).rmse_node_height_mm == pytest.approx(3.0, rel=1e-12)
 
     def test_face_rmse_uniform_lift(self, topo):
         # oracle: recompute from the face composition directly
@@ -133,7 +132,7 @@ class TestRmse:
         expected = math.sqrt(sum(v ** 2 for v in per_face) / len(per_face))
         a = [state(0, est, topo)]
         b = [state(0, topo.nominal_coords, topo)]
-        assert rmse_faces(a, b, topo) == pytest.approx(expected, rel=1e-12)
+        assert evaluate(a, b, topo).rmse_face_height_mm == pytest.approx(expected, rel=1e-12)
         # the anchored face contributes zero
         anchored_face = [v for tri, v in zip(tris, per_face)
                          if set(tri) == topo.anchored]
@@ -145,7 +144,7 @@ class TestRmse:
         est[7] += np.array([0.003, 0.0, 0.004])
         a = [state(0, est, topo)]
         b = [state(0, topo.nominal_coords, topo)]
-        assert rmse_system(a, b, topo) == pytest.approx(
+        assert evaluate(a, b, topo).rmse_system_mm == pytest.approx(
             math.sqrt(25.0 / 27.0), rel=1e-12)
 
     def test_system_rmse_matches_brute_force(self, topo):
@@ -167,7 +166,7 @@ class TestRmse:
                     total += (a.coords[n, ax] - b.coords[n, ax]) ** 2
                     count += 1
         expected = math.sqrt(total / count) * 1000.0
-        assert rmse_system(est, truth, topo) == pytest.approx(expected, rel=1e-12)
+        assert evaluate(est, truth, topo).rmse_system_mm == pytest.approx(expected, rel=1e-12)
 
     def test_reorder_invariance(self, topo):
         rng = np.random.default_rng(5)
@@ -179,22 +178,21 @@ class TestRmse:
             est.append(state(i * 100, e, topo))
             truth.append(state(i * 100, topo.nominal_coords, topo))
         perm = [3, 0, 5, 1, 4, 2]
-        for metric in (rmse_nodes, rmse_faces, rmse_system):
-            base = metric(est, truth, topo)
-            shuffled = metric([est[i] for i in perm],
-                              [truth[i] for i in perm], topo)
-            assert shuffled == pytest.approx(base, rel=1e-15)
+        base = evaluate(est, truth, topo)
+        shuffled = evaluate([est[i] for i in perm], [truth[i] for i in perm], topo)
+        for field in ("rmse_node_height_mm", "rmse_face_height_mm", "rmse_system_mm"):
+            assert getattr(shuffled, field) == pytest.approx(getattr(base, field), rel=1e-15)
 
     def test_misaligned_streams_diagnosed(self, topo):
         est = [state(i * 100, topo.nominal_coords, topo) for i in range(5)]
         truth = [state(i * 100, topo.nominal_coords, topo) for i in range(3)]
         with pytest.raises(MetricsError) as err:
-            rmse_nodes(est, truth, topo)
+            evaluate(est, truth, topo)
         assert "common timestamp range" in str(err.value)
 
     def test_empty_streams_rejected(self, topo):
         with pytest.raises(MetricsError):
-            rmse_nodes([], [], topo)
+            evaluate([], [], topo)
 
 
 class TestSeries:
@@ -250,10 +248,35 @@ class TestExport:
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"t_ms": 0, "coords_m": [[0,0,0]]}\nnot json\n')
+        path.write_text('{"t_ms": 0, "converged": true, "coords_m": [[0,0,0]]}\n'
+                        'not json\n')
         with pytest.raises(DataFormatError) as err:
             load_frames(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("converged", [None, '"false"', "1", "null"],
+                             ids=["missing", "string", "number", "null"])
+    def test_converged_must_be_json_boolean(self, tmp_path, converged):
+        good = '{"t_ms": 0, "converged": false, "coords_m": [[0,0,0]]}'
+        field = "" if converged is None else f'"converged": {converged}, '
+        bad = '{"t_ms": 100, ' + field + '"coords_m": [[0,0,0]]}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_frames(path)
+        assert err.value.line == 2
+        assert "converged" in str(err.value)
+
+    def test_wrong_coords_shape_is_data_error(self, topo, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        export_frames([state(0, topo.nominal_coords, topo)], path)
+        doc = json.loads(path.read_text())
+        doc["coords_m"] = [row[:2] for row in doc["coords_m"]]  # 12x2
+        path.write_text(path.read_text() + json.dumps(doc) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_frames(path, anchored=topo.anchored)
+        assert err.value.line == 2
+        assert "Nx3" in str(err.value)
 
 
 class TestEvaluate:
@@ -266,22 +289,3 @@ class TestEvaluate:
         assert len(report.per_frame_node_height_mm) == 4
         doc = report.to_json_dict()
         assert "definitions" in doc and len(doc["definitions"]) == 3
-
-
-class TestSessionLog:
-    def test_alignment_enforced(self, topo):
-        from tenserecon.errors import TenseReconError
-        from tenserecon.pipeline import SessionLog
-
-        frames = [SensorFrame(timestamp_ms=t, resistances=np.full(24, 1e6))
-                  for t in (0, 100, 200)]
-        log = SessionLog(sensor_frames=frames,
-                         truth_frames=[state(t, topo.nominal_coords, topo)
-                                       for t in (0, 100, 200)],
-                         metadata={"seed": 1})
-        assert log.metadata["seed"] == 1
-        with pytest.raises(TenseReconError):
-            SessionLog(sensor_frames=frames,
-                       truth_frames=[state(0, topo.nominal_coords, topo)])
-        with pytest.raises(TenseReconError):
-            SessionLog(sensor_frames=list(reversed(frames)))

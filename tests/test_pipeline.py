@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tenserecon.errors import TenseReconError
-from tenserecon.pipeline import reconstruct_session, strains_only
+from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions
 from tenserecon.sensors import BendCalibration, SensorFrame, default_stretch_table
 from tenserecon.simulator import NoiseModel, generate_session, press_scenario
@@ -66,12 +66,3 @@ def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
         (results[0].state.coords[free] - topo.nominal_coords[free]) ** 2,
         axis=1)))
     assert err < 0.005  # at rest, within model-bias tolerance of nominal
-
-
-def test_strains_only_shapes(topo, clean_session, clean_model):
-    _, sensed = clean_session
-    out = strains_only(sensed[:40], BendCalibration(), clean_model, clamp=True)
-    assert len(out) == 40
-    assert all(v.strains.shape == (24,) for v in out)
-    # at rest the strains are small
-    assert np.max(np.abs(out[0].strains)) < 0.02

@@ -1,4 +1,4 @@
-"""Per-sensor math: divider inversion, bending polynomial, fits, dispatch."""
+"""Per-sensor math: bending polynomial, fits, dispatch."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from tenserecon import lstm, sensors
 from tenserecon.errors import (
     CalibrationError,
-    SaturatedReadingError,
     SensorDomainError,
     WindowUnderflowError,
 )
 from tenserecon.lstm import init_model, predict_strain
 from tenserecon.sensors import (
     BendCalibration,
-    DividerConfig,
     Mode,
     SensorFrame,
     StrainVector,
@@ -28,37 +26,11 @@ from tenserecon.sensors import (
     fit_bending_polynomial,
     lengths_from_strain,
     load_calibration,
-    resistance_from_adc,
     save_calibration,
     select_mode,
     strains_from_frame,
 )
 from tenserecon.topology import build_canonical
-
-
-class TestDivider:
-    def test_balanced_divider_returns_reference(self):
-        cfg = DividerConfig(adc_full_scale=1024)
-        assert resistance_from_adc(512, cfg) == pytest.approx(5.8e6, rel=1e-12)
-
-    def test_hand_evaluated_quarter_scale(self):
-        # V = 5 * 256/1024 = 1.25 V; R = 5.8e6 * (5 - 1.25)/1.25 = 17.4e6
-        cfg = DividerConfig(adc_full_scale=1024)
-        assert resistance_from_adc(256, cfg) == pytest.approx(17.4e6, rel=1e-12)
-
-    @pytest.mark.parametrize("adc", [0, 1023, -5, 2000])
-    def test_saturation(self, adc):
-        with pytest.raises(SaturatedReadingError):
-            resistance_from_adc(adc, DividerConfig())
-
-    def test_strictly_decreasing_in_adc(self):
-        cfg = DividerConfig()
-        values = [resistance_from_adc(a, cfg) for a in range(1, 1023)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_low_side_variant_inverts(self):
-        cfg = DividerConfig(adc_full_scale=1024, sensor_high_side=False)
-        assert resistance_from_adc(256, cfg) == pytest.approx(5.8e6 * 0.25 / 0.75)
 
 
 class TestDeltaR:
