@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
-from .errors import TenseReconError
+from .errors import DataFormatError, TenseReconError
 
 log = logging.getLogger("tenserecon")
 
@@ -36,7 +36,11 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DataFormatError(f"config {path} must hold a JSON object, "
+                              f"got {type(cfg).__name__}")
+    return cfg
 
 
 def _resolve_topology(args, cfg) -> topology.Topology:

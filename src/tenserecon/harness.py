@@ -126,8 +126,9 @@ def export_frames(results, path) -> None:
 def load_frames(path, anchored=frozenset()) -> list[dict]:
     """Read a frames JSONL file into dicts with a parsed StateFrame under "state".
 
-    A record needs "t_ms", a JSON boolean "converged" and an Nx3 "coords_m";
-    anything else raises DataFormatError naming the 1-based line.
+    A record needs a JSON integer "t_ms", a JSON boolean "converged" and an
+    Nx3 "coords_m"; anything else raises DataFormatError naming the 1-based
+    line.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -137,16 +138,20 @@ def load_frames(path, anchored=frozenset()) -> list[dict]:
                 continue
             try:
                 doc = json.loads(line)
-                converged = doc["converged"]
-                doc["state"] = StateFrame(timestamp_ms=int(doc["t_ms"]),
+                t_ms, converged = doc["t_ms"], doc["converged"]
+                if type(t_ms) is not int:
+                    raise DataFormatError(
+                        f'"t_ms" must be a JSON integer, got {t_ms!r}', line=lineno)
+                if not isinstance(converged, bool):
+                    raise DataFormatError(
+                        f'"converged" must be a JSON boolean, got {converged!r}',
+                        line=lineno)
+                doc["state"] = StateFrame(timestamp_ms=t_ms,
                                           coords=np.array(doc["coords_m"], dtype=float),
                                           anchored=anchored)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     TopologyError) as exc:
                 raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
-            if not isinstance(converged, bool):
-                raise DataFormatError(
-                    f'"converged" must be a JSON boolean, got {converged!r}', line=lineno)
             out.append(doc)
     return out
 

@@ -28,6 +28,10 @@ COINCIDENCE_LIMIT = 1e-9  # connected nodes closer than this are corrupt input
 # A step-tolerance stop counts as converged only at a stationary point: a
 # tiny step from heavy damping or a wrong Jacobian leaves the gradient large.
 STATIONARY_GRADIENT_LIMIT = 1e-6
+# An accepted step that lowers the cost by at most this fraction of it has
+# reached the noise floor (MINPACK's ftol); the solve stops there once the
+# gradient at the new point is stationary too.
+NOISE_FLOOR_RELATIVE_DROP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,15 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
 
     Accepted steps never increase the objective; the damping parameter is
     multiplied by 10 on a rejected step and divided by 10 on acceptance.
-    Convergence means a residual-tolerance stop, or a step-tolerance stop at
-    a stationary point; a stall or the iteration cap reports converged=False.
+    Convergence means a residual-tolerance stop, a noise-floor stop, or a
+    step-tolerance stop at a stationary point.  The noise-floor stop ends
+    the solve when the last accepted step lowered the cost by at most
+    NOISE_FLOOR_RELATIVE_DROP of it and the gradient at the new point is
+    within STATIONARY_GRADIENT_LIMIT; that gradient comes from the Jacobian
+    the next iteration computes anyway, so the check costs no extra call,
+    and a small drop at a large gradient keeps iterating.  A stall or the
+    iteration cap reports converged=False.  ``iterations`` counts the
+    iterations that tried a step.
     Anchored coordinates are never touched.  A final state whose free-node
     centroid sits below the anchor plane is flagged mirrored (the structure
     lives above z = 0).
@@ -166,6 +177,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
     lam = opts.damping_init
     eye = np.eye(len(x))
     converged = cost < opts.residual_tolerance  # already at tolerance: fixed point
+    at_floor = False
     iterations = 0
 
     for iterations in range(1, (0 if converged else opts.max_iterations) + 1):
@@ -175,6 +187,10 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
         if w2 > 0.0:
             grad = grad + w2 * (x - x_prior)
             normal = normal + w2 * eye
+        if at_floor and np.linalg.norm(grad) <= STATIONARY_GRADIENT_LIMIT:
+            converged = True
+            iterations -= 1  # stopped before this iteration tried a step
+            break
 
         accepted = False
         while not accepted:
@@ -191,6 +207,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
             res_new = residuals(coords_new, tendon_lengths, t)
             cost_new = cost_of(res_new, x_new) if np.all(np.isfinite(res_new)) else np.inf
             if cost_new < cost:
+                at_floor = cost - cost_new <= NOISE_FLOOR_RELATIVE_DROP * cost
                 x, coords, res, cost = x_new, coords_new, res_new, cost_new
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)

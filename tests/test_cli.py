@@ -128,6 +128,20 @@ def test_config_file_supplies_paths(tmp_path, model_path):
     assert sensors.exists()
 
 
+@pytest.mark.parametrize("doc", ["[1]", '"topo.json"', "3", "null"],
+                         ids=["list", "string", "number", "null"])
+def test_config_must_be_json_object(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    code = cli.cli(["--config", str(cfg), "simulate", "--seed", "2",
+                    "--sensors-out", str(tmp_path / "s.csv"),
+                    "--truth-out", str(tmp_path / "t.jsonl")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "JSON object" in err
+
+
 def test_reconstruct_nonconvergence_exits_3(tmp_path, model_path):
     sensors = tmp_path / "s.csv"
     truth = tmp_path / "t.jsonl"

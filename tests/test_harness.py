@@ -267,6 +267,18 @@ class TestExport:
         assert err.value.line == 2
         assert "converged" in str(err.value)
 
+    @pytest.mark.parametrize("t_ms", ["0.5", "100.0", "true", '"100"'],
+                             ids=["fraction", "float", "bool", "string"])
+    def test_t_ms_must_be_json_integer(self, tmp_path, t_ms):
+        good = '{"t_ms": 0, "converged": false, "coords_m": [[0,0,0]]}'
+        bad = '{"t_ms": ' + t_ms + ', "converged": false, "coords_m": [[0,0,0]]}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_frames(path)
+        assert err.value.line == 2
+        assert "t_ms" in str(err.value)
+
     def test_wrong_coords_shape_is_data_error(self, topo, tmp_path):
         path = tmp_path / "bad.jsonl"
         export_frames([state(0, topo.nominal_coords, topo)], path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tenserecon import reconstruction
+from tenserecon import pipeline, reconstruction
 from tenserecon.errors import OrderingError, SingularGeometryError, TopologyError
 from tenserecon.reconstruction import (
     SolveOptions,
@@ -16,7 +16,14 @@ from tenserecon.reconstruction import (
     solve,
     track,
 )
-from tenserecon.simulator import deform
+from tenserecon.sensors import BendCalibration, default_stretch_table
+from tenserecon.simulator import (
+    DEFAULT_NOISE_BAND,
+    NoiseModel,
+    deform,
+    generate_session,
+    press_scenario,
+)
 from tenserecon.topology import build_canonical, edge_lengths
 
 
@@ -298,6 +305,22 @@ class TestTrack:
             (final[free] - topo.nominal_coords[free]) ** 2, axis=1)))
         assert err < 1e-3
 
+    def test_exact_press_session_recovered_at_zero_tolerance(self, topo):
+        # the default cost tolerance stops ~14 um of residual short, which
+        # near the flexible rest shape leaves the flex free by up to 1.8 mm
+        sc = press_scenario(topo)
+        truth = [deform(topo, sc.displacements_at(100 * k)) for k in range(300)]
+        frames = [(100 * k, edge_lengths(topo, c)) for k, c in enumerate(truth)]
+        results = list(track(frames, topo, SolveOptions(residual_tolerance=0.0)))
+        assert all(r.converged for r in results)
+        worst = max(float(np.max(np.abs(r.state.coords - c)))
+                    for r, c in zip(results, truth))
+        assert worst < 1e-8, worst
+        loose = list(track(frames, topo))
+        worst_loose = max(float(np.max(np.abs(r.state.coords - c)))
+                          for r, c in zip(loose, truth))
+        assert worst_loose > 1e-3
+
     def test_non_monotone_timestamps_rejected(self, topo):
         lengths = topo.rest_lengths()
         tracker = Tracker(topo)
@@ -343,3 +366,163 @@ class TestOptions:
         out = solve(nominal_state(topo), topo.rest_lengths(), topo)
         assert isinstance(out, SolveResult)
         assert out.residuals.shape == (30,)
+
+
+def reference_solve(initial, tendon_lengths, t, opts=SolveOptions()):
+    """Slow oracle: the damped loop without the noise-floor stop, so it ends
+    only on the residual tolerance, a stationary step-tolerance stop, a
+    stall or the iteration cap."""
+    coords0 = np.asarray(initial.coords, dtype=float)
+    free = t.members.free
+    x = coords0[free].reshape(-1).copy()
+    x_prior = x.copy()
+    w2 = opts.prior_weight ** 2
+
+    def cost_of(res, xv):
+        c = 0.5 * float(res @ res)
+        if w2 > 0.0:
+            d = xv - x_prior
+            c += 0.5 * w2 * float(d @ d)
+        return c
+
+    def assemble(xv):
+        c = coords0.copy()
+        c[free] = xv.reshape(-1, 3)
+        return c
+
+    coords = assemble(x)
+    res = reconstruction.residuals(coords, tendon_lengths, t)
+    cost = cost_of(res, x)
+    history = [cost]
+    lam = opts.damping_init
+    eye = np.eye(len(x))
+    converged = cost < opts.residual_tolerance
+    iterations = 0
+    for iterations in range(1, (0 if converged else opts.max_iterations) + 1):
+        jac_m = reconstruction.jacobian(coords, t)
+        grad = jac_m.T @ res
+        normal = jac_m.T @ jac_m
+        if w2 > 0.0:
+            grad = grad + w2 * (x - x_prior)
+            normal = normal + w2 * eye
+        accepted = False
+        while not accepted:
+            try:
+                step = np.linalg.solve(normal + lam * eye, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if np.linalg.norm(step) < opts.step_tolerance:
+                converged = bool(np.linalg.norm(grad)
+                                 <= reconstruction.STATIONARY_GRADIENT_LIMIT)
+                break
+            x_new = x + step
+            coords_new = assemble(x_new)
+            res_new = reconstruction.residuals(coords_new, tendon_lengths, t)
+            cost_new = cost_of(res_new, x_new) if np.all(np.isfinite(res_new)) else np.inf
+            if cost_new < cost:
+                x, coords, res, cost = x_new, coords_new, res_new, cost_new
+                history.append(cost)
+                lam = max(lam / 10.0, 1e-15)
+                accepted = True
+            else:
+                lam *= 10.0
+                if lam > 1e12:
+                    break
+        if not accepted:
+            break
+        if cost < opts.residual_tolerance:
+            converged = True
+            break
+    mirrored = bool(np.mean(coords[free, 2]) < 0.0)
+    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords,
+                       anchored=t.anchored)
+    return SolveResult(state=state, converged=converged and not mirrored,
+                       iterations=iterations,
+                       residual_norm=float(np.linalg.norm(res)), residuals=res,
+                       cost_history=tuple(history), mirrored=mirrored)
+
+
+def noisy_draws(topo, noise, n):
+    """Lengths of n random 45 mm deformations, times 1 + N(0, noise) each."""
+    rng = np.random.default_rng(11)
+    for _ in range(n):
+        lengths = edge_lengths(topo, random_feasible_state(topo, rng))
+        yield lengths * (1.0 + rng.normal(0.0, noise, size=24))
+
+
+@pytest.fixture(scope="module")
+def press_lengths(topo, noisy_model):
+    """The (t_ms, 24 lengths) stream the pipeline hands its tracker on the
+    noisy seed-7 press session, the benchmark's press_session workload."""
+    scenario = press_scenario(topo, depth=0.030, seed=7,
+                              noise=NoiseModel(kind="uniform",
+                                               band=DEFAULT_NOISE_BAND, seed=7))
+    _, sensed = generate_session(scenario, topo, BendCalibration(),
+                                 default_stretch_table())
+    stream = []
+
+    class Recording(Tracker):
+        def process(self, timestamp_ms, tendon_lengths):
+            stream.append((timestamp_ms, np.array(tendon_lengths)))
+            return super().process(timestamp_ms, tendon_lengths)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "Tracker", Recording)
+        pipeline.reconstruct_session(sensed, topo, BendCalibration(), noisy_model,
+                                     SolveOptions(prior_weight=1.0), clamp=True)
+    assert len(stream) == 300
+    return stream
+
+
+class TestNoiseFloorStop:
+    OPTS = SolveOptions(prior_weight=1.0)
+
+    def assert_matches_reference(self, fast, slow):
+        assert [r.converged for r in fast] == [r.converged for r in slow]
+        gap = max(float(np.max(np.abs(f.state.coords - s.state.coords)))
+                  for f, s in zip(fast, slow) if f.converged)
+        assert gap <= 1e-6, gap
+
+    def test_tracked_press_matches_reference(self, topo, press_lengths, monkeypatch):
+        fast = list(track(press_lengths, topo, self.OPTS))
+        monkeypatch.setattr(reconstruction, "solve", reference_solve)
+        slow = list(track(press_lengths, topo, self.OPTS))
+        assert all(r.converged for r in fast)
+        self.assert_matches_reference(fast, slow)
+        # the saving: noise-floor iterations are gone
+        fast_iters = np.mean([r.iterations for r in fast])
+        slow_iters = np.mean([r.iterations for r in slow])
+        assert fast_iters <= 6.0 < slow_iters
+
+    @pytest.mark.parametrize("noise", [0.0, 2e-3], ids=["exact", "noisy"])
+    def test_cold_starts_match_reference(self, topo, noise):
+        opts = SolveOptions(prior_weight=1.0 if noise else 0.0)
+        fast, slow = [], []
+        for lengths in noisy_draws(topo, noise, 50):
+            fast.append(solve(nominal_state(topo), lengths, topo, opts))
+            slow.append(reference_solve(nominal_state(topo), lengths, topo, opts))
+        self.assert_matches_reference(fast, slow)
+
+    def test_iterations_stable_under_ulp_lengths(self, topo, press_lengths):
+        base = [r.iterations for r in track(press_lengths, topo, self.OPTS)]
+        nudged = [(ts, lengths * (1.0 + 2.2e-16)) for ts, lengths in press_lengths]
+        moved = [r.iterations for r in track(nudged, topo, self.OPTS)]
+        assert sum(a == b for a, b in zip(base, moved)) >= 299
+
+    def test_small_drop_at_large_gradient_keeps_iterating(self, topo, monkeypatch):
+        # every accepted step counts as a noise-floor drop, so only the
+        # gradient guard keeps the solve from stopping early
+        monkeypatch.setattr(reconstruction, "NOISE_FLOOR_RELATIVE_DROP", 1.0)
+        initial = nominal_state(topo)
+        free = topo.members.free
+        fast, slow = [], []
+        for lengths in noisy_draws(topo, 2e-3, 20):
+            out = solve(initial, lengths, topo, self.OPTS)
+            dx = (out.state.coords[free] - initial.coords[free]).reshape(-1)
+            grad = jacobian(out.state.coords, topo).T @ out.residuals + dx
+            assert out.converged
+            assert np.linalg.norm(grad) <= reconstruction.STATIONARY_GRADIENT_LIMIT
+            fast.append(out)
+            slow.append(reference_solve(initial, lengths, topo, self.OPTS))
+        self.assert_matches_reference(fast, slow)
