@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
-from .errors import DataFormatError, TenseReconError
+from .errors import DataFormatError, TenseReconError, TopologyError
 
 log = logging.getLogger("tenserecon")
 
@@ -46,7 +47,11 @@ def _load_config(path: str | None) -> dict:
 def _resolve_topology(args, cfg) -> topology.Topology:
     path = getattr(args, "topology", None) or cfg.get("topology")
     if path:
-        return topology.load_topology(path)
+        topo = topology.load_topology(path)
+        violations = topology.validate(topo)
+        if violations:
+            raise TopologyError(f"invalid topology {path}: " + "; ".join(violations))
+        return topo
     return topology.build_canonical(cfg.get("strut_length_m", 0.30))
 
 
@@ -238,20 +243,38 @@ def cmd_run_all(args, cfg) -> int:
     return EXIT_OK
 
 
+def _at_least(kind, low):
+    """argparse type: a finite ``kind`` (float or int) >= low."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid float value"
+    return parse
+
+
+class _Band(argparse.Action):
+    """argparse action: two finite floats LO < HI."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise argparse.ArgumentError(self, f"needs finite LO < HI, got {lo} {hi}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tenserecon",
         description="Tensegrity shape reconstruction from tendon strain sensors.")
     p.add_argument("--config", help="JSON config referencing topology/model files")
     p.add_argument("--seed", type=int, default=0, help="global random seed")
-    p.add_argument("--clamp", action="store_true",
-                   help="clamp out-of-domain sensor values instead of failing")
     # the same globals are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--clamp", action="store_true", default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("topology", parents=[common], help="emit or validate a topology JSON")
@@ -268,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epochs", type=int, default=150)
     sp.add_argument("--learning-rate", type=float, default=0.1)
     sp.add_argument("--hidden-size", type=int, default=32)
-    sp.add_argument("--window", type=int, default=20)
-    sp.add_argument("--noise-band", type=float, nargs=2, metavar=("LO", "HI"))
+    sp.add_argument("--window", type=_at_least(int, 1), default=20)
+    sp.add_argument("--noise-band", type=float, nargs=2, metavar=("LO", "HI"),
+                    action=_Band)
 
     sp = sub.add_parser("simulate", parents=[common], help="generate sensor CSV + ground truth")
     sp.add_argument("--scenario", help="scenario JSON (default: press demo)")
@@ -285,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", help="trained model JSON (or config lstm_model)")
     sp.add_argument("--topology")
     sp.add_argument("--calibration")
-    sp.add_argument("--prior-weight", type=float, default=0.0,
+    sp.add_argument("--prior-weight", type=_at_least(float, 0), default=0.0,
                     help="warm-start prior weight for noisy streams")
-    sp.add_argument("--max-iterations", type=int, default=100)
+    sp.add_argument("--max-iterations", type=_at_least(int, 0), default=100)
+    sp.add_argument("--clamp", action="store_true",
+                    help="clamp out-of-domain sensor values instead of failing")
     sp.add_argument("--out", default="frames.jsonl")
 
     sp = sub.add_parser("evaluate", parents=[common], help="frames + truth -> metrics report")

@@ -14,7 +14,7 @@ serialize to a small versioned JSON file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,15 @@ from .errors import DivergenceError, ModelFormatError
 from .sensors import default_stretch_curve
 
 MODEL_FORMAT_VERSION = 1
+
+# The synthetic stretch sessions make_stretch_dataset trains on.
+STRETCH_RATES = (0.05, 0.1, 0.2)  # pull rates, strain per second
+STRETCH_MAX_STRAIN = 0.5
+STRETCH_SAMPLE_RATE_HZ = 10.0
+STRETCH_HOLD_S = 4.0
+STRETCH_RATE_GAIN = 0.05  # dR/R gain per unit strain rate
+VAL_FRACTION = 0.3  # tail of each session held out for validation
+BATCH_SIZE = 32
 
 _PARAM_NAMES = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out", "b_out")
 
@@ -300,35 +309,31 @@ class SequenceDataset:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Per-epoch losses (index 0 = before any update) and validation error histogram."""
+    """Per-epoch losses (index 0 = before any update) and the best epoch."""
 
     train_losses: list[float]
     val_losses: list[float]
     best_epoch: int
-    error_bin_edges: np.ndarray = field(repr=False)
-    error_bin_counts: np.ndarray = field(repr=False)
 
 
-def make_stretch_dataset(seed: int = 0, rates: tuple[float, ...] = (0.05, 0.1, 0.2),
-                         max_strain: float = 0.5, sample_rate_hz: float = 10.0,
-                         cycles: int = 2, hold_s: float = 4.0,
-                         rate_gain: float = 0.05,
+def make_stretch_dataset(seed: int = 0, cycles: int = 2,
                          noise_band: tuple[float, float] | None = None,
-                         window: int = 20, val_fraction: float = 0.3) -> SequenceDataset:
+                         window: int = 20) -> SequenceDataset:
     """Synthetic tensile sessions at several pull rates, windowed for training.
 
-    Each rate produces trapezoidal strain cycles (ramp up, hold, ramp down,
-    hold) whose dR/R trace follows the default saturating curve with a small
-    rate-dependent gain; the holds put constant-input windows in
-    distribution, matching rest and hold phases of live sessions.  Optional
-    uniform noise (in dR/R, over noise_band) emulates real sensor noise.
-    The last val_fraction of each trajectory is held out, so validation
-    windows never overlap training windows.
+    Each of STRETCH_RATES gives ``cycles`` trapezoidal strain cycles (ramp
+    up to STRETCH_MAX_STRAIN, hold STRETCH_HOLD_S, ramp down, hold) whose
+    dR/R follows the default saturating curve times 1 + STRETCH_RATE_GAIN *
+    strain rate; the holds put constant-input windows in distribution, like
+    rest and hold phases of live sessions.  Optional uniform noise (in dR/R,
+    over noise_band) emulates real sensor noise.  The last VAL_FRACTION of
+    each trajectory is held out, so validation never overlaps training.
     """
     rng = np.random.default_rng(seed)
-    dt = 1.0 / sample_rate_hz
+    dt = 1.0 / STRETCH_SAMPLE_RATE_HZ
+    max_strain, hold_s = STRETCH_MAX_STRAIN, STRETCH_HOLD_S
     windows, targets, is_val = [], [], []
-    for rate in rates:
+    for rate in STRETCH_RATES:
         ramp = max_strain / rate
         period = 2.0 * (ramp + hold_s)
         t = np.arange(0.0, period * cycles, dt)
@@ -339,11 +344,11 @@ def make_stretch_dataset(seed: int = 0, rates: tuple[float, ...] = (0.05, 0.1, 0
                      np.where(phase < 2.0 * ramp + hold_s,
                               max_strain - rate * (phase - ramp - hold_s), 0.0)))
         velocity = np.gradient(strain, dt)
-        dr = default_stretch_curve(strain) * (1.0 + rate_gain * velocity)
+        dr = default_stretch_curve(strain) * (1.0 + STRETCH_RATE_GAIN * velocity)
         if noise_band is not None:
             lo, hi = noise_band
             dr = dr + rng.uniform(lo, hi, size=len(dr))
-        n_val_start = int(np.floor(len(t) * (1.0 - val_fraction)))
+        n_val_start = int(np.floor(len(t) * (1.0 - VAL_FRACTION)))
         last = np.arange(window - 1, len(t))  # final sample of each window
         windows.append(features_from_window(dr[last[:, None] + np.arange(1 - window, 1)].T))
         targets.append(strain[last])
@@ -364,14 +369,15 @@ def _clipped_update(m: LstmModel, grads: dict, lr: float, clip: float) -> LstmMo
 
 
 def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
-          seed: int = 0, hidden_size: int = 32, batch_size: int = 32,
+          seed: int = 0, hidden_size: int = 32,
           clip: float = 5.0) -> tuple[LstmModel, TrainReport]:
     """Mini-batch gradient descent; returns the best-validation model.
 
-    Normalization statistics come from the training split only.  Loss is the
-    MSE in normalized target space; histories start with the untrained model
-    (epoch 0).  A non-finite loss aborts with DivergenceError naming the
-    epoch.  Two runs with the same seed and data are bit-identical.
+    Batches hold BATCH_SIZE training windows.  Normalization statistics come
+    from the training split only.  Loss is the MSE in normalized target
+    space; histories start with the untrained model (epoch 0).  A non-finite
+    loss aborts with DivergenceError naming the epoch.  Two runs with the
+    same seed and data are bit-identical.
     """
     if len(data.train_idx) == 0 or len(data.val_idx) == 0:
         raise ModelFormatError("dataset needs nonempty train and validation splits")
@@ -403,8 +409,8 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
     order = np.arange(len(tr))
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
-        for start in range(0, len(order), batch_size):
-            batch = tr[order[start:start + batch_size]]
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = tr[order[start:start + BATCH_SIZE]]
             try:
                 _, grads = _backward_batch(m, xn[batch], tn[batch])
             except DivergenceError as exc:
@@ -421,15 +427,9 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
         if vl < best[0]:
             best = (vl, epoch, m)
 
-    best_model = best[2]
-    y, _ = _forward_batch(best_model, xn[va])
-    preds = y * t_scale + t_mean
-    errors = preds - data.targets[va]
-    counts, edges = np.histogram(errors, bins=41, range=(-0.2, 0.2))
     report = TrainReport(train_losses=train_losses, val_losses=val_losses,
-                         best_epoch=best[1], error_bin_edges=edges,
-                         error_bin_counts=counts)
-    return best_model, report
+                         best_epoch=best[1])
+    return best[2], report
 
 
 def learning_rate_sweep(data: SequenceDataset, rates, epochs: int = 40,

@@ -42,11 +42,10 @@ def _dr_windows(frames: list[SensorFrame], baseline: SensorFrame,
 def reconstruct_session(frames, t: Topology, cal: BendCalibration,
                         model: LstmModel | None,
                         opts: SolveOptions = SolveOptions(), *,
-                        clamp: bool = False,
-                        baseline: SensorFrame | None = None) -> list[SolveResult]:
+                        clamp: bool = False) -> list[SolveResult]:
     """Track node positions through a sensor-frame stream.
 
-    The baseline (rest) frame defaults to the first frame of the session.
+    The session's first frame is the baseline (rest) frame for every dR/R.
     The first frame treats every sensor as stretching (the structure is
     pre-tensioned at rest); later frames pick each sensor's regime from the
     previously reconstructed tendon length against its rest length.  Model
@@ -56,8 +55,7 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     frames = list(frames)
     if not frames:
         return []
-    if baseline is None:
-        baseline = frames[0]
+    baseline = frames[0]
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 

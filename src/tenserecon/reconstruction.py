@@ -32,6 +32,7 @@ STATIONARY_GRADIENT_LIMIT = 1e-6
 # reached the noise floor (MINPACK's ftol); the solve stops there once the
 # gradient at the new point is stationary too.
 NOISE_FLOOR_RELATIVE_DROP = 1e-10
+STEP_TOLERANCE = 1e-12  # m; a shorter proposed update ends the solve
 
 
 @dataclass(frozen=True)
@@ -56,23 +57,21 @@ class StateFrame:
 class SolveOptions:
     """Termination and damping controls for the least-squares solver.
 
-    residual_tolerance is on the objective 0.5 * ||r||^2 (m^2units);
-    step_tolerance is on the proposed update norm (m).  prior_weight > 0
-    adds 0.5 * w^2 * ||x - x_initial||^2 to the objective, which bounds the
-    data-blind flex direction; use it for noisy tracking, leave 0 for exact
-    data.
+    residual_tolerance is on the objective 0.5 * ||r||^2 (m^2); the stop
+    on the update norm is the module constant STEP_TOLERANCE.
+    prior_weight > 0 adds 0.5 * w^2 * ||x - x_initial||^2 to the objective,
+    which bounds the data-blind flex direction; use it for noisy tracking,
+    leave 0 for exact data.
     """
 
     max_iterations: int = 100
     residual_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
     damping_init: float = 1e-3
     prior_weight: float = 0.0
 
     def __post_init__(self):
         if (self.max_iterations < 0 or self.residual_tolerance < 0
-                or self.step_tolerance <= 0 or self.damping_init <= 0
-                or self.prior_weight < 0):
+                or self.damping_init <= 0 or self.prior_weight < 0):
             raise ValueError(f"invalid solver options: {self}")
 
 
@@ -199,7 +198,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            if np.linalg.norm(step) < opts.step_tolerance:
+            if np.linalg.norm(step) < STEP_TOLERANCE:
                 converged = bool(np.linalg.norm(grad) <= STATIONARY_GRADIENT_LIMIT)
                 break
             x_new = x + step

@@ -28,6 +28,7 @@ N_SENSORS = 24
 # Degree-5 calibration of the bending regime, strain as a function of dR/R,
 # highest power first.  Valid on dR/R in [-1, 0].
 DEFAULT_BEND_COEFFS = (-4.7589, -16.521, -20.239, -9.9675, -0.5464, -0.0016)
+BEND_INVERSE_TOLERANCE = 1e-12  # width of bend_inverse's final dR/R bracket
 
 
 class Mode(Enum):
@@ -90,13 +91,6 @@ class BendCalibration:
     def peak(self) -> tuple[float, float]:
         """Argmax and max over the domain, searched once per calibration."""
         return _bend_peak(self)
-
-
-def delta_r_ratio(r0: float, r1: float) -> float:
-    """Normalized resistance change (r1 - r0) / r0 relative to baseline r0."""
-    if r0 <= 0:
-        raise SensorDomainError(f"baseline resistance must be > 0, got {r0}")
-    return (r1 - r0) / r0
 
 
 def bending_strain(x: float, cal: BendCalibration = BendCalibration(), *,
@@ -168,8 +162,7 @@ def _bend_peak(cal: BendCalibration) -> tuple[float, float]:
     return xp, bending_strain(xp, cal)
 
 
-def bend_inverse(strain: float, cal: BendCalibration = BendCalibration(), *,
-                 tol: float = 1e-12) -> float:
+def bend_inverse(strain: float, cal: BendCalibration = BendCalibration()) -> float:
     """Invert the bending polynomial: strain -> dR/R by bisection.
 
     The polynomial is unimodal on its domain: increasing up to an interior
@@ -189,7 +182,7 @@ def bend_inverse(strain: float, cal: BendCalibration = BendCalibration(), *,
         for _ in range(200):
             m = 0.5 * (a + b)
             v = bending_strain(m, cal)
-            if b - a < tol:
+            if b - a < BEND_INVERSE_TOLERANCE:
                 return m
             if (v > strain) == decreasing:
                 a = m

@@ -20,11 +20,13 @@ from .topology import Topology, row_norms, unit_jacobian
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
 DEFAULT_BASELINE_OHMS = 5.8e6
+DEFORM_TOL = 1e-10  # m; deform's strut projection stops once every gap is smaller
+DEFORM_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive dR/R noise: uniform over band, or clipped gaussian."""
+    """Additive dR/R noise: kind "uniform" draws over band, "none" adds nothing."""
 
     kind: str = "uniform"
     band: tuple[float, float] = DEFAULT_NOISE_BAND
@@ -34,18 +36,13 @@ class NoiseModel:
         lo, hi = self.band
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise CalibrationError(f"noise band must satisfy lo < hi, got {self.band}")
-        if self.kind not in ("uniform", "gaussian", "none"):
+        if self.kind not in ("uniform", "none"):
             raise CalibrationError(f"unknown noise kind {self.kind!r}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        lo, hi = self.band
         if self.kind == "none":
             return np.zeros(size)
-        if self.kind == "uniform":
-            return rng.uniform(lo, hi, size=size)
-        mid = 0.5 * (lo + hi)
-        draw = rng.normal(mid, (hi - lo) / 4.0, size=size)
-        return np.clip(draw, lo, hi)
+        return rng.uniform(*self.band, size=size)
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,11 @@ class Scenario:
     Each keyframe maps node id -> displacement vector (m) at time t_ms;
     nodes not named in a keyframe have zero target there.  Displacements
     interpolate linearly between keyframes.  Sampling covers t in
-    [0, last keyframe) at sample_rate_hz.
+    [0, last keyframe) at sample_rate_hz; the noise model holds the seed.
     """
 
     keyframes: tuple[tuple[int, dict[int, tuple[float, float, float]]], ...]
     sample_rate_hz: float = 10.0
-    seed: int = 0
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
@@ -86,14 +82,14 @@ class Scenario:
         return out
 
 
-def deform(t: Topology, displacements: dict[int, np.ndarray],
-           tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
     """Displace nodes, then project back onto the rigid-strut manifold.
 
     Raw displacements are applied to the named nodes; a least-norm Newton
-    iteration then restores every strut to its rigid length within tol while
-    anchors stay fixed and the correction stays minimal.  Tendons are free
-    to change length.  Returns 12x3 coordinates.
+    iteration (at most DEFORM_MAX_ITER steps) then restores every strut to
+    its rigid length within DEFORM_TOL while anchors stay fixed and the
+    correction stays minimal.  Tendons are free to change length.  Returns
+    12x3 coordinates.
     """
     for n in displacements:
         if n in t.anchored:
@@ -107,11 +103,11 @@ def deform(t: Topology, displacements: dict[int, np.ndarray],
 
     free = t.members.free
     si, sj = np.array(t.struts).T
-    for _ in range(max_iter):
+    for _ in range(DEFORM_MAX_ITER):
         e = coords[si] - coords[sj]
         d = row_norms(e)
         gaps = d - t.strut_length
-        if np.max(np.abs(gaps)) < tol:
+        if np.max(np.abs(gaps)) < DEFORM_TOL:
             return coords
         collapsed = np.flatnonzero(d < 1e-9)
         if collapsed.size:
@@ -123,7 +119,7 @@ def deform(t: Topology, displacements: dict[int, np.ndarray],
         flat = coords[free].reshape(-1) - step
         coords[free] = flat.reshape(-1, 3)
     raise RelaxationError(
-        f"strut projection did not reach {tol} m in {max_iter} iterations")
+        f"strut projection did not reach {DEFORM_TOL} m in {DEFORM_MAX_ITER} iterations")
 
 
 def resistances_from_state(state, t: Topology, cal: BendCalibration,
@@ -172,17 +168,15 @@ def resistances_from_state(state, t: Topology, cal: BendCalibration,
 
 
 def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
-                     stretch_inverse: StretchTable,
-                     baseline: np.ndarray | None = None
+                     stretch_inverse: StretchTable
                      ) -> tuple[list[StateFrame], list[SensorFrame]]:
     """Sample the scenario timeline into paired truth and sensor streams.
 
     Returns (ground-truth StateFrames, SensorFrames), timestamp-aligned,
-    sampled at scenario.sample_rate_hz over [0, last keyframe).  Output is
-    bit-reproducible for a fixed (scenario, seed).
+    sampled at scenario.sample_rate_hz over [0, last keyframe), every sensor
+    resting at DEFAULT_BASELINE_OHMS.  Output is bit-reproducible per scenario.
     """
-    if baseline is None:
-        baseline = np.full(len(t.tendons), DEFAULT_BASELINE_OHMS)
+    baseline = np.full(len(t.tendons), DEFAULT_BASELINE_OHMS)
     rng = np.random.default_rng(scenario.noise.seed)
     duration_ms = scenario.keyframes[-1][0]
     n_frames = int(round(duration_ms / 1000.0 * scenario.sample_rate_hz))
@@ -205,7 +199,6 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
 def scenario_to_json_dict(sc: Scenario) -> dict:
     return {
         "sample_rate_hz": sc.sample_rate_hz,
-        "seed": sc.seed,
         "noise": {"kind": sc.noise.kind, "band": list(sc.noise.band),
                   "seed": sc.noise.seed},
         "keyframes": [
@@ -229,8 +222,7 @@ def scenario_from_json_dict(d: dict) -> Scenario:
             for kf in d["keyframes"]
         )
         return Scenario(keyframes=keyframes,
-                        sample_rate_hz=float(d["sample_rate_hz"]),
-                        seed=int(d.get("seed", 0)), noise=noise)
+                        sample_rate_hz=float(d["sample_rate_hz"]), noise=noise)
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"malformed scenario JSON: {exc}") from exc
 
@@ -257,7 +249,8 @@ def press_scenario(t: Topology, depth: float = 0.030, seed: int = 0,
 
     The pressed nodes are the tendon triangle with the highest centroid,
     pushed ``depth`` meters straight down over 0-5 s, held to 15 s, released
-    by 20 s, then at rest until 30 s.
+    by 20 s, then at rest until 30 s.  ``seed`` seeds the default noise
+    model; an explicit ``noise`` carries its own.
     """
     from .topology import tendon_triangles
 
@@ -270,6 +263,5 @@ def press_scenario(t: Topology, depth: float = 0.030, seed: int = 0,
             (0, zero), (5000, down), (15000, down), (20000, zero), (30000, zero),
         ),
         sample_rate_hz=sample_rate_hz,
-        seed=seed,
         noise=noise if noise is not None else NoiseModel(seed=seed),
     )

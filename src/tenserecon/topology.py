@@ -195,6 +195,15 @@ def validate(t: Topology) -> list[str]:
     if not np.isfinite(t.strut_length) or t.strut_length <= 0:
         out.append(f"strut_length must be > 0, got {t.strut_length}")
 
+    known = range(n)
+    for i, j in t.struts:
+        out.extend(f"strut {i}-{j} joins unknown node {v}"
+                   for v in (i, j) if v not in known)
+    for td in t.tendons:
+        out.extend(f"tendon {td.k} joins unknown node {v}"
+                   for v in (td.i, td.j) if v not in known)
+    out.extend(f"anchored node {v} is unknown" for v in sorted(t.anchored) if v not in known)
+
     strut_nodes = [n for pair in t.struts for n in pair]
     if len(set(strut_nodes)) != len(strut_nodes):
         out.append("struts do not partition the node set (shared node)")
@@ -213,10 +222,11 @@ def validate(t: Topology) -> list[str]:
         if not np.isfinite(td.rest_length) or td.rest_length <= 0:
             out.append(f"tendon {td.k} rest length must be > 0, got {td.rest_length}")
 
-    degree = {i: 0 for i in range(n)}
+    degree = {i: 0 for i in known}
     for td in t.tendons:
-        degree[td.i] = degree.get(td.i, 0) + 1
-        degree[td.j] = degree.get(td.j, 0) + 1
+        for v in (td.i, td.j):
+            if v in known:
+                degree[v] += 1
     for node, d in degree.items():
         if d != 4:
             out.append(f"node {node} tendon degree is {d}, expected 4")
@@ -229,7 +239,7 @@ def validate(t: Topology) -> list[str]:
             if tuple(sorted((i, j))) not in tendon_set:
                 out.append(f"anchored nodes {i},{j} are not joined by a tendon")
         for node in anchored:
-            if node < n and abs(t.nominal_coords[node, 2]) > 1e-9 * max(1.0, t.strut_length):
+            if node in known and abs(t.nominal_coords[node, 2]) > 1e-9 * max(1.0, t.strut_length):
                 out.append(f"anchored node {node} off ground plane (z = {t.nominal_coords[node, 2]:.3e})")
     return out
 

@@ -18,6 +18,15 @@ def model_path(tmp_path_factory, noisy_model):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def session_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("session")
+    sensors, truth = d / "s.csv", d / "t.jsonl"
+    assert cli.cli(["simulate", "--seed", "1", "--sensors-out", str(sensors),
+                    "--truth-out", str(truth)]) == cli.EXIT_OK
+    return str(sensors), str(truth)
+
+
 def test_no_command_prints_help(capsys):
     assert cli.cli([]) == cli.EXIT_USAGE
     assert "usage" in capsys.readouterr().out.lower()
@@ -211,3 +220,59 @@ def test_config_scenario_drives_simulate_and_run_all(tmp_path, model_path):
     assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
     assert len(sensors.read_text().splitlines()) == 21  # header + 2 s at 10 Hz
     assert sensors.read_bytes() == (outdir / "sensors.csv").read_bytes()
+
+
+def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, capsys):
+    doc = {"sample_rate_hz": 10.0, "seed": 11,  # top-level seed from older writers
+           "noise": {"kind": "uniform", "seed": 11},
+           "keyframes": [{"t_ms": 0, "displacements": {}},
+                         {"t_ms": 500, "displacements": {"8": [0.0, 0.0, -0.01]}}]}
+    scenario = tmp_path / "scenario.json"
+    argv = ["simulate", "--scenario", str(scenario), "--sensors-out",
+            str(tmp_path / "s.csv"), "--truth-out", str(tmp_path / "t.jsonl")]
+    scenario.write_text(json.dumps(doc))
+    assert cli.cli(argv) == cli.EXIT_OK
+    doc["noise"]["kind"] = "gaussian"
+    scenario.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.cli(argv) == cli.EXIT_DATA
+    assert "unknown noise kind 'gaussian'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "evaluate", "run-all"])
+def test_invalid_topology_file_is_data_error(tmp_path, capsys, model_path,
+                                             session_files, command):
+    good = tmp_path / "topo.json"
+    assert cli.cli(["topology", "--out", str(good)]) == cli.EXIT_OK
+    doc = json.loads(good.read_text())
+    doc["tendons"][5]["j"] = 15
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    sensors, truth = session_files
+    argv = {
+        "simulate": ["simulate", "--sensors-out", str(tmp_path / "s.csv"),
+                     "--truth-out", str(tmp_path / "t.jsonl")],
+        "reconstruct": ["reconstruct", sensors, "--model", model_path,
+                        "--out", str(tmp_path / "f.jsonl")],
+        "evaluate": ["evaluate", "--est", truth, "--truth", truth],
+        "run-all": ["run-all", "--model", model_path, "--outdir", str(tmp_path / "run")],
+    }[command]
+    capsys.readouterr()
+    assert cli.cli(argv + ["--topology", str(bad)]) == cli.EXIT_DATA
+    assert "tendon 5 joins unknown node 15" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--prior-weight", ["-1"]),
+                                         ("--max-iterations", ["-1"]),
+                                         ("--noise-band", ["0.1", "-0.1"]),
+                                         ("--window", ["0"])],
+                         ids=["prior-weight", "max-iterations", "noise-band", "window"])
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, model_path,
+                                         session_files, flag, value):
+    if flag in ("--noise-band", "--window"):
+        argv = ["train-lstm", "--out", str(tmp_path / "m.json"), "--epochs", "1"]
+    else:
+        argv = ["reconstruct", session_files[0], "--model", model_path,
+                "--out", str(tmp_path / "f.jsonl")]
+    assert cli.cli(argv + [flag] + value) == cli.EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err

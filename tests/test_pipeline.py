@@ -6,7 +6,7 @@ import pytest
 from tenserecon.errors import TenseReconError
 from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions
-from tenserecon.sensors import BendCalibration, SensorFrame, default_stretch_table
+from tenserecon.sensors import BendCalibration, default_stretch_table
 from tenserecon.simulator import NoiseModel, generate_session, press_scenario
 from tenserecon.topology import build_canonical
 
@@ -39,21 +39,6 @@ def test_missing_model_rejected(topo, clean_session):
 
 def test_empty_stream_gives_empty_results(topo, clean_model):
     assert reconstruct_session([], topo, BendCalibration(), clean_model) == []
-
-
-def test_explicit_baseline_overrides_first_frame(topo, clean_session, clean_model):
-    truth, sensed = clean_session
-    # shifting the baseline shifts every dR/R, so results must differ
-    shifted = SensorFrame(timestamp_ms=0,
-                          resistances=sensed[0].resistances * 1.10)
-    base_results = reconstruct_session(
-        sensed[:30], topo, BendCalibration(), clean_model,
-        SolveOptions(prior_weight=0.5), clamp=True)
-    alt_results = reconstruct_session(
-        sensed[:30], topo, BendCalibration(), clean_model,
-        SolveOptions(prior_weight=0.5), clamp=True, baseline=shifted)
-    assert not np.allclose(base_results[-1].state.coords,
-                           alt_results[-1].state.coords)
 
 
 def test_first_frame_is_near_nominal(topo, clean_session, clean_model):

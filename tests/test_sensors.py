@@ -22,7 +22,6 @@ from tenserecon.sensors import (
     _bend_peak,
     bending_strain,
     default_stretch_table,
-    delta_r_ratio,
     fit_bending_polynomial,
     lengths_from_strain,
     load_calibration,
@@ -31,23 +30,6 @@ from tenserecon.sensors import (
     strains_from_frame,
 )
 from tenserecon.topology import build_canonical
-
-
-class TestDeltaR:
-    def test_identity(self):
-        assert delta_r_ratio(123.0, 123.0) == 0.0
-
-    def test_direct_arithmetic(self):
-        assert delta_r_ratio(1.0e6, 1.5e6) == pytest.approx(0.5, rel=1e-15)
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(SensorDomainError):
-            delta_r_ratio(0.0, 1.0)
-
-    def test_monotone_in_r1(self):
-        r1s = np.linspace(0.1e6, 9e6, 50)
-        vals = [delta_r_ratio(2.0e6, r) for r in r1s]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestBendingPolynomial:
@@ -329,7 +311,8 @@ class TestStrainsFromFrame:
                                  hist, clamp=clamp).strains
         for k in range(24):
             if modes[k] is Mode.BENDING:
-                dr = delta_r_ratio(base.resistances[k], frame.resistances[k])
+                r0, r1 = base.resistances[k], frame.resistances[k]
+                dr = (r1 - r0) / r0
                 expected = bending_strain(dr, BendCalibration(), clamp=clamp)
             else:
                 expected = predict_strain(model, hist[-model.window:, k])

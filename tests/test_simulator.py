@@ -118,11 +118,6 @@ class TestNoiseModel:
         assert s.min() >= -0.23 and s.max() <= 0.13
         assert abs(s.mean() - (-0.05)) < 0.01
 
-    def test_gaussian_clipped(self):
-        rng = np.random.default_rng(0)
-        s = NoiseModel(kind="gaussian", band=(-0.23, 0.13)).sample(rng, 10000)
-        assert s.min() >= -0.23 and s.max() <= 0.13
-
     def test_bad_band_rejected(self):
         with pytest.raises(Exception):
             NoiseModel(band=(0.2, -0.2))

@@ -85,6 +85,18 @@ def test_validate_missing_tendon_reports_both_endpoints():
     assert any(f"node {removed.j} " in v for v in degree_violations)
 
 
+def test_validate_names_unknown_nodes():
+    t = build_canonical(0.30)
+    tendons = t.tendons[:5] + (dataclasses.replace(t.tendons[5], j=15),) + t.tendons[6:]
+    t2 = dataclasses.replace(t, tendons=tendons, struts=((0, 12),) + t.struts[1:],
+                             anchored=frozenset((0, 1, 12)))
+    violations = validate(t2)
+    assert "tendon 5 joins unknown node 15" in violations
+    assert "strut 0-12 joins unknown node 12" in violations
+    assert "anchored node 12 is unknown" in violations
+    assert not any("node 15 tendon degree" in v for v in violations)
+
+
 def test_validate_anchor_off_plane():
     t = build_canonical(0.30)
     coords = t.nominal_coords.copy()
