@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
-from .errors import DataFormatError, TenseReconError, TopologyError
+from .errors import TenseReconError, TopologyError
 
 log = logging.getLogger("tenserecon")
 
@@ -33,44 +33,31 @@ def _setup_logging():
                         stream=sys.stderr)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise DataFormatError(f"config {path} must hold a JSON object, "
-                              f"got {type(cfg).__name__}")
-    return cfg
-
-
-def _resolve_topology(args, cfg) -> topology.Topology:
-    path = getattr(args, "topology", None) or cfg.get("topology")
-    if path:
-        topo = topology.load_topology(path)
+def _resolve_topology(args) -> topology.Topology:
+    if args.topology:
+        topo = topology.load_topology(args.topology)
         violations = topology.validate(topo)
         if violations:
-            raise TopologyError(f"invalid topology {path}: " + "; ".join(violations))
+            raise TopologyError(f"invalid topology {args.topology}: " + "; ".join(violations))
         return topo
-    return topology.build_canonical(cfg.get("strut_length_m", 0.30))
+    return topology.build_canonical()
 
 
-def _resolve_calibration(args, cfg) -> sensors.BendCalibration:
-    path = getattr(args, "calibration", None) or cfg.get("bend_calibration")
-    return sensors.load_calibration(path) if path else sensors.BendCalibration()
+def _resolve_calibration(args) -> sensors.BendCalibration:
+    if args.calibration:
+        return sensors.load_calibration(args.calibration)
+    return sensors.BendCalibration()
 
 
-def _resolve_stretch_table(args, cfg) -> sensors.StretchTable:
-    path = getattr(args, "stretch_table", None) or cfg.get("stretch_table")
-    return sensors.load_stretch_table(path) if path else sensors.default_stretch_table()
+def _resolve_stretch_table(args) -> sensors.StretchTable:
+    if args.stretch_table:
+        return sensors.load_stretch_table(args.stretch_table)
+    return sensors.default_stretch_table()
 
 
-def _resolve_scenario(args, cfg, topo) -> simulator.Scenario:
-    path = getattr(args, "scenario", None) or cfg.get("scenario")
-    if path:
-        return simulator.load_scenario(path)
+def _press_scenario(args, topo) -> simulator.Scenario:
     noise = simulator.NoiseModel(kind="none" if args.no_noise else "uniform", seed=args.seed)
-    return simulator.press_scenario(topo, seed=args.seed, noise=noise)
+    return simulator.press_scenario(topo, noise=noise)
 
 
 def _report_metrics(report: harness.MetricsReport, path, *, announce: bool) -> None:
@@ -87,7 +74,7 @@ def _report_metrics(report: harness.MetricsReport, path, *, announce: bool) -> N
     print(f"converged:        {report.converged_fraction * 100.0:.1f}%")
 
 
-def cmd_topology(args, cfg) -> int:
+def cmd_topology(args) -> int:
     if args.validate:
         topo = topology.load_topology(args.validate)
         violations = topology.validate(topo)
@@ -106,7 +93,7 @@ def cmd_topology(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_fit_bend(args, cfg) -> int:
+def cmd_fit_bend(args) -> int:
     samples = []
     with open(args.data, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -136,7 +123,7 @@ def cmd_fit_bend(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_train_lstm(args, cfg) -> int:
+def cmd_train_lstm(args) -> int:
     data = lstm.make_stretch_dataset(
         seed=args.seed,
         noise_band=tuple(args.noise_band) if args.noise_band else None,
@@ -154,11 +141,11 @@ def cmd_train_lstm(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args, cfg) -> int:
-    topo = _resolve_topology(args, cfg)
-    cal = _resolve_calibration(args, cfg)
-    table = _resolve_stretch_table(args, cfg)
-    sc = _resolve_scenario(args, cfg, topo)
+def cmd_simulate(args) -> int:
+    topo = _resolve_topology(args)
+    cal = _resolve_calibration(args)
+    table = _resolve_stretch_table(args)
+    sc = simulator.load_scenario(args.scenario) if args.scenario else _press_scenario(args, topo)
     truth, sensed = simulator.generate_session(sc, topo, cal, table)
     harness.write_sensor_csv(sensed, args.sensors_out)
     harness.export_frames(truth, args.truth_out)
@@ -167,14 +154,10 @@ def cmd_simulate(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(args, cfg) -> int:
-    topo = _resolve_topology(args, cfg)
-    cal = _resolve_calibration(args, cfg)
-    model_path = args.model or cfg.get("lstm_model")
-    if not model_path:
-        print("error: no model given (--model or config lstm_model)", file=sys.stderr)
-        return EXIT_USAGE
-    model = lstm.load_model(model_path)
+def cmd_reconstruct(args) -> int:
+    topo = _resolve_topology(args)
+    cal = _resolve_calibration(args)
+    model = lstm.load_model(args.model)
     frames = harness.parse_sensor_csv(args.sensors)
     opts = reconstruction.SolveOptions(prior_weight=args.prior_weight,
                                        max_iterations=args.max_iterations)
@@ -188,8 +171,8 @@ def cmd_reconstruct(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args, cfg) -> int:
-    topo = _resolve_topology(args, cfg)
+def cmd_evaluate(args) -> int:
+    topo = _resolve_topology(args)
     est = harness.load_frames(args.est, anchored=topo.anchored)
     truth = harness.load_frames(args.truth, anchored=topo.anchored)
     report = harness.evaluate([d["state"] for d in est],
@@ -199,16 +182,16 @@ def cmd_evaluate(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_run_all(args, cfg) -> int:
+def cmd_run_all(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    topo = _resolve_topology(args, cfg)
-    cal = _resolve_calibration(args, cfg)
-    table = _resolve_stretch_table(args, cfg)
+    topo = _resolve_topology(args)
+    cal = _resolve_calibration(args)
+    table = _resolve_stretch_table(args)
 
     topology.save_topology(topo, outdir / "topology.json")
 
-    sc = _resolve_scenario(args, cfg, topo)
+    sc = _press_scenario(args, topo)
     simulator.save_scenario(sc, outdir / "scenario.json")
     truth, sensed = simulator.generate_session(sc, topo, cal, table)
     harness.write_sensor_csv(sensed, outdir / "sensors.csv")
@@ -217,8 +200,8 @@ def cmd_run_all(args, cfg) -> int:
 
     noisy = sc.noise.kind != "none"
     model_path = outdir / "lstm.json"
-    if args.model or cfg.get("lstm_model"):
-        model = lstm.load_model(args.model or cfg["lstm_model"])
+    if args.model:
+        model = lstm.load_model(args.model)
     else:
         noise_band = sc.noise.band if noisy else None
         data = lstm.make_stretch_dataset(seed=args.seed, noise_band=noise_band)
@@ -243,12 +226,13 @@ def cmd_run_all(args, cfg) -> int:
     return EXIT_OK
 
 
-def _at_least(kind, low):
-    """argparse type: a finite ``kind`` (float or int) >= low."""
+def _at_least(kind, low, *, strict=False):
+    """argparse type: a finite ``kind`` (float or int) >= low, or > low if strict."""
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in "invalid float value"
     return parse
@@ -264,49 +248,52 @@ class _Band(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _add_seed(parser) -> None:
+    # a string default is converted only when the flag is absent, so an explicit
+    # "--seed 0" still counts as given to simulate's mutually exclusive group
+    parser.add_argument("--seed", type=_at_least(int, 0), default="0", help="random seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tenserecon",
         description="Tensegrity shape reconstruction from tendon strain sensors.")
-    p.add_argument("--config", help="JSON config referencing topology/model files")
-    p.add_argument("--seed", type=int, default=0, help="global random seed")
-    # the same globals are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values given before it
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command")
 
-    sp = sub.add_parser("topology", parents=[common], help="emit or validate a topology JSON")
-    sp.add_argument("--strut-length", type=float, default=0.30)
+    sp = sub.add_parser("topology", help="emit or validate a topology JSON")
+    sp.add_argument("--strut-length", type=_at_least(float, 0, strict=True), default=0.30)
     sp.add_argument("--out")
     sp.add_argument("--validate", metavar="FILE")
 
-    sp = sub.add_parser("fit-bend", parents=[common], help="fit the bending polynomial from CSV")
+    sp = sub.add_parser("fit-bend", help="fit the bending polynomial from CSV")
     sp.add_argument("data", help="CSV with header dr_ratio,strain")
     sp.add_argument("--out")
 
-    sp = sub.add_parser("train-lstm", parents=[common], help="train the stretching model")
+    sp = sub.add_parser("train-lstm", help="train the stretching model")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--epochs", type=int, default=150)
-    sp.add_argument("--learning-rate", type=float, default=0.1)
-    sp.add_argument("--hidden-size", type=int, default=32)
+    _add_seed(sp)
+    sp.add_argument("--epochs", type=_at_least(int, 1), default=150)
+    sp.add_argument("--learning-rate", type=_at_least(float, 0, strict=True), default=0.1)
+    sp.add_argument("--hidden-size", type=_at_least(int, 1), default=32)
     sp.add_argument("--window", type=_at_least(int, 1), default=20)
     sp.add_argument("--noise-band", type=float, nargs=2, metavar=("LO", "HI"),
                     action=_Band)
 
-    sp = sub.add_parser("simulate", parents=[common], help="generate sensor CSV + ground truth")
-    sp.add_argument("--scenario", help="scenario JSON (default: press demo)")
+    sp = sub.add_parser("simulate", help="generate sensor CSV + ground truth")
+    # a scenario file carries its own noise and seed; without noise the seed is unread
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="scenario JSON (default: press demo)")
+    _add_seed(source)
+    source.add_argument("--no-noise", action="store_true")
     sp.add_argument("--topology")
     sp.add_argument("--calibration")
     sp.add_argument("--stretch-table")
-    sp.add_argument("--no-noise", action="store_true")
     sp.add_argument("--sensors-out", default="sensors.csv")
     sp.add_argument("--truth-out", default="truth.jsonl")
 
-    sp = sub.add_parser("reconstruct", parents=[common], help="sensor CSV -> frames JSONL")
+    sp = sub.add_parser("reconstruct", help="sensor CSV -> frames JSONL")
     sp.add_argument("sensors", help="sensor CSV file")
-    sp.add_argument("--model", help="trained model JSON (or config lstm_model)")
+    sp.add_argument("--model", required=True, help="trained model JSON")
     sp.add_argument("--topology")
     sp.add_argument("--calibration")
     sp.add_argument("--prior-weight", type=_at_least(float, 0), default=0.0,
@@ -316,19 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="clamp out-of-domain sensor values instead of failing")
     sp.add_argument("--out", default="frames.jsonl")
 
-    sp = sub.add_parser("evaluate", parents=[common], help="frames + truth -> metrics report")
+    sp = sub.add_parser("evaluate", help="frames + truth -> metrics report")
     sp.add_argument("--est", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--topology")
     sp.add_argument("--out")
 
-    sp = sub.add_parser("run-all", parents=[common], help="simulate + train + reconstruct + evaluate")
+    sp = sub.add_parser("run-all", help="simulate + train + reconstruct + evaluate")
     sp.add_argument("--outdir", default="runall_out")
+    _add_seed(sp)
     sp.add_argument("--topology")
     sp.add_argument("--calibration")
     sp.add_argument("--stretch-table")
     sp.add_argument("--model", help="reuse a trained model instead of training")
-    sp.add_argument("--epochs", type=int, default=60)
+    sp.add_argument("--epochs", type=_at_least(int, 1), default=60)
     sp.add_argument("--no-noise", action="store_true")
     return p
 
@@ -355,18 +343,13 @@ def cli(argv=None) -> int:
     if not args.command:
         parser.print_help()
         return EXIT_USAGE
-    cfg = {}
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except TenseReconError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -21,14 +21,6 @@ class CalibrationError(TenseReconError):
     """Calibration fit cannot be performed (rank deficiency, bad samples)."""
 
 
-class WindowUnderflowError(TenseReconError):
-    """Not enough history samples to fill a model input window."""
-
-    def __init__(self, message: str, sensor: int | None = None):
-        super().__init__(message if sensor is None else f"sensor {sensor}: {message}")
-        self.sensor = sensor
-
-
 class ModelFormatError(TenseReconError):
     """Malformed or incompatible serialized model file."""
 

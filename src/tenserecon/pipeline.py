@@ -26,14 +26,16 @@ from .sensors import (
 from .topology import Topology, edge_lengths
 
 
-def _dr_windows(frames: list[SensorFrame], baseline: SensorFrame,
-                window: int) -> list[np.ndarray]:
+def _dr_windows(frames: list[SensorFrame], window: int) -> list[np.ndarray]:
     """Per frame, the (window, 24) dR/R history whose last row is that frame.
+
+    dR/R = (R - R0) / R0 with the session's first frame as the baseline R0.
+    No other code forms dR/R, so the baseline rule lives here alone.
 
     Histories are left-padded with the earliest sample until enough frames
     have arrived, so every frame has a full window.
     """
-    r0 = baseline.resistances
+    r0 = frames[0].resistances
     dr = (np.stack([f.resistances for f in frames]) - r0) / r0
     padded = np.concatenate([np.repeat(dr[:1], window - 1, axis=0), dr])
     return [padded[n:n + window] for n in range(len(frames))]
@@ -55,7 +57,6 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     frames = list(frames)
     if not frames:
         return []
-    baseline = frames[0]
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 
@@ -64,9 +65,8 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     results: list[SolveResult] = []
     modes = [Mode.STRETCHING] * N_SENSORS
 
-    for frame, hist in zip(frames, _dr_windows(frames, baseline, model.window)):
-        strains = strains_from_frame(frame, baseline, modes, cal, model, hist,
-                                     clamp=clamp)
+    for frame, hist in zip(frames, _dr_windows(frames, model.window)):
+        strains = strains_from_frame(hist, cal, modes, model, clamp=clamp)
         lengths = lengths_from_strain(strains, t)
         result = tracker.process(frame.timestamp_ms, lengths)
         results.append(result)

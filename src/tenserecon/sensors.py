@@ -16,12 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    SensorDomainError,
-    TenseReconError,
-    WindowUnderflowError,
-)
+from .errors import CalibrationError, SensorDomainError, TenseReconError
 
 N_SENSORS = 24
 
@@ -296,18 +291,16 @@ def load_stretch_table(path) -> StretchTable:
         raise CalibrationError(f"malformed stretch table {path}: {exc}") from exc
 
 
-def strains_from_frame(frame: SensorFrame, baseline: SensorFrame,
-                       modes, cal: BendCalibration, model,
-                       history: np.ndarray, *, clamp: bool = False) -> StrainVector:
-    """Convert one sensor frame into per-tendon strains.
+def strains_from_frame(history: np.ndarray, cal: BendCalibration, modes, model, *,
+                       clamp: bool = False) -> StrainVector:
+    """Convert one frame's dR/R history into per-tendon strains.
 
-    Per sensor: form dR/R against the baseline frame, then route to the
-    bending polynomial or to the sequence model depending on its mode flag.
-    ``history`` is a (window, 24) array of past dR/R samples whose last row
-    corresponds to ``frame``; the stretching sensors' columns go through the
-    sequence model together, as one batch.  Errors are tagged with the
-    sensor index; an error from the batched model names every stretching
-    sensor it covered.
+    ``history`` is a (window, 24) array of dR/R samples whose last row is
+    the current frame.  Per sensor, the mode flag routes that row to the
+    bending polynomial or the whole column to the sequence model; the
+    stretching sensors' columns go through the model together, as one
+    batch.  Errors are tagged with the sensor index; an error from the
+    batched model names every stretching sensor it covered.
 
     clamp=True clips out-of-domain bending inputs to the domain edge and
     bounds all strains away from -1; use it for noisy live data.
@@ -321,7 +314,7 @@ def strains_from_frame(frame: SensorFrame, baseline: SensorFrame,
     if history.ndim != 2 or history.shape[1] != N_SENSORS:
         raise SensorDomainError(f"history must be (window, {N_SENSORS}), got {history.shape}")
 
-    dr = (frame.resistances - baseline.resistances) / baseline.resistances
+    dr = history[-1]
     out = np.empty(N_SENSORS)
     for k in range(N_SENSORS):
         if modes[k] is Mode.BENDING:
@@ -331,11 +324,6 @@ def strains_from_frame(frame: SensorFrame, baseline: SensorFrame,
                 raise SensorDomainError(str(exc), sensor=k) from exc
     stretching = [k for k in range(N_SENSORS) if modes[k] is not Mode.BENDING]
     if stretching:
-        if model is None:
-            raise WindowUnderflowError("no stretching model supplied", sensor=stretching[0])
-        if history.shape[0] < model.window:
-            raise WindowUnderflowError(
-                f"history {history.shape[0]} < window {model.window}", sensor=stretching[0])
         try:
             out[stretching] = predict_strain(model, history[-model.window:, stretching])
         except TenseReconError as exc:

@@ -63,12 +63,14 @@ class Scenario:
         times = [t for t, _ in self.keyframes]
         if not times or any(b <= a for a, b in zip(times, times[1:])):
             raise TopologyError("keyframes must be nonempty and strictly time-ordered")
-        if self.sample_rate_hz <= 0:
-            raise TopologyError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        for _, disp in self.keyframes:
-            for vec in disp.values():
-                if not np.all(np.isfinite(vec)):
-                    raise TopologyError("keyframe displacements must be finite")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise TopologyError(
+                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        for t_ms, disp in self.keyframes:
+            for node, vec in disp.items():
+                if np.shape(vec) != (3,) or not np.all(np.isfinite(vec)):
+                    raise TopologyError(f"keyframe t_ms={t_ms}, node {node}: displacement "
+                                        f"must be 3 finite numbers, got {vec}")
 
     def displacements_at(self, t_ms: float) -> dict[int, np.ndarray]:
         nodes = sorted({n for _, d in self.keyframes for n in d})

@@ -124,33 +124,6 @@ def test_train_lstm_writes_model(tmp_path, capsys):
     assert "epoch,train_loss,val_loss" in printed
 
 
-def test_config_file_supplies_paths(tmp_path, model_path):
-    topo_path = tmp_path / "topo.json"
-    cli.cli(["topology", "--strut-length", "0.30", "--out", str(topo_path)])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"topology": str(topo_path)}))
-    sensors = tmp_path / "s.csv"
-    truth = tmp_path / "t.jsonl"
-    assert cli.cli(["--config", str(cfg), "simulate", "--seed", "2",
-                    "--sensors-out", str(sensors),
-                    "--truth-out", str(truth)]) == cli.EXIT_OK
-    assert sensors.exists()
-
-
-@pytest.mark.parametrize("doc", ["[1]", '"topo.json"', "3", "null"],
-                         ids=["list", "string", "number", "null"])
-def test_config_must_be_json_object(tmp_path, capsys, doc):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(doc)
-    code = cli.cli(["--config", str(cfg), "simulate", "--seed", "2",
-                    "--sensors-out", str(tmp_path / "s.csv"),
-                    "--truth-out", str(tmp_path / "t.jsonl")])
-    assert code == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "JSON object" in err
-
-
 def test_reconstruct_nonconvergence_exits_3(tmp_path, model_path):
     sensors = tmp_path / "s.csv"
     truth = tmp_path / "t.jsonl"
@@ -201,7 +174,7 @@ def test_evaluate_agrees_with_run_all(tmp_path, capsys):
         "node height RMSE", "face height RMSE", "system RMSE", "converged"]
 
 
-def test_config_scenario_drives_simulate_and_run_all(tmp_path, model_path):
+def test_scenario_flag_drives_simulate(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({
         "sample_rate_hz": 10.0, "seed": 11,
@@ -209,17 +182,30 @@ def test_config_scenario_drives_simulate_and_run_all(tmp_path, model_path):
         "keyframes": [{"t_ms": 0, "displacements": {}},
                       {"t_ms": 2000, "displacements": {"8": [0.0, 0.0, -0.01]}}],
     }))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": str(scenario)}))
     sensors = tmp_path / "s.csv"
-    assert cli.cli(["--config", str(cfg), "simulate", "--sensors-out", str(sensors),
+    assert cli.cli(["simulate", "--scenario", str(scenario), "--sensors-out", str(sensors),
                     "--truth-out", str(tmp_path / "t.jsonl")]) == cli.EXIT_OK
-    outdir = tmp_path / "run"
-    code = cli.cli(["--config", str(cfg), "run-all", "--model", model_path,
-                    "--outdir", str(outdir)])
-    assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
     assert len(sensors.read_text().splitlines()) == 21  # header + 2 s at 10 Hz
-    assert sensors.read_bytes() == (outdir / "sensors.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"keyframes": [{"t_ms": 0, "displacements": {}},
+                    {"t_ms": 500, "displacements": {"8": [0.0, -0.01]}}]},
+     "keyframe t_ms=500, node 8: displacement must be 3 finite numbers"),
+    ({"sample_rate_hz": float("nan")}, "sample_rate_hz must be finite and > 0, got nan"),
+    ({"sample_rate_hz": float("inf")}, "sample_rate_hz must be finite and > 0, got inf"),
+], ids=["two-number-displacement", "nan-rate", "inf-rate"])
+def test_malformed_scenario_is_data_error(tmp_path, capsys, doc, message):
+    full = {"sample_rate_hz": 10.0, "noise": {"kind": "uniform", "seed": 1},
+            "keyframes": [{"t_ms": 0, "displacements": {}},
+                          {"t_ms": 500, "displacements": {"8": [0.0, 0.0, -0.01]}}]}
+    full.update(doc)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(full))  # json writes NaN/Infinity literals
+    code = cli.cli(["simulate", "--scenario", str(scenario), "--sensors-out",
+                    str(tmp_path / "s.csv"), "--truth-out", str(tmp_path / "t.jsonl")])
+    assert code == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, capsys):
@@ -262,17 +248,51 @@ def test_invalid_topology_file_is_data_error(tmp_path, capsys, model_path,
     assert "tendon 5 joins unknown node 15" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--prior-weight", ["-1"]),
-                                         ("--max-iterations", ["-1"]),
-                                         ("--noise-band", ["0.1", "-0.1"]),
-                                         ("--window", ["0"])],
-                         ids=["prior-weight", "max-iterations", "noise-band", "window"])
+@pytest.mark.parametrize("command, flag, value", [
+    ("reconstruct", "--prior-weight", ["-1"]),
+    ("reconstruct", "--max-iterations", ["-1"]),
+    ("train-lstm", "--noise-band", ["0.1", "-0.1"]),
+    ("train-lstm", "--window", ["0"]),
+    ("train-lstm", "--epochs", ["0"]),
+    ("train-lstm", "--epochs", ["-1"]),
+    ("train-lstm", "--learning-rate", ["-1"]),
+    ("train-lstm", "--hidden-size", ["0"]),
+    ("train-lstm", "--seed", ["-1"]),
+    ("run-all", "--epochs", ["0"]),
+    ("topology", "--strut-length", ["-1"]),
+    ("topology", "--strut-length", ["nan"]),
+], ids=["prior-weight", "max-iterations", "noise-band", "window", "epochs-0",
+        "epochs-negative", "learning-rate", "hidden-size", "seed", "run-all-epochs",
+        "strut-length-negative", "strut-length-nan"])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, model_path,
-                                         session_files, flag, value):
-    if flag in ("--noise-band", "--window"):
-        argv = ["train-lstm", "--out", str(tmp_path / "m.json"), "--epochs", "1"]
-    else:
-        argv = ["reconstruct", session_files[0], "--model", model_path,
-                "--out", str(tmp_path / "f.jsonl")]
+                                         session_files, command, flag, value):
+    argv = {
+        "reconstruct": ["reconstruct", session_files[0], "--model", model_path,
+                        "--out", str(tmp_path / "f.jsonl")],
+        "train-lstm": ["train-lstm", "--out", str(tmp_path / "m.json"), "--epochs", "1"],
+        "run-all": ["run-all", "--model", model_path, "--outdir", str(tmp_path / "run")],
+        "topology": ["topology", "--out", str(tmp_path / "t.json")],
+    }[command]
     assert cli.cli(argv + [flag] + value) == cli.EXIT_USAGE
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "cfg.json", "topology"],
+    ["--seed", "5", "topology"],
+    ["topology", "--seed", "5"],
+    ["evaluate", "--est", "f.jsonl", "--truth", "t.jsonl", "--seed", "5"],
+    ["simulate", "--scenario", "s.json", "--seed", "3"],
+    ["simulate", "--scenario", "s.json", "--seed", "0"],
+    ["simulate", "--scenario", "s.json", "--no-noise"],
+    ["simulate", "--seed", "3", "--no-noise"],
+    ["reconstruct", "s.csv"],
+], ids=["config", "seed-before-command", "topology-seed", "evaluate-seed",
+        "scenario-seed", "scenario-seed-0", "scenario-no-noise", "seed-no-noise",
+        "reconstruct-no-model"])
+def test_unread_or_missing_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.cli(argv) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

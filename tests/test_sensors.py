@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenserecon import lstm, sensors
-from tenserecon.errors import (
-    CalibrationError,
-    SensorDomainError,
-    WindowUnderflowError,
-)
+from tenserecon.errors import CalibrationError, SensorDomainError
 from tenserecon.lstm import init_model, predict_strain
 from tenserecon.sensors import (
     BendCalibration,
@@ -250,19 +246,15 @@ class TestStrainsFromFrame:
         return SensorFrame(timestamp_ms=ts, resistances=np.asarray(resistances, float))
 
     def test_baseline_frame_bending_gives_constant_term(self, clean_model):
-        base = self._frame(np.full(24, 5.8e6))
         modes = [Mode.BENDING] * 24
         hist = np.zeros((clean_model.window, 24))
-        out = strains_from_frame(base, base, modes, BendCalibration(),
-                                 clean_model, hist)
+        out = strains_from_frame(hist, BendCalibration(), modes, clean_model)
         assert np.all(out.strains == -0.0016)
 
     def test_weight_sharing_constant_history(self, clean_model):
-        base = self._frame(np.full(24, 5.8e6))
         modes = [Mode.STRETCHING] * 24
         hist = np.zeros((clean_model.window, 24))
-        out = strains_from_frame(base, base, modes, BendCalibration(),
-                                 clean_model, hist)
+        out = strains_from_frame(hist, BendCalibration(), modes, clean_model)
         assert np.all(out.strains == out.strains[0])
 
     def test_nonpositive_resistance_tagged_with_index(self):
@@ -273,27 +265,19 @@ class TestStrainsFromFrame:
         assert err.value.sensor == 17
 
     def test_window_underflow_tagged(self, clean_model):
-        base = self._frame(np.full(24, 5.8e6))
         modes = [Mode.STRETCHING] * 24
         hist = np.zeros((3, 24))  # shorter than the model window
-        with pytest.raises(WindowUnderflowError) as err:
-            strains_from_frame(base, base, modes, BendCalibration(),
-                               clean_model, hist)
-        assert err.value.sensor == 0
+        with pytest.raises(SensorDomainError, match="stretching sensors"):
+            strains_from_frame(hist, BendCalibration(), modes, clean_model)
 
     def test_out_of_domain_bending_tagged(self, clean_model):
-        base = self._frame(np.full(24, 5.8e6))
-        hot = np.full(24, 5.8e6)
-        hot[4] = 9.0e6  # dR/R = +0.55, outside the bending domain
-        frame = self._frame(hot, ts=1)
         modes = [Mode.BENDING] * 24
         hist = np.zeros((clean_model.window, 24))
+        hist[-1, 4] = 0.55  # outside the bending domain
         with pytest.raises(SensorDomainError) as err:
-            strains_from_frame(frame, base, modes, BendCalibration(),
-                               clean_model, hist)
+            strains_from_frame(hist, BendCalibration(), modes, clean_model)
         assert err.value.sensor == 4
-        out = strains_from_frame(frame, base, modes, BendCalibration(),
-                                 clean_model, hist, clamp=True)
+        out = strains_from_frame(hist, BendCalibration(), modes, clean_model, clamp=True)
         assert out.strains[4] == -0.0016
 
     @settings(max_examples=40, deadline=None)
@@ -304,16 +288,13 @@ class TestStrainsFromFrame:
         model = init_model(2, 8, 6, seed=seed % 97)
         modes = [Mode.BENDING if mode_bits >> k & 1 else Mode.STRETCHING
                  for k in range(24)]
-        base = self._frame(rng.uniform(1e6, 1e7, size=24))
-        frame = self._frame(base.resistances * rng.uniform(0.3, 1.0, size=24), ts=1)
         hist = rng.normal(scale=0.4, size=(model.window + 3, 24))
-        out = strains_from_frame(frame, base, modes, BendCalibration(), model,
-                                 hist, clamp=clamp).strains
+        hist[-1] = rng.uniform(-0.7, 0.0, size=24)  # the current frame, bending domain
+        out = strains_from_frame(hist, BendCalibration(), modes, model,
+                                 clamp=clamp).strains
         for k in range(24):
             if modes[k] is Mode.BENDING:
-                r0, r1 = base.resistances[k], frame.resistances[k]
-                dr = (r1 - r0) / r0
-                expected = bending_strain(dr, BendCalibration(), clamp=clamp)
+                expected = bending_strain(hist[-1, k], BendCalibration(), clamp=clamp)
             else:
                 expected = predict_strain(model, hist[-model.window:, k])
             if clamp:
@@ -321,20 +302,17 @@ class TestStrainsFromFrame:
             assert out[k] == pytest.approx(expected, abs=1e-12)
 
     def test_model_error_names_stretching_sensors(self):
-        base = self._frame(np.full(24, 5.8e6))
         modes = [Mode.BENDING] * 24
         modes[3] = modes[11] = Mode.STRETCHING
         model = init_model(3, 4, 5, seed=0)  # expects 3 features, gets 2
         with pytest.raises(SensorDomainError, match=r"stretching sensors \[3, 11\]"):
-            strains_from_frame(base, base, modes, BendCalibration(), model,
-                               np.zeros((5, 24)))
+            strains_from_frame(np.zeros((5, 24)), BendCalibration(), modes, model)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(m, window):
             raise TypeError("broken model")
 
         monkeypatch.setattr(lstm, "predict_strain", broken)
-        base = self._frame(np.full(24, 5.8e6))
         with pytest.raises(TypeError, match="broken model"):
-            strains_from_frame(base, base, [Mode.STRETCHING] * 24, BendCalibration(),
-                               init_model(2, 4, 5, seed=0), np.zeros((5, 24)))
+            strains_from_frame(np.zeros((5, 24)), BendCalibration(),
+                               [Mode.STRETCHING] * 24, init_model(2, 4, 5, seed=0))
