@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
-from .errors import TenseReconError, TopologyError
+from .errors import TenseReconError, TopologyError, write_json
 
 log = logging.getLogger("tenserecon")
 
@@ -63,9 +63,7 @@ def _press_scenario(args, topo) -> simulator.Scenario:
 def _report_metrics(report: harness.MetricsReport, path, *, announce: bool) -> None:
     """Write the metrics JSON to ``path`` when given, then print the headline lines."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(report.to_json_dict(), path)
         if announce:
             print(f"wrote {path}")
     print(f"node height RMSE: {report.rmse_node_height_mm:.3f} mm")
@@ -315,8 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--topology")
     sp.add_argument("--calibration")
     sp.add_argument("--stretch-table")
-    sp.add_argument("--model", help="reuse a trained model instead of training")
-    sp.add_argument("--epochs", type=_at_least(int, 1), default=60)
+    # a reused model is not trained, so --epochs would go unread; the string
+    # default keeps an explicit "--epochs 60" counted as given, as in _add_seed
+    model = sp.add_mutually_exclusive_group()
+    model.add_argument("--model", help="reuse a trained model instead of training")
+    model.add_argument("--epochs", type=_at_least(int, 1), default="60")
     sp.add_argument("--no-noise", action="store_true")
     return p
 

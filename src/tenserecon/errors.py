@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON read/write pair that
+every input format goes through, so a bad file raises its format's error naming it."""
+
+import json
 
 
 class TenseReconError(Exception):
@@ -55,3 +58,26 @@ class DataFormatError(TenseReconError):
 
 class MetricsError(TenseReconError):
     """Estimate and ground-truth streams cannot be aligned."""
+
+
+def read_json(path, error, build):
+    """Decode the JSON file at ``path`` and return ``build(doc)``; a syntax error or a
+    conversion error in ``build`` becomes ``error`` naming the path.  A TenseReconError
+    from ``build`` (a version or shape check) passes through unchanged."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+            raise error(f"unparseable {path}: {exc}") from exc
+    try:
+        return build(doc)
+    # AttributeError: .get and .items on a JSON list where an object belongs
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise error(f"malformed {path}: {exc}") from exc
+
+
+def write_json(doc, path, indent=1) -> None:
+    """Write ``doc`` as JSON with a trailing newline; indent=None writes it compact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")

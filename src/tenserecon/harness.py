@@ -16,12 +16,11 @@ Reported metrics (all millimeters, free nodes only, frame-averaged):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, MetricsError, TopologyError
+from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError
 from .reconstruction import SolveResult, StateFrame
 from .sensors import N_SENSORS, SensorFrame
 from .topology import Topology, tendon_triangles
@@ -39,15 +38,15 @@ SYSTEM_RMSE_DEFINITION = ("system RMSE: sqrt(mean over frames, free nodes and xy
 def parse_sensor_csv(source) -> list[SensorFrame]:
     """Parse a sensor CSV stream or path into timestamped frames.
 
-    Rejections (wrong arity, non-numeric or non-finite cells, non-monotone
-    timestamps, bad header) raise DataFormatError naming the 1-based line.
+    Rejections (wrong arity, non-numeric cells, a resistance SensorFrame
+    rejects, non-monotone timestamps, bad header) raise DataFormatError
+    naming the 1-based line.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, encoding="utf-8", newline="") as fh:
             return parse_sensor_csv(fh)
 
     frames: list[SensorFrame] = []
-    last_ts = None
     header = None
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
@@ -64,23 +63,14 @@ def parse_sensor_csv(source) -> list[SensorFrame]:
             raise DataFormatError(
                 f"expected {N_SENSORS + 1} columns, found {len(cells)}", line=lineno)
         try:
-            ts = int(cells[0])
-        except ValueError as exc:
-            raise DataFormatError(f"bad timestamp {cells[0]!r}", line=lineno) from exc
-        try:
-            values = [float(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise DataFormatError(f"non-numeric cell: {exc}", line=lineno) from exc
-        for k, v in enumerate(values):
-            if not math.isfinite(v):
-                raise DataFormatError(f"non-finite resistance r{k:02d}={v}", line=lineno)
-            if v <= 0:
-                raise DataFormatError(f"non-positive resistance r{k:02d}={v}", line=lineno)
-        if last_ts is not None and ts <= last_ts:
-            raise DataFormatError(
-                f"timestamp {ts} not after previous {last_ts}", line=lineno)
-        last_ts = ts
-        frames.append(SensorFrame(timestamp_ms=ts, resistances=np.array(values)))
+            frame = SensorFrame(timestamp_ms=int(cells[0]),
+                                resistances=np.array([float(c) for c in cells[1:]]))
+        except (ValueError, SensorDomainError) as exc:
+            raise DataFormatError(str(exc), line=lineno) from exc
+        if frames and frame.timestamp_ms <= frames[-1].timestamp_ms:
+            raise DataFormatError(f"timestamp {frame.timestamp_ms} not after previous "
+                                  f"{frames[-1].timestamp_ms}", line=lineno)
+        frames.append(frame)
     if header is None:
         raise DataFormatError("empty file: missing header", line=1)
     return frames

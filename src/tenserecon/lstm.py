@@ -13,12 +13,11 @@ serialize to a small versioned JSON file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, ModelFormatError
+from .errors import DivergenceError, ModelFormatError, read_json, write_json
 from .sensors import default_stretch_curve
 
 MODEL_FORMAT_VERSION = 1
@@ -454,7 +453,7 @@ def learning_rate_sweep(data: SequenceDataset, rates, epochs: int = 40,
 
 def save_model(m: LstmModel, path) -> None:
     m.validate_shapes()
-    doc = {
+    write_json({
         "version": MODEL_FORMAT_VERSION,
         "D": m.input_size,
         "H": m.hidden_size,
@@ -474,47 +473,37 @@ def save_model(m: LstmModel, path) -> None:
             "input_high": (None if m.norm.input_high is None
                            else [float(v) for v in m.norm.input_high]),
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    }, path, indent=None)
 
 
 def load_model(path) -> LstmModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"unparseable model file {path}: {exc}") from exc
-    try:
-        if doc["version"] != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(
-                f"model format version {doc['version']} unsupported "
-                f"(expected {MODEL_FORMAT_VERSION})")
-        w = doc["weights"]
-        lo = doc["norm"].get("input_low")
-        hi = doc["norm"].get("input_high")
-        norm = Normalization(
-            input_mean=np.array(doc["norm"]["input_mean"], dtype=float),
-            input_scale=np.array(doc["norm"]["input_scale"], dtype=float),
-            target_mean=float(doc["norm"]["target_mean"]),
-            target_scale=float(doc["norm"]["target_scale"]),
-            input_low=None if lo is None else np.array(lo, dtype=float),
-            input_high=None if hi is None else np.array(hi, dtype=float),
-        )
-        m = LstmModel(
-            input_size=int(doc["D"]), hidden_size=int(doc["H"]),
-            window=int(doc["window"]),
-            w_f=np.array(w["w_f"], dtype=float), b_f=np.array(w["b_f"], dtype=float),
-            w_i=np.array(w["w_i"], dtype=float), b_i=np.array(w["b_i"], dtype=float),
-            w_h=np.array(w["w_h"], dtype=float),
-            w_o=np.array(w["w_o"], dtype=float), b_o=np.array(w["b_o"], dtype=float),
-            w_out=np.array(w["w_out"], dtype=float), b_out=float(w["b_out"]),
-            norm=norm,
-        )
-    except ModelFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
+    return read_json(path, ModelFormatError, _model_from_json_dict)
+
+
+def _model_from_json_dict(doc: dict) -> LstmModel:
+    if doc["version"] != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(
+            f"model format version {doc['version']} unsupported "
+            f"(expected {MODEL_FORMAT_VERSION})")
+    w, nd = doc["weights"], doc["norm"]
+    lo, hi = nd.get("input_low"), nd.get("input_high")
+    norm = Normalization(
+        input_mean=np.array(nd["input_mean"], dtype=float),
+        input_scale=np.array(nd["input_scale"], dtype=float),
+        target_mean=float(nd["target_mean"]),
+        target_scale=float(nd["target_scale"]),
+        input_low=None if lo is None else np.array(lo, dtype=float),
+        input_high=None if hi is None else np.array(hi, dtype=float),
+    )
+    m = LstmModel(
+        input_size=int(doc["D"]), hidden_size=int(doc["H"]),
+        window=int(doc["window"]),
+        w_f=np.array(w["w_f"], dtype=float), b_f=np.array(w["b_f"], dtype=float),
+        w_i=np.array(w["w_i"], dtype=float), b_i=np.array(w["b_i"], dtype=float),
+        w_h=np.array(w["w_h"], dtype=float),
+        w_o=np.array(w["w_o"], dtype=float), b_o=np.array(w["b_o"], dtype=float),
+        w_out=np.array(w["w_out"], dtype=float), b_out=float(w["b_out"]),
+        norm=norm,
+    )
     m.validate_shapes()
     return m

@@ -9,14 +9,13 @@ pure per-sensor math and the dispatch between the two regimes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CalibrationError, SensorDomainError, TenseReconError
+from .errors import CalibrationError, SensorDomainError, TenseReconError, read_json, write_json
 
 N_SENSORS = 24
 
@@ -24,6 +23,8 @@ N_SENSORS = 24
 # highest power first.  Valid on dR/R in [-1, 0].
 DEFAULT_BEND_COEFFS = (-4.7589, -16.521, -20.239, -9.9675, -0.5464, -0.0016)
 BEND_INVERSE_TOLERANCE = 1e-12  # width of bend_inverse's final dR/R bracket
+STRETCH_TABLE_MAX_STRAIN = 1.0  # default_stretch_table covers strain [0, 1]
+STRETCH_TABLE_POINTS = 2001
 
 
 class Mode(Enum):
@@ -46,7 +47,7 @@ class SensorFrame:
             raise SensorDomainError(f"expected {N_SENSORS} resistances, got shape {r.shape}")
         if not np.all(np.isfinite(r)) or np.any(r <= 0):
             bad = int(np.argmin(np.where(np.isfinite(r), r, -np.inf)))
-            raise SensorDomainError("resistance must be finite and > 0", sensor=bad)
+            raise SensorDomainError(f"resistance must be finite and > 0, got {r[bad]}", sensor=bad)
         r.flags.writeable = False
         object.__setattr__(self, "resistances", r)
 
@@ -253,42 +254,25 @@ def default_stretch_curve(strain):
     return 2.0 * (1.0 - np.exp(-np.asarray(strain, dtype=float) / 0.5))
 
 
-def default_stretch_table(max_strain: float = 1.0, n: int = 2001) -> StretchTable:
-    e = np.linspace(0.0, max_strain, n)
+def default_stretch_table() -> StretchTable:
+    e = np.linspace(0.0, STRETCH_TABLE_MAX_STRAIN, STRETCH_TABLE_POINTS)
     return StretchTable(strain=e, dr_ratio=default_stretch_curve(e))
 
 
 def save_calibration(cal: BendCalibration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"coefficients": list(cal.coefficients),
-                   "domain": list(cal.domain)}, fh, indent=1)
-        fh.write("\n")
+    write_json({"coefficients": list(cal.coefficients), "domain": list(cal.domain)}, path)
 
 
 def load_calibration(path) -> BendCalibration:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CalibrationError(f"unparseable calibration file {path}: {exc}") from exc
-    try:
-        return BendCalibration(coefficients=tuple(float(c) for c in d["coefficients"]),
-                               domain=tuple(float(v) for v in d["domain"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CalibrationError(f"malformed calibration file {path}: {exc}") from exc
+    return read_json(path, CalibrationError, lambda d: BendCalibration(
+        coefficients=tuple(float(c) for c in d["coefficients"]),
+        domain=tuple(float(v) for v in d["domain"])))
 
 
 def load_stretch_table(path) -> StretchTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CalibrationError(f"unparseable stretch table {path}: {exc}") from exc
-    try:
-        return StretchTable(strain=np.array(d["strain"], dtype=float),
-                            dr_ratio=np.array(d["dr_ratio"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CalibrationError(f"malformed stretch table {path}: {exc}") from exc
+    return read_json(path, CalibrationError, lambda d: StretchTable(
+        strain=np.array(d["strain"], dtype=float),
+        dr_ratio=np.array(d["dr_ratio"], dtype=float)))
 
 
 def strains_from_frame(history: np.ndarray, cal: BendCalibration, modes, model, *,

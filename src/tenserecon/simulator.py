@@ -8,12 +8,12 @@ adding banded dR/R noise.  Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, RelaxationError, SensorDomainError, TopologyError
+from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
+                     read_json, write_json)
 from .reconstruction import StateFrame
 from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
 from .topology import Topology, row_norms, unit_jacobian
@@ -22,6 +22,7 @@ DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
 DEFAULT_BASELINE_OHMS = 5.8e6
 DEFORM_TOL = 1e-10  # m; deform's strut projection stops once every gap is smaller
 DEFORM_MAX_ITER = 100
+MAX_SAMPLE_RATE_HZ = 1000.0  # frame timestamps are whole milliseconds
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,9 @@ class Scenario:
     Each keyframe maps node id -> displacement vector (m) at time t_ms;
     nodes not named in a keyframe have zero target there.  Displacements
     interpolate linearly between keyframes.  Sampling covers t in
-    [0, last keyframe) at sample_rate_hz; the noise model holds the seed.
+    [0, last keyframe) at sample_rate_hz, at most one frame per millisecond
+    because frame timestamps are whole milliseconds; the noise model holds
+    the seed.
     """
 
     keyframes: tuple[tuple[int, dict[int, tuple[float, float, float]]], ...]
@@ -66,6 +69,10 @@ class Scenario:
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise TopologyError(
                 f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        if self.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
+            raise TopologyError(
+                f"sample_rate_hz must be <= {MAX_SAMPLE_RATE_HZ:g}, got {self.sample_rate_hz}: "
+                "frame timestamps are whole milliseconds")
         for t_ms, disp in self.keyframes:
             for node, vec in disp.items():
                 if np.shape(vec) != (3,) or not np.all(np.isfinite(vec)):
@@ -213,35 +220,25 @@ def scenario_to_json_dict(sc: Scenario) -> dict:
 
 
 def scenario_from_json_dict(d: dict) -> Scenario:
-    try:
-        noise = NoiseModel(kind=d["noise"].get("kind", "uniform"),
-                           band=tuple(d["noise"].get("band", DEFAULT_NOISE_BAND)),
-                           seed=int(d["noise"].get("seed", 0)))
-        keyframes = tuple(
-            (int(kf["t_ms"]),
-             {int(n): tuple(float(v) for v in vec)
-              for n, vec in kf["displacements"].items()})
-            for kf in d["keyframes"]
-        )
-        return Scenario(keyframes=keyframes,
-                        sample_rate_hz=float(d["sample_rate_hz"]), noise=noise)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"malformed scenario JSON: {exc}") from exc
+    noise = NoiseModel(kind=d["noise"].get("kind", "uniform"),
+                       band=tuple(d["noise"].get("band", DEFAULT_NOISE_BAND)),
+                       seed=int(d["noise"].get("seed", 0)))
+    keyframes = tuple(
+        (int(kf["t_ms"]),
+         {int(n): tuple(float(v) for v in vec)
+          for n, vec in kf["displacements"].items()})
+        for kf in d["keyframes"]
+    )
+    return Scenario(keyframes=keyframes,
+                    sample_rate_hz=float(d["sample_rate_hz"]), noise=noise)
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_json_dict(sc), fh, indent=1)
-        fh.write("\n")
+    write_json(scenario_to_json_dict(sc), path)
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"unparseable scenario file {path}: {exc}") from exc
-    return scenario_from_json_dict(d)
+    return read_json(path, TopologyError, scenario_from_json_dict)
 
 
 def press_scenario(t: Topology, depth: float = 0.030, seed: int = 0,

@@ -17,7 +17,6 @@ remaining pairs in lexicographic node order.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, read_json, write_json
 
 SQRT6_OVER_4 = np.sqrt(6.0) / 4.0
 
@@ -116,28 +115,12 @@ def build_canonical(strut_length: float = 0.30,
     if not np.isfinite(strut_length) or strut_length <= 0:
         raise TopologyError(f"strut_length must be > 0, got {strut_length}")
 
-    s = strut_length / 4.0
-    raw = []
-    for a in (1.0, -1.0):
-        for b in (2.0, -2.0):
-            raw.append((0.0, a, b))
-            raw.append((b, 0.0, a))
-            raw.append((a, b, 0.0))
-    raw = np.array(raw)
-
-    def locate(v) -> int:
-        return int(np.argmin(np.linalg.norm(raw - np.array(v, dtype=float), axis=1)))
-
-    # Fixed labeling: anchors 0..2 on the (-,-,-) octant face, partners 3/6/9,
-    # free struts (4,5), (7,8), (10,11).
-    label_to_raw = {
-        0: locate((-2, 0, -1)), 1: locate((0, -1, -2)), 2: locate((-1, -2, 0)),
-        3: locate((2, 0, -1)), 6: locate((0, -1, 2)), 9: locate((-1, 2, 0)),
-        4: locate((2, 0, 1)), 5: locate((-2, 0, 1)),
-        7: locate((0, 1, -2)), 8: locate((0, 1, 2)),
-        10: locate((1, -2, 0)), 11: locate((1, 2, 0)),
-    }
-    pts = raw[[label_to_raw[k] for k in range(12)]] * s
+    # The 12 points in label order: anchors 0..2 on the (-,-,-) octant face,
+    # partners 3/6/9, free struts (4,5), (7,8), (10,11).
+    pts = np.array([
+        (-2, 0, -1), (0, -1, -2), (-1, -2, 0), (2, 0, -1), (2, 0, 1), (-2, 0, 1),
+        (0, -1, 2), (0, 1, -2), (0, 1, 2), (-1, 2, 0), (1, -2, 0), (1, 2, 0),
+    ], dtype=float) * (strut_length / 4.0)
 
     # Rigid transform: anchored face -> z = 0 plane, centroid -> origin,
     # node 0 -> +x axis.  The face normal (1,1,1)/sqrt(3) maps to +z.
@@ -305,35 +288,32 @@ def to_json_dict(t: Topology) -> dict:
     }
 
 
+def _topology_from_doc(d: dict) -> Topology:
+    tendons = tuple(
+        Tendon(k=int(r["k"]), i=int(r["i"]), j=int(r["j"]),
+               rest_length=float(r["rest_length_m"]))
+        for r in d["tendons"]
+    )
+    return Topology(
+        strut_length=float(d["strut_length_m"]),
+        struts=tuple((int(a), int(b)) for a, b in d["struts"]),
+        tendons=tuple(sorted(tendons, key=lambda td: td.k)),
+        anchored=frozenset(int(x) for x in d["anchored"]),
+        nominal_coords=np.array(d["nominal_coords_m"], dtype=float),
+    )
+
+
 def from_json_dict(d: dict) -> Topology:
+    """Topology from an already decoded document; a malformed one raises TopologyError."""
     try:
-        tendons = tuple(
-            Tendon(k=int(r["k"]), i=int(r["i"]), j=int(r["j"]),
-                   rest_length=float(r["rest_length_m"]))
-            for r in d["tendons"]
-        )
-        topo = Topology(
-            strut_length=float(d["strut_length_m"]),
-            struts=tuple((int(a), int(b)) for a, b in d["struts"]),
-            tendons=tuple(sorted(tendons, key=lambda td: td.k)),
-            anchored=frozenset(int(x) for x in d["anchored"]),
-            nominal_coords=np.array(d["nominal_coords_m"], dtype=float),
-        )
+        return _topology_from_doc(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"malformed topology JSON: {exc}") from exc
-    return topo
 
 
 def save_topology(t: Topology, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(t), fh, indent=1)
-        fh.write("\n")
+    write_json(to_json_dict(t), path)
 
 
 def load_topology(path) -> Topology:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"unparseable topology file {path}: {exc}") from exc
-    return from_json_dict(d)
+    return read_json(path, TopologyError, _topology_from_doc)

@@ -194,7 +194,8 @@ def test_scenario_flag_drives_simulate(tmp_path):
      "keyframe t_ms=500, node 8: displacement must be 3 finite numbers"),
     ({"sample_rate_hz": float("nan")}, "sample_rate_hz must be finite and > 0, got nan"),
     ({"sample_rate_hz": float("inf")}, "sample_rate_hz must be finite and > 0, got inf"),
-], ids=["two-number-displacement", "nan-rate", "inf-rate"])
+    ({"sample_rate_hz": 2000.0}, "frame timestamps are whole milliseconds"),
+], ids=["two-number-displacement", "nan-rate", "inf-rate", "rate-above-1000-hz"])
 def test_malformed_scenario_is_data_error(tmp_path, capsys, doc, message):
     full = {"sample_rate_hz": 10.0, "noise": {"kind": "uniform", "seed": 1},
             "keyframes": [{"t_ms": 0, "displacements": {}},
@@ -206,6 +207,33 @@ def test_malformed_scenario_is_data_error(tmp_path, capsys, doc, message):
                     str(tmp_path / "s.csv"), "--truth-out", str(tmp_path / "t.jsonl")])
     assert code == cli.EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"noise": [1]}),
+    ("simulate", {"keyframes": [{"t_ms": 0, "displacements": [1]}]}),
+    ("reconstruct", {"norm": [1]}),
+], ids=["scenario-noise-list", "scenario-displacements-list", "model-norm-list"])
+def test_nested_list_in_json_input_is_data_error(tmp_path, capsys, model_path,
+                                                 session_files, command, doc):
+    # .get and .items on a list raise AttributeError; it must not escape as a traceback
+    if command == "simulate":
+        path = tmp_path / "scenario.json"
+        full = {"sample_rate_hz": 10.0, "noise": {"kind": "none"},
+                "keyframes": [{"t_ms": 0, "displacements": {}},
+                              {"t_ms": 500, "displacements": {}}]}
+        argv = ["simulate", "--scenario", str(path), "--sensors-out",
+                str(tmp_path / "s.csv"), "--truth-out", str(tmp_path / "t.jsonl")]
+    else:
+        path = tmp_path / "lstm.json"
+        with open(model_path, encoding="utf-8") as fh:
+            full = json.load(fh)
+        argv = ["reconstruct", session_files[0], "--model", str(path),
+                "--out", str(tmp_path / "f.jsonl")]
+    path.write_text(json.dumps({**full, **doc}))
+    assert cli.cli(argv) == cli.EXIT_DATA
+    assert f"error: malformed {path}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, capsys):
@@ -288,9 +316,10 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, model_path,
     ["simulate", "--scenario", "s.json", "--no-noise"],
     ["simulate", "--seed", "3", "--no-noise"],
     ["reconstruct", "s.csv"],
+    ["run-all", "--model", "m.json", "--epochs", "60"],
 ], ids=["config", "seed-before-command", "topology-seed", "evaluate-seed",
         "scenario-seed", "scenario-seed-0", "scenario-no-noise", "seed-no-noise",
-        "reconstruct-no-model"])
+        "reconstruct-no-model", "run-all-model-epochs"])
 def test_unread_or_missing_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.cli(argv) == cli.EXIT_USAGE

@@ -79,10 +79,14 @@ class TestParse:
         assert err.value.line == 3
 
     def test_nan_cell_rejected(self):
-        values = ["nan"] + ["1000000.0"] * 23
-        with pytest.raises(DataFormatError) as err:
-            parse_sensor_csv(csv_stream([",".join(["0"] + values)]))
-        assert err.value.line == 2
+        # zero and negative cells break the same rule as nan
+        for sensor, cell in [(0, "nan"), (7, "0.0"), (23, "-1000000.0")]:
+            values = ["1000000.0"] * 24
+            values[sensor] = cell
+            with pytest.raises(DataFormatError) as err:
+                parse_sensor_csv(csv_stream([",".join(["0"] + values)]))
+            assert err.value.line == 2
+            assert f"sensor {sensor}: resistance must be finite and > 0" in str(err.value)
 
     def test_non_monotone_timestamps(self):
         with pytest.raises(DataFormatError) as err:

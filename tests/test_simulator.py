@@ -187,6 +187,12 @@ class TestScenarioFormat:
         with pytest.raises(TopologyError):
             Scenario(keyframes=((1000, {}), (500, {})))
 
+    def test_rate_above_one_frame_per_ms_rejected(self):
+        # built directly, not simulated: an unbounded rate would loop over ~1e300 frames
+        Scenario(keyframes=((0, {}), (1000, {})), sample_rate_hz=1000.0)
+        with pytest.raises(TopologyError, match="frame timestamps are whole milliseconds"):
+            Scenario(keyframes=((0, {}), (1000, {})), sample_rate_hz=1e300)
+
     def test_displacements_interpolate_linearly(self, topo):
         sc = Scenario(keyframes=(
             (0, {4: (0.0, 0.0, 0.0)}),
