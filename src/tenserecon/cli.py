@@ -1,4 +1,5 @@
-"""Command-line toolkit: simulate, fit, train, reconstruct, evaluate.
+"""Command-line toolkit: emit and validate topologies, simulate, fit, train,
+reconstruct, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver non-convergence
 (frames are still written).  Set TENSERECON_LOG=DEBUG|INFO|WARNING to change
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
-from .errors import TenseReconError, TopologyError, write_json
+from .errors import TenseReconError, TopologyError, read_lines, write_json
 
 log = logging.getLogger("tenserecon")
 
@@ -73,15 +74,6 @@ def _report_metrics(report: harness.MetricsReport, path, *, announce: bool) -> N
 
 
 def cmd_topology(args) -> int:
-    if args.validate:
-        topo = topology.load_topology(args.validate)
-        violations = topology.validate(topo)
-        if violations:
-            for v in violations:
-                print(f"violation: {v}")
-            return EXIT_DATA
-        print("ok")
-        return EXIT_OK
     topo = topology.build_canonical(args.strut_length)
     if args.out:
         topology.save_topology(topo, args.out)
@@ -91,25 +83,35 @@ def cmd_topology(args) -> int:
     return EXIT_OK
 
 
+def cmd_validate_topology(args) -> int:
+    violations = topology.validate(topology.load_topology(args.file))
+    for v in violations:
+        print(f"violation: {v}")
+    if violations:
+        return EXIT_DATA
+    print("ok")
+    return EXIT_OK
+
+
 def cmd_fit_bend(args) -> int:
     samples = []
-    with open(args.data, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "dr_ratio,strain":
-            raise harness.DataFormatError(
-                f"bad header {header!r}; expected 'dr_ratio,strain'", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise harness.DataFormatError("expected 2 columns", line=lineno)
-            try:
-                samples.append((float(cells[0]), float(cells[1])))
-            except ValueError as exc:
-                raise harness.DataFormatError(f"non-numeric cell: {exc}",
-                                              line=lineno) from exc
+    lines = read_lines(args.data)
+    header = next(lines, "").strip()
+    if header != "dr_ratio,strain":
+        raise harness.DataFormatError(
+            f"bad header {header!r}; expected 'dr_ratio,strain'", line=1)
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise harness.DataFormatError("expected 2 columns", line=lineno)
+        try:
+            samples.append((float(cells[0]), float(cells[1])))
+        except ValueError as exc:
+            raise harness.DataFormatError(f"non-numeric cell: {exc}",
+                                          line=lineno) from exc
     cal, r2 = sensors.fit_bending_polynomial(samples)
     names = ["c5", "c4", "c3", "c2", "c1", "c0"]
     for name, c in zip(names, cal.coefficients):
@@ -258,10 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tensegrity shape reconstruction from tendon strain sensors.")
     sub = p.add_subparsers(dest="command")
 
-    sp = sub.add_parser("topology", help="emit or validate a topology JSON")
+    sp = sub.add_parser("topology", help="emit the canonical topology JSON")
     sp.add_argument("--strut-length", type=_at_least(float, 0, strict=True), default=0.30)
     sp.add_argument("--out")
-    sp.add_argument("--validate", metavar="FILE")
+
+    sp = sub.add_parser("validate-topology", help="check a topology JSON's invariants")
+    sp.add_argument("file", help="topology JSON")
 
     sp = sub.add_parser("fit-bend", help="fit the bending polynomial from CSV")
     sp.add_argument("data", help="CSV with header dr_ratio,strain")
@@ -324,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "topology": cmd_topology,
+    "validate-topology": cmd_validate_topology,
     "fit-bend": cmd_fit_bend,
     "train-lstm": cmd_train_lstm,
     "simulate": cmd_simulate,

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the JSON read/write pair that
-every input format goes through, so a bad file raises its format's error naming it."""
+"""Exception types shared across the package, the JSON read/write pair that every
+JSON format goes through, so a bad file raises its format's error naming it, and
+the reader of the line-based formats, so a file that is not UTF-8 does the same."""
 
 import json
 
@@ -18,6 +19,7 @@ class SensorDomainError(TenseReconError):
     def __init__(self, message: str, sensor: int | None = None):
         super().__init__(message if sensor is None else f"sensor {sensor}: {message}")
         self.sensor = sensor
+        self.detail = message  # untagged: a caller that passed a subset re-tags it
 
 
 class CalibrationError(TenseReconError):
@@ -74,6 +76,16 @@ def read_json(path, error, build):
     # AttributeError: .get and .items on a JSON list where an object belongs
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise error(f"malformed {path}: {exc}") from exc
+
+
+def read_lines(path, newline=None):
+    """Yield the lines of the UTF-8 text file at ``path`` (``newline`` as in ``open``);
+    a byte that does not decode is a DataFormatError naming the path."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def write_json(doc, path, indent=1) -> None:

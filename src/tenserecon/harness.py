@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError
+from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError, read_lines
 from .reconstruction import SolveResult, StateFrame
 from .sensors import N_SENSORS, SensorFrame
 from .topology import Topology, tendon_triangles
@@ -43,8 +43,7 @@ def parse_sensor_csv(source) -> list[SensorFrame]:
     naming the 1-based line.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return parse_sensor_csv(fh)
+        return parse_sensor_csv(read_lines(source, newline=""))
 
     frames: list[SensorFrame] = []
     header = None
@@ -121,33 +120,33 @@ def load_frames(path, anchored=frozenset()) -> list[dict]:
     line.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                doc = json.loads(line)
-                t_ms, converged = doc["t_ms"], doc["converged"]
-                if type(t_ms) is not int:
-                    raise DataFormatError(
-                        f'"t_ms" must be a JSON integer, got {t_ms!r}', line=lineno)
-                if not isinstance(converged, bool):
-                    raise DataFormatError(
-                        f'"converged" must be a JSON boolean, got {converged!r}',
-                        line=lineno)
-                doc["state"] = StateFrame(timestamp_ms=t_ms,
-                                          coords=np.array(doc["coords_m"], dtype=float),
-                                          anchored=anchored)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    TopologyError) as exc:
-                raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
-            out.append(doc)
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            doc = json.loads(line)
+            t_ms, converged = doc["t_ms"], doc["converged"]
+            if type(t_ms) is not int:
+                raise DataFormatError(
+                    f'"t_ms" must be a JSON integer, got {t_ms!r}', line=lineno)
+            if not isinstance(converged, bool):
+                raise DataFormatError(
+                    f'"converged" must be a JSON boolean, got {converged!r}',
+                    line=lineno)
+            doc["state"] = StateFrame(timestamp_ms=t_ms,
+                                      coords=np.array(doc["coords_m"], dtype=float),
+                                      anchored=anchored)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                TopologyError) as exc:
+            raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
+        out.append(doc)
     return out
 
 
-def _aligned(est, truth) -> tuple[np.ndarray, np.ndarray]:
-    """Stack both streams in timestamp order; they must share every timestamp."""
+def _aligned(est, truth, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack both streams in timestamp order; they must share every timestamp and
+    hold n_nodes nodes in every frame."""
     est = sorted(est, key=lambda s: int(s.timestamp_ms))
     truth = sorted(truth, key=lambda s: int(s.timestamp_ms))
     if not est or not truth:
@@ -160,6 +159,10 @@ def _aligned(est, truth) -> tuple[np.ndarray, np.ndarray]:
         raise MetricsError(
             f"misaligned streams: {len(est)} estimate vs {len(truth)} truth frames; "
             f"common timestamp range {span}")
+    for name, stream in (("estimate", est), ("truth", truth)):
+        counts = sorted({len(s.coords) for s in stream})
+        if counts != [n_nodes]:
+            raise MetricsError(f"{name} frames have {counts} nodes; the topology has {n_nodes}")
     return (np.stack([s.coords for s in est]),
             np.stack([s.coords for s in truth]))
 
@@ -223,7 +226,7 @@ class MetricsReport:
 def evaluate(est_states, truth_states, t: Topology,
              converged_flags=None) -> MetricsReport:
     """Compute the full metrics report over aligned estimate/truth streams."""
-    a, b = _aligned(est_states, truth_states)
+    a, b = _aligned(est_states, truth_states, len(t.nominal_coords))
     d = (a - b)[:, list(t.free_nodes)]
     dz = d[:, :, 2]
     per_frame = tuple(float(v) for v in np.sqrt(np.mean(dz ** 2, axis=1)) * 1000.0)

@@ -34,6 +34,14 @@ class Mode(Enum):
     STRETCHING = "stretching"
 
 
+def _reject_first(x: np.ndarray, bad: np.ndarray, describe) -> None:
+    """Raise SensorDomainError(describe(value)) for the first entry flagged in bad,
+    tagged with its flat index unless x is a scalar; the models work elementwise."""
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise SensorDomainError(describe(x.flat[k]), sensor=k if x.ndim else None)
+
+
 @dataclass(frozen=True)
 class SensorFrame:
     """One timestamped reading of all 24 sensor resistances, in ohms."""
@@ -45,9 +53,8 @@ class SensorFrame:
         r = np.asarray(self.resistances, dtype=float)
         if r.shape != (N_SENSORS,):
             raise SensorDomainError(f"expected {N_SENSORS} resistances, got shape {r.shape}")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0):
-            bad = int(np.argmin(np.where(np.isfinite(r), r, -np.inf)))
-            raise SensorDomainError(f"resistance must be finite and > 0, got {r[bad]}", sensor=bad)
+        _reject_first(r, ~(np.isfinite(r) & (r > 0)),
+                      lambda v: f"resistance must be finite and > 0, got {v}")
         r.flags.writeable = False
         object.__setattr__(self, "resistances", r)
 
@@ -62,9 +69,8 @@ class StrainVector:
         e = np.asarray(self.strains, dtype=float)
         if e.shape != (N_SENSORS,):
             raise SensorDomainError(f"expected {N_SENSORS} strains, got shape {e.shape}")
-        if np.any(~np.isfinite(e)) or np.any(e <= -1.0):
-            bad = int(np.argmin(np.where(np.isfinite(e), e, -np.inf)))
-            raise SensorDomainError(f"strain must be finite and > -1, got {e[bad]}", sensor=bad)
+        _reject_first(e, ~(np.isfinite(e) & (e > -1.0)),
+                      lambda v: f"strain must be finite and > -1, got {v}")
         e.flags.writeable = False
         object.__setattr__(self, "strains", e)
 
@@ -89,25 +95,20 @@ class BendCalibration:
         return _bend_peak(self)
 
 
-def bending_strain(x: float, cal: BendCalibration = BendCalibration(), *,
-                   clamp: bool = False) -> float:
-    """Evaluate the bending polynomial at dR/R = x (Horner form).
+def bending_strain(x, cal: BendCalibration = BendCalibration(), *, clamp: bool = False):
+    """Evaluate the bending polynomial at dR/R = x (Horner form), elementwise.
 
     Outside the calibration domain this raises SensorDomainError unless
     clamp=True, in which case x is clipped to the nearest domain edge.
     Silent extrapolation of a degree-5 fit is never acceptable.
     """
+    x = np.asarray(x, dtype=float)
     lo, hi = cal.domain
-    if not np.isfinite(x):
-        raise SensorDomainError(f"non-finite dR/R {x}")
-    if x < lo or x > hi:
-        if not clamp:
-            raise SensorDomainError(f"dR/R = {x} outside calibration domain [{lo}, {hi}]")
-        x = min(max(x, lo), hi)
-    acc = 0.0
-    for c in cal.coefficients:
-        acc = acc * x + c
-    return acc
+    bad = ~np.isfinite(x) if clamp else ~((x >= lo) & (x <= hi))
+    _reject_first(x, bad, lambda v: f"dR/R = {v} outside calibration domain [{lo}, {hi}]")
+    if clamp:
+        x = np.clip(x, lo, hi)
+    return np.polyval(cal.coefficients, x)
 
 
 def fit_bending_polynomial(samples) -> tuple[BendCalibration, float]:
@@ -141,7 +142,7 @@ def _bend_peak(cal: BendCalibration) -> tuple[float, float]:
     """Argmax and max of the bend polynomial over its domain (golden section)."""
     lo, hi = cal.domain
     grid = np.linspace(lo, hi, 2001)
-    vals = np.array([bending_strain(g, cal) for g in grid])
+    vals = bending_strain(grid, cal)
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, len(grid) - 1)]
@@ -158,8 +159,8 @@ def _bend_peak(cal: BendCalibration) -> tuple[float, float]:
     return xp, bending_strain(xp, cal)
 
 
-def bend_inverse(strain: float, cal: BendCalibration = BendCalibration()) -> float:
-    """Invert the bending polynomial: strain -> dR/R by bisection.
+def bend_inverse(strain, cal: BendCalibration = BendCalibration()):
+    """Invert the bending polynomial elementwise: strain -> dR/R by bisection.
 
     The polynomial is unimodal on its domain: increasing up to an interior
     peak, then decreasing toward the domain's upper edge.  Small strains
@@ -167,31 +168,25 @@ def bend_inverse(strain: float, cal: BendCalibration = BendCalibration()) -> flo
     anything below that branch's reach falls back to the wide (increasing)
     branch, which covers the full compressive range.
     """
-    if not np.isfinite(strain):
-        raise SensorDomainError(f"non-finite strain {strain}")
+    s = np.asarray(strain, dtype=float)
     lo, hi = cal.domain
     x_peak, y_peak = cal.peak
-    y_lo = bending_strain(lo, cal)
-    y_hi = bending_strain(hi, cal)
-
-    def bisect(a, b, decreasing):
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            v = bending_strain(m, cal)
-            if b - a < BEND_INVERSE_TOLERANCE:
-                return m
-            if (v > strain) == decreasing:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    if y_hi <= strain <= y_peak:
-        return bisect(x_peak, hi, decreasing=True)
-    if y_lo <= strain <= y_peak:
-        return bisect(lo, x_peak, decreasing=False)
-    raise SensorDomainError(
-        f"strain {strain} outside invertible range [{y_lo:.4f}, {y_peak:.4f}]")
+    y_lo, y_hi = bending_strain(np.array(cal.domain), cal)
+    _reject_first(s, ~((s >= min(y_lo, y_hi)) & (s <= y_peak)),
+                  lambda v: f"strain {v} outside invertible range [{y_lo:.4f}, {y_peak:.4f}]")
+    decreasing = s >= y_hi
+    a = np.where(decreasing, x_peak, lo)
+    b = np.where(decreasing, hi, x_peak)
+    out = np.full(s.shape, np.nan)  # nan: still bisecting
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        out = np.where(np.isnan(out) & (b - a < BEND_INVERSE_TOLERANCE), m, out)
+        if not np.isnan(out).any():
+            break
+        raise_a = (np.polyval(cal.coefficients, m) > s) == decreasing
+        a = np.where(raise_a, m, a)
+        b = np.where(raise_a, b, m)
+    return np.where(np.isnan(out), 0.5 * (a + b), out)[()]
 
 
 def select_mode(estimated_length: float, rest_length: float) -> Mode:
@@ -234,19 +229,19 @@ class StretchTable:
         object.__setattr__(self, "strain", s)
         object.__setattr__(self, "dr_ratio", d)
 
-    def dr_from_strain(self, e: float) -> float:
-        if e < self.strain[0] or e > self.strain[-1]:
-            raise SensorDomainError(
-                f"strain {e} outside stretch table range "
-                f"[{self.strain[0]}, {self.strain[-1]}]")
-        return float(np.interp(e, self.strain, self.dr_ratio))
+    def dr_from_strain(self, e):
+        return _table_lookup(e, self.strain, self.dr_ratio, "strain")
 
-    def strain_from_dr(self, x: float) -> float:
-        if x < self.dr_ratio[0] or x > self.dr_ratio[-1]:
-            raise SensorDomainError(
-                f"dR/R {x} outside stretch table range "
-                f"[{self.dr_ratio[0]}, {self.dr_ratio[-1]}]")
-        return float(np.interp(x, self.dr_ratio, self.strain))
+    def strain_from_dr(self, x):
+        return _table_lookup(x, self.dr_ratio, self.strain, "dR/R")
+
+
+def _table_lookup(x, xp: np.ndarray, fp: np.ndarray, name: str):
+    """np.interp of x on (xp, fp), elementwise; nothing outside [xp[0], xp[-1]]."""
+    x = np.asarray(x, dtype=float)
+    _reject_first(x, (x < xp[0]) | (x > xp[-1]),
+                  lambda v: f"{name} {v} outside stretch table range [{xp[0]}, {xp[-1]}]")
+    return np.interp(x, xp, fp)
 
 
 def default_stretch_curve(strain):
@@ -281,10 +276,10 @@ def strains_from_frame(history: np.ndarray, cal: BendCalibration, modes, model, 
 
     ``history`` is a (window, 24) array of dR/R samples whose last row is
     the current frame.  Per sensor, the mode flag routes that row to the
-    bending polynomial or the whole column to the sequence model; the
-    stretching sensors' columns go through the model together, as one
-    batch.  Errors are tagged with the sensor index; an error from the
-    batched model names every stretching sensor it covered.
+    bending polynomial or the whole column to the sequence model; each
+    regime's sensors go through their model together, as one batch.  Errors
+    are tagged with the sensor index; an error from the batched model names
+    every stretching sensor it covered.
 
     clamp=True clips out-of-domain bending inputs to the domain edge and
     bounds all strains away from -1; use it for noisy live data.
@@ -298,15 +293,14 @@ def strains_from_frame(history: np.ndarray, cal: BendCalibration, modes, model, 
     if history.ndim != 2 or history.shape[1] != N_SENSORS:
         raise SensorDomainError(f"history must be (window, {N_SENSORS}), got {history.shape}")
 
-    dr = history[-1]
+    bending = np.array([m is Mode.BENDING for m in modes])
     out = np.empty(N_SENSORS)
-    for k in range(N_SENSORS):
-        if modes[k] is Mode.BENDING:
-            try:
-                out[k] = bending_strain(dr[k], cal, clamp=clamp)
-            except SensorDomainError as exc:
-                raise SensorDomainError(str(exc), sensor=k) from exc
-    stretching = [k for k in range(N_SENSORS) if modes[k] is not Mode.BENDING]
+    try:
+        out[bending] = bending_strain(history[-1, bending], cal, clamp=clamp)
+    except SensorDomainError as exc:
+        k = int(np.flatnonzero(bending)[exc.sensor])
+        raise SensorDomainError(exc.detail, sensor=k) from exc
+    stretching = np.flatnonzero(~bending).tolist()
     if stretching:
         try:
             out[stretching] = predict_strain(model, history[-model.window:, stretching])

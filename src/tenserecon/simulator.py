@@ -2,13 +2,14 @@
 
 Replaces the physical rig: ground-truth shapes come from kinematic
 constraint projection (struts stay rigid, anchors stay put, tendons follow),
-and sensor resistances come from inverting the strain models per tendon and
-adding banded dR/R noise.  Everything is deterministic for a fixed seed.
+and sensor resistances come from inverting the strain models over the whole
+session and adding banded dR/R noise.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .errors import (CalibrationError, RelaxationError, SensorDomainError, Topol
                      read_json, write_json)
 from .reconstruction import StateFrame
 from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
-from .topology import Topology, row_norms, unit_jacobian
+from .topology import Topology, edge_lengths, row_norms, unit_jacobian
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
 DEFAULT_BASELINE_OHMS = 5.8e6
@@ -40,7 +41,7 @@ class NoiseModel:
         if self.kind not in ("uniform", "none"):
             raise CalibrationError(f"unknown noise kind {self.kind!r}")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "none":
             return np.zeros(size)
         return rng.uniform(*self.band, size=size)
@@ -131,51 +132,6 @@ def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
         f"strut projection did not reach {DEFORM_TOL} m in {DEFORM_MAX_ITER} iterations")
 
 
-def resistances_from_state(state, t: Topology, cal: BendCalibration,
-                           stretch_inverse: StretchTable,
-                           baseline: np.ndarray, noise: NoiseModel,
-                           rng: np.random.Generator | None = None,
-                           timestamp_ms: int = 0) -> SensorFrame:
-    """Exact geometry -> noisy resistances, one tendon at a time.
-
-    strain = L/L0 - 1; compressive strains invert the bending polynomial,
-    tensile ones look up the stretch table.  Noise is added in dR/R space
-    and resistances reconstructed as R0 * (1 + dR/R).  Passing no rng draws
-    from a fresh generator seeded by the noise model, so a standalone call
-    is reproducible; session generators pass their own stream.
-    """
-    from .topology import edge_lengths
-
-    baseline = np.asarray(baseline, dtype=float)
-    if baseline.shape != (len(t.tendons),):
-        raise SensorDomainError(f"baseline must have shape ({len(t.tendons)},)")
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-
-    lengths = edge_lengths(t, state)
-    rest = t.rest_lengths()
-    if np.any(lengths <= 0):
-        raise SensorDomainError("tendon length must be positive")
-    strains = lengths / rest - 1.0
-
-    dr = np.empty(len(strains))
-    for k, eps in enumerate(strains):
-        try:
-            # dead band keeps rounding-level strains on the stretch side,
-            # matching the ties-go-to-stretching convention
-            if eps < -1e-12:
-                dr[k] = bend_inverse(eps, cal)
-            else:
-                dr[k] = stretch_inverse.dr_from_strain(max(eps, 0.0))
-        except SensorDomainError as exc:
-            raise SensorDomainError(str(exc), sensor=k) from exc
-    dr = dr + noise.sample(rng, len(dr))
-    resist = baseline * (1.0 + dr)
-    # noise can push dR/R through -1; floor keeps the frame physical
-    resist = np.maximum(resist, 1.0)
-    return SensorFrame(timestamp_ms=timestamp_ms, resistances=resist)
-
-
 def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
                      stretch_inverse: StretchTable
                      ) -> tuple[list[StateFrame], list[SensorFrame]]:
@@ -184,25 +140,48 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     Returns (ground-truth StateFrames, SensorFrames), timestamp-aligned,
     sampled at scenario.sample_rate_hz over [0, last keyframe), every sensor
     resting at DEFAULT_BASELINE_OHMS.  Output is bit-reproducible per scenario.
+    The session's (frames, 24) strains L/L0 - 1 become resistances in one pass:
+    compressive ones invert the bending polynomial, tensile ones the stretch
+    table, and noise is added in dR/R space before R = R0 * (1 + dR/R).
     """
-    baseline = np.full(len(t.tendons), DEFAULT_BASELINE_OHMS)
-    rng = np.random.default_rng(scenario.noise.seed)
     duration_ms = scenario.keyframes[-1][0]
     n_frames = int(round(duration_ms / 1000.0 * scenario.sample_rate_hz))
     truth: list[StateFrame] = []
-    sensed: list[SensorFrame] = []
     for k in range(n_frames):
         t_ms = int(round(k * 1000.0 / scenario.sample_rate_hz))
         try:
             coords = deform(t, scenario.displacements_at(t_ms))
-            frame = resistances_from_state(coords, t, cal, stretch_inverse,
-                                           baseline, scenario.noise, rng=rng,
-                                           timestamp_ms=t_ms)
-        except (RelaxationError, SensorDomainError) as exc:
-            raise type(exc)(f"t={t_ms} ms: {exc}") from exc
+        except RelaxationError as exc:
+            raise RelaxationError(f"t={t_ms} ms: {exc}") from exc
         truth.append(StateFrame(timestamp_ms=t_ms, coords=coords, anchored=t.anchored))
-        sensed.append(frame)
+
+    lengths = np.array([edge_lengths(t, s) for s in truth]).reshape(-1, len(t.tendons))
+    strains = lengths / t.rest_lengths() - 1.0
+    # dead band keeps rounding-level strains on the stretch side,
+    # matching the ties-go-to-stretching convention
+    bending = strains < -1e-12
+    dr = np.empty_like(strains)
+    dr[bending] = _invert(partial(bend_inverse, cal=cal), strains, bending, truth)
+    dr[~bending] = _invert(stretch_inverse.dr_from_strain, np.maximum(strains, 0.0),
+                           ~bending, truth)
+    rng = np.random.default_rng(scenario.noise.seed)
+    dr = dr + scenario.noise.sample(rng, dr.shape)
+    # noise can push dR/R through -1; floor keeps the frame physical
+    resist = np.maximum(DEFAULT_BASELINE_OHMS * (1.0 + dr), 1.0)
+    sensed = [SensorFrame(timestamp_ms=s.timestamp_ms, resistances=r)
+              for s, r in zip(truth, resist)]
     return truth, sensed
+
+
+def _invert(inverse, strains: np.ndarray, mask: np.ndarray, truth) -> np.ndarray:
+    """inverse(strains[mask]); an entry out of its range names its frame and sensor."""
+    try:
+        return inverse(strains[mask])
+    except SensorDomainError as exc:
+        f, k = (int(i) for i in np.argwhere(mask)[exc.sensor])
+        err = SensorDomainError(f"t={truth[f].timestamp_ms} ms: sensor {k}: {exc.detail}")
+        err.sensor = k
+        raise err from exc
 
 
 def scenario_to_json_dict(sc: Scenario) -> dict:

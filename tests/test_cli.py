@@ -45,14 +45,16 @@ def test_topology_emit_and_validate(tmp_path, capsys):
     assert cli.cli(["topology", "--out", str(out)]) == cli.EXIT_OK
     topo = load_topology(out)
     assert len(topo.tendons) == 24
-    assert cli.cli(["topology", "--validate", str(out)]) == cli.EXIT_OK
-    assert "ok" in capsys.readouterr().out
+    capsys.readouterr()
+    assert cli.cli(["validate-topology", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "ok\n"
 
     doc = json.loads(out.read_text())
     doc["tendons"] = doc["tendons"][:-1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert cli.cli(["topology", "--validate", str(bad)]) == cli.EXIT_DATA
+    assert cli.cli(["validate-topology", str(bad)]) == cli.EXIT_DATA
+    assert capsys.readouterr().out.startswith("violation: ")
 
 
 def test_fit_bend_reports_r_squared(tmp_path, capsys):
@@ -317,11 +319,51 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, model_path,
     ["simulate", "--seed", "3", "--no-noise"],
     ["reconstruct", "s.csv"],
     ["run-all", "--model", "m.json", "--epochs", "60"],
+    ["topology", "--validate", "t.json", "--out", "x.json", "--strut-length", "0.5"],
+    ["validate-topology", "t.json", "--out", "x.json"],
 ], ids=["config", "seed-before-command", "topology-seed", "evaluate-seed",
         "scenario-seed", "scenario-seed-0", "scenario-no-noise", "seed-no-noise",
-        "reconstruct-no-model", "run-all-model-epochs"])
+        "reconstruct-no-model", "run-all-model-epochs", "topology-validate",
+        "validate-topology-out"])
 def test_unread_or_missing_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.cli(argv) == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "fit-bend"])
+def test_non_utf8_line_file_is_data_error(tmp_path, capsys, model_path, session_files,
+                                          command):
+    sensors, truth = session_files
+    bad = tmp_path / "bad.txt"
+    source = {"reconstruct": sensors, "evaluate": truth, "fit-bend": None}[command]
+    if source is None:
+        bad.write_bytes(b"dr_ratio,strain\xff\n0.0,0.0\n")
+    else:  # a 0xff byte in the first line
+        with open(source, "rb") as fh:
+            bad.write_bytes(b"\xff" + fh.read())
+    argv = {
+        "reconstruct": ["reconstruct", str(bad), "--model", model_path,
+                        "--out", str(tmp_path / "f.jsonl")],
+        "evaluate": ["evaluate", "--est", str(bad), "--truth", truth],
+        "fit-bend": ["fit-bend", str(bad)],
+    }[command]
+    assert cli.cli(argv) == cli.EXIT_DATA
+    assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("est_nodes, truth_nodes", [(11, 12), (11, 11)],
+                         ids=["estimate-short", "both-short"])
+def test_evaluate_wrong_node_count_is_data_error(tmp_path, capsys, session_files,
+                                                 est_nodes, truth_nodes):
+    truth_rows = [json.loads(ln) for ln in open(session_files[1], encoding="utf-8")]
+    paths = []
+    for name, nodes in (("est", est_nodes), ("truth", truth_nodes)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps({**row, "coords_m": row["coords_m"][:nodes]}) + "\n"
+                                for row in truth_rows))
+        paths.append(str(path))
+    assert cli.cli(["evaluate", "--est", paths[0], "--truth", paths[1]]) == cli.EXIT_DATA
+    assert "estimate frames have [11] nodes; the topology has 12" in capsys.readouterr().err

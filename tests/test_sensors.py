@@ -27,6 +27,13 @@ from tenserecon.sensors import (
 )
 from tenserecon.topology import build_canonical
 
+from reference_sensors import (
+    ref_bend_inverse,
+    ref_bend_peak,
+    ref_bending_strain,
+    ref_dr_from_strain,
+)
+
 
 class TestBendingPolynomial:
     def test_value_at_zero_is_constant_term(self):
@@ -93,15 +100,15 @@ class TestBendInverseFastPath:
     """The bend peak is found once per calibration; inversions stay exact."""
 
     @staticmethod
-    def counting(monkeypatch):
+    def counting(monkeypatch, name):
         calls = [0]
-        inner = sensors.bending_strain
+        inner = getattr(sensors, name)
 
         def wrapper(*args, **kwargs):
             calls[0] += 1
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(sensors, "bending_strain", wrapper)
+        monkeypatch.setattr(sensors, name, wrapper)
         return calls
 
     def test_cached_peak_equals_fresh_search(self):
@@ -126,13 +133,66 @@ class TestBendInverseFastPath:
 
     def test_calls_per_inversion_after_first(self, monkeypatch):
         cal = BendCalibration()
-        calls = self.counting(monkeypatch)
+        peaks = self.counting(monkeypatch, "_bend_peak")
+        calls = self.counting(monkeypatch, "bending_strain")
         bend_inverse(-0.3, cal)
-        assert calls[0] > 2001  # the first call scans the domain for the peak
+        assert peaks[0] == 1  # the first inversion searches the domain for the peak
         for strain in np.linspace(-0.9, 0.0, 40):
-            calls[0] = 0
+            peaks[0] = calls[0] = 0
             bend_inverse(float(strain), cal)
+            assert peaks[0] == 0
             assert calls[0] <= 300
+
+
+class TestArraysMatchScalarReference:
+    """Array evaluation and bisection against the scalar loop, entry by entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    def test_bend_inverse_both_branches(self, u):
+        cal = BendCalibration()
+        _, y_peak = cal.peak
+        y_lo, y_hi = bending_strain(-1.0, cal), bending_strain(0.0, cal)
+        u = np.array(u)
+        strains = np.concatenate([y_hi + u * (y_peak - y_hi), y_lo + u * (y_hi - y_lo)])
+        expected = [ref_bend_inverse(float(e), cal) for e in strains]
+        assert bend_inverse(strains, cal).tolist() == expected
+        assert bend_inverse(float(strains[0]), cal) == expected[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.lists(st.floats(-1.2, 0.2), min_size=1, max_size=30), clamp=st.booleans())
+    def test_bending_strain(self, x, clamp):
+        cal = BendCalibration()
+        x = np.array(x)
+        if not clamp:
+            x = x[(x >= -1.0) & (x <= 0.0)]
+        assert bending_strain(x, cal, clamp=clamp).tolist() == \
+            [ref_bending_strain(float(v), cal, clamp=clamp) for v in x]
+
+    def test_peak_equals_scalar_search(self):
+        assert BendCalibration().peak == ref_bend_peak(BendCalibration())
+
+    def test_stretch_table_lookup(self):
+        table = default_stretch_table()
+        e = np.random.default_rng(4).uniform(0.0, 1.0, size=500)
+        assert table.dr_from_strain(e).tolist() == [ref_dr_from_strain(table, v) for v in e]
+
+    def test_out_of_range_entry_named_by_index(self):
+        cal = BendCalibration()
+        strains = np.array([-0.1, -0.2, -0.99, 0.5])
+        with pytest.raises(SensorDomainError, match=r"^sensor 2: strain -0\.99 outside") as err:
+            bend_inverse(strains, cal)
+        assert err.value.sensor == 2
+        assert err.value.detail.startswith("strain -0.99 outside invertible range")
+        with pytest.raises(SensorDomainError) as err:
+            bending_strain(np.array([-0.5, np.nan]), cal, clamp=True)
+        assert err.value.sensor == 1
+        with pytest.raises(SensorDomainError) as err:
+            default_stretch_table().strain_from_dr(np.array([0.1, 0.2, 5.0]))
+        assert err.value.sensor == 2
+        with pytest.raises(SensorDomainError) as err:
+            bend_inverse(-0.99, cal)  # a scalar carries no index
+        assert err.value.sensor is None
 
 
 class TestFit:
@@ -279,6 +339,16 @@ class TestStrainsFromFrame:
         assert err.value.sensor == 4
         out = strains_from_frame(hist, BendCalibration(), modes, clean_model, clamp=True)
         assert out.strains[4] == -0.0016
+
+    def test_out_of_domain_bending_in_subset_names_full_index(self, clean_model):
+        modes = [Mode.STRETCHING] * 24
+        for k in (2, 4, 9):
+            modes[k] = Mode.BENDING
+        hist = np.zeros((clean_model.window, 24))
+        hist[-1, 9] = 0.55
+        with pytest.raises(SensorDomainError, match=r"^sensor 9: dR/R = 0\.55 outside") as err:
+            strains_from_frame(hist, BendCalibration(), modes, clean_model)
+        assert err.value.sensor == 9
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), mode_bits=st.integers(0, 2**24 - 1),

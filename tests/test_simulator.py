@@ -1,27 +1,32 @@
 """Ground-truth deformation, sensor synthesis, and session generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tenserecon.errors import SensorDomainError, TopologyError
+from tenserecon.harness import write_sensor_csv
 from tenserecon.sensors import (
     BendCalibration,
     bending_strain,
     default_stretch_table,
 )
 from tenserecon.simulator import (
+    DEFAULT_BASELINE_OHMS,
     NoiseModel,
     Scenario,
     deform,
     generate_session,
     load_scenario,
     press_scenario,
-    resistances_from_state,
     save_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
 from tenserecon.topology import build_canonical, edge_lengths
+
+from reference_sensors import ref_generate_session
 
 
 @pytest.fixture(scope="module")
@@ -61,54 +66,105 @@ class TestDeform:
             assert np.array_equal(out[anchors], topo.nominal_coords[anchors])
 
 
+STILL = ((0, {}), (1000, {}))  # keyframes holding the rest shape for 10 frames
+
+
+# pushes one node in and pulls another out, so tendons bend and stretch
+BOTH_REGIMES = Scenario(
+    keyframes=((0, {}), (2000, {4: (0.0, 0.0, -0.030), 8: (0.01, 0.0, -0.020)}),
+               (3000, {4: (0.0, 0.0, -0.030), 8: (0.01, 0.0, -0.020)}), (5000, {})),
+    noise=NoiseModel(seed=11))
+
+
 class TestResistances:
     def test_nominal_zero_noise_is_baseline(self, topo):
-        baseline = np.full(24, 5.8e6)
-        frame = resistances_from_state(
-            topo.nominal_coords, topo, BendCalibration(), default_stretch_table(),
-            baseline, NoiseModel(kind="none"))
+        sc = Scenario(keyframes=STILL, noise=NoiseModel(kind="none"))
+        _, sensed = generate_session(sc, topo, BendCalibration(), default_stretch_table())
         # at rest every strain is zero (to rounding), which routes to the
         # stretch table and gives dR/R = 0
-        assert np.max(np.abs(frame.resistances - baseline) / baseline) < 1e-12
+        r = np.stack([f.resistances for f in sensed])
+        assert np.max(np.abs(r - DEFAULT_BASELINE_OHMS) / DEFAULT_BASELINE_OHMS) < 1e-12
 
     def test_inverse_composition_round_trip(self, topo):
         # compressed tendons invert the bending polynomial, stretched ones
         # the table; both must round-trip through the forward models
         cal = BendCalibration()
         table = default_stretch_table()
-        baseline = np.full(24, 5.8e6)
-        coords = deform(topo, {4: np.array([0.0, 0.0, -0.030]),
-                               8: np.array([0.01, 0.0, -0.020])})
-        frame = resistances_from_state(coords, topo, cal, table, baseline,
-                                       NoiseModel(kind="none"))
-        eps_true = edge_lengths(topo, coords) / topo.rest_lengths() - 1.0
-        dr = (frame.resistances - baseline) / baseline
-        for k in range(24):
-            if eps_true[k] < 0:
-                assert bending_strain(float(dr[k]), cal) == pytest.approx(
-                    eps_true[k], abs=1e-6)
-            else:
-                assert table.strain_from_dr(float(dr[k])) == pytest.approx(
-                    eps_true[k], abs=1e-6)
+        sc = dataclasses.replace(BOTH_REGIMES, noise=NoiseModel(kind="none"))
+        truth, sensed = generate_session(sc, topo, cal, table)
+        eps_true = np.stack([edge_lengths(topo, s) for s in truth]) / topo.rest_lengths() - 1.0
+        dr = np.stack([f.resistances for f in sensed]) / DEFAULT_BASELINE_OHMS - 1.0
+        compressed = eps_true < -1e-12  # the dead band routes rest-level strains to stretch
+        assert compressed.any() and (~compressed).any()
+        assert bending_strain(dr[compressed], cal) == pytest.approx(
+            eps_true[compressed], abs=1e-6)
+        assert table.strain_from_dr(dr[~compressed]) == pytest.approx(
+            eps_true[~compressed], abs=1e-6)
 
     def test_fixed_seed_reproducible(self, topo):
-        baseline = np.full(24, 5.8e6)
-        noise = NoiseModel(seed=99)
-        args = (topo.nominal_coords, topo, BendCalibration(),
-                default_stretch_table(), baseline, noise)
-        a = resistances_from_state(*args)
-        b = resistances_from_state(*args)
-        assert np.array_equal(a.resistances, b.resistances)
+        sc = Scenario(keyframes=STILL, noise=NoiseModel(seed=99))
+        args = (sc, topo, BendCalibration(), default_stretch_table())
+        a = np.stack([f.resistances for f in generate_session(*args)[1]])
+        b = np.stack([f.resistances for f in generate_session(*args)[1]])
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a[0], a[1])  # each frame draws its own noise
 
-    def test_out_of_range_strain_tagged(self, topo):
+    def test_out_of_range_strain_tagged(self):
         # shrink a rest length so the nominal state implies a huge stretch
         t2 = build_canonical(0.30, rest_lengths={5: 0.05})
-        baseline = np.full(24, 5.8e6)
-        with pytest.raises(SensorDomainError) as err:
-            resistances_from_state(t2.nominal_coords, t2, BendCalibration(),
-                                   default_stretch_table(), baseline,
-                                   NoiseModel(kind="none"))
+        sc = Scenario(keyframes=STILL, noise=NoiseModel(kind="none"))
+        with pytest.raises(SensorDomainError, match=r"^t=0 ms: sensor 5: strain ") as err:
+            generate_session(sc, t2, BendCalibration(), default_stretch_table())
         assert err.value.sensor == 5
+
+    def test_out_of_range_later_frame_names_frame_and_sensor(self, topo):
+        # rest a stretched tendon at strain 0.99, so the press carries it off the
+        # table's strain range [0, 1] only after some frames
+        truth, _ = generate_session(press_scenario(topo, noise=NoiseModel(kind="none")),
+                                    topo, BendCalibration(), default_stretch_table())
+        lengths = np.stack([edge_lengths(topo, s) for s in truth])
+        k = int(np.argmax(lengths.max(axis=0) / lengths[0]))
+        t2 = build_canonical(0.30, rest_lengths={k: float(lengths[0, k]) / 1.99})
+        first = int(np.argmax(lengths[:, k] / t2.rest_lengths()[k] - 1.0 > 1.0))
+        assert first > 0
+        with pytest.raises(SensorDomainError) as err:
+            generate_session(press_scenario(t2, noise=NoiseModel(kind="none")),
+                             t2, BendCalibration(), default_stretch_table())
+        assert str(err.value).startswith(f"t={truth[first].timestamp_ms} ms: sensor {k}: ")
+        assert err.value.sensor == k
+
+
+class TestSessionMatchesScalarReference:
+    """The one-pass session conversion against the parent's per-tendon loop."""
+
+    @staticmethod
+    def csv_bytes(frames, path):
+        write_sensor_csv(frames, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda t: press_scenario(t, seed=7), id="press-noisy-seed7"),
+        pytest.param(lambda t: press_scenario(t, seed=8), id="press-noisy-seed8"),
+        pytest.param(lambda t: press_scenario(t, seed=7, noise=NoiseModel(kind="none")),
+                     id="press-clean-seed7"),
+        pytest.param(lambda t: press_scenario(t, seed=8, noise=NoiseModel(kind="none")),
+                     id="press-clean-seed8"),
+        pytest.param(lambda t: BOTH_REGIMES, id="custom-both-regimes"),
+    ])
+    def test_sensor_csv_bit_identical(self, topo, scenario, tmp_path):
+        sc = scenario(topo)
+        cal, table = BendCalibration(), default_stretch_table()
+        truth, sensed = generate_session(sc, topo, cal, table)
+        ref_truth, ref_sensed = ref_generate_session(sc, topo, cal, table)
+        assert self.csv_bytes(sensed, tmp_path / "a.csv") == \
+            self.csv_bytes(ref_sensed, tmp_path / "b.csv")
+        assert all(np.array_equal(a.coords, b.coords) for a, b in zip(truth, ref_truth))
+        assert len(sensed) == len(ref_sensed) == len(truth)
+
+    def test_empty_session(self, topo):
+        sc = Scenario(keyframes=((0, {}),))
+        assert generate_session(sc, topo, BendCalibration(), default_stretch_table()) == \
+            ([], [])
 
 
 class TestNoiseModel:
