@@ -78,10 +78,10 @@ def read_json(path, error, build):
         raise error(f"malformed {path}: {exc}") from exc
 
 
-def read_lines(path, newline=None):
-    """Yield the lines of the UTF-8 text file at ``path`` (``newline`` as in ``open``);
-    a byte that does not decode is a DataFormatError naming the path."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+def read_lines(path):
+    """Yield the lines of the UTF-8 text file at ``path``; a byte that does not
+    decode is a DataFormatError naming the path."""
+    with open(path, encoding="utf-8") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:

@@ -43,7 +43,7 @@ def parse_sensor_csv(source) -> list[SensorFrame]:
     naming the 1-based line.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        return parse_sensor_csv(read_lines(source, newline=""))
+        return parse_sensor_csv(read_lines(source))
 
     frames: list[SensorFrame] = []
     header = None

@@ -183,7 +183,7 @@ def bend_inverse(strain, cal: BendCalibration = BendCalibration()):
         out = np.where(np.isnan(out) & (b - a < BEND_INVERSE_TOLERANCE), m, out)
         if not np.isnan(out).any():
             break
-        raise_a = (np.polyval(cal.coefficients, m) > s) == decreasing
+        raise_a = (bending_strain(m, cal) > s) == decreasing
         a = np.where(raise_a, m, a)
         b = np.where(raise_a, b, m)
     return np.where(np.isnan(out), 0.5 * (a + b), out)[()]

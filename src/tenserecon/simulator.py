@@ -180,7 +180,7 @@ def _invert(inverse, strains: np.ndarray, mask: np.ndarray, truth) -> np.ndarray
     except SensorDomainError as exc:
         f, k = (int(i) for i in np.argwhere(mask)[exc.sensor])
         err = SensorDomainError(f"t={truth[f].timestamp_ms} ms: sensor {k}: {exc.detail}")
-        err.sensor = k
+        err.sensor, err.detail = k, exc.detail
         raise err from exc
 
 

@@ -66,6 +66,16 @@ class TestParse:
         frames = parse_sensor_csv(io.StringIO(text))
         assert len(frames) == 1
 
+    def test_crlf_file_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "s.csv"
+        good, bad = row(0, np.full(24, 1e6)), row(0, np.full(24, 1e6))
+        path.write_bytes((SENSOR_CSV_HEADER + "\r\n" + good + "\r\n" + bad + "\r\n").encode())
+        with pytest.raises(DataFormatError) as err:
+            parse_sensor_csv(path)
+        assert err.value.line == 3
+        path.write_bytes((SENSOR_CSV_HEADER + "\r\n" + good + "\r\n\r\n").encode())
+        assert len(parse_sensor_csv(path)) == 1
+
     def test_bad_header(self):
         with pytest.raises(DataFormatError) as err:
             parse_sensor_csv(io.StringIO("time,r0\n"))

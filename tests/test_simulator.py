@@ -116,6 +116,7 @@ class TestResistances:
         with pytest.raises(SensorDomainError, match=r"^t=0 ms: sensor 5: strain ") as err:
             generate_session(sc, t2, BendCalibration(), default_stretch_table())
         assert err.value.sensor == 5
+        assert err.value.detail.startswith("strain ")  # untagged, for re-tagging
 
     def test_out_of_range_later_frame_names_frame_and_sensor(self, topo):
         # rest a stretched tendon at strain 0.99, so the press carries it off the
@@ -132,6 +133,8 @@ class TestResistances:
                              t2, BendCalibration(), default_stretch_table())
         assert str(err.value).startswith(f"t={truth[first].timestamp_ms} ms: sensor {k}: ")
         assert err.value.sensor == k
+        assert str(err.value).endswith(err.value.detail)
+        assert not err.value.detail.startswith(("t=", "sensor"))
 
 
 class TestSessionMatchesScalarReference:
