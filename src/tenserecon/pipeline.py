@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TenseReconError
+from .errors import SensorDomainError, TenseReconError
 from .harness import MetricsReport, evaluate
 from .lstm import LstmModel
 from .reconstruction import SolveOptions, SolveResult, Tracker
@@ -52,7 +52,8 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     pre-tensioned at rest); later frames pick each sensor's regime from the
     previously reconstructed tendon length against its rest length.  Model
     input windows are left-padded with the earliest sample until enough
-    history accumulates, so every frame yields a result.
+    history accumulates, so every frame yields a result.  A sensor error
+    names its frame: ``t=<ms> ms: sensor <k>: ...``.
     """
     frames = list(frames)
     if not frames:
@@ -66,7 +67,10 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     modes = [Mode.STRETCHING] * N_SENSORS
 
     for frame, hist in zip(frames, _dr_windows(frames, model.window)):
-        strains = strains_from_frame(hist, cal, modes, model, clamp=clamp)
+        try:
+            strains = strains_from_frame(hist, cal, modes, model, clamp=clamp)
+        except SensorDomainError as exc:
+            raise SensorDomainError(exc.detail, exc.sensor, frame.timestamp_ms) from exc
         lengths = lengths_from_strain(strains, t)
         result = tracker.process(frame.timestamp_ms, lengths)
         results.append(result)

@@ -179,9 +179,7 @@ def _invert(inverse, strains: np.ndarray, mask: np.ndarray, truth) -> np.ndarray
         return inverse(strains[mask])
     except SensorDomainError as exc:
         f, k = (int(i) for i in np.argwhere(mask)[exc.sensor])
-        err = SensorDomainError(f"t={truth[f].timestamp_ms} ms: sensor {k}: {exc.detail}")
-        err.sensor, err.detail = k, exc.detail
-        raise err from exc
+        raise SensorDomainError(exc.detail, k, truth[f].timestamp_ms) from exc
 
 
 def scenario_to_json_dict(sc: Scenario) -> dict:

@@ -27,13 +27,18 @@ import numpy as np
 from .errors import TopologyError, read_json, write_json
 
 SQRT6_OVER_4 = np.sqrt(6.0) / 4.0
+CANONICAL_TENDONS = (
+    (0, 1), (1, 2), (0, 2), (0, 7), (0, 9), (1, 3), (1, 10), (2, 5), (2, 6), (3, 7),
+    (3, 10), (3, 11), (4, 6), (4, 8), (4, 10), (4, 11), (5, 6), (5, 8), (5, 9), (6, 10),
+    (7, 9), (7, 11), (8, 9), (8, 11),
+)
 
 
 @dataclass(frozen=True)
 class Tendon:
-    """One tension member: tendon index, endpoint node ids, rest length in m."""
+    """One tension member: endpoint node ids, rest length in m.  Its tendon index
+    is its position in Topology.tendons; sensor k measures tendon k."""
 
-    k: int
     i: int
     j: int
     rest_length: float
@@ -70,9 +75,6 @@ class Topology:
         """Tendon rest lengths in tendon-index order, shape (24,)."""
         return np.array([t.rest_length for t in self.tendons])
 
-    def tendon_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((t.i, t.j) for t in self.tendons)
-
     @cached_property
     def members(self) -> MemberTable:
         """Member index arrays, built on first use and kept with the topology.
@@ -82,21 +84,19 @@ class Topology:
         ``append(tendon_lengths, strut_length)[target[n]]``.  ``free`` holds
         the free nodes ascending, ``tendon_i``/``tendon_j`` the tendon ends.
         """
-        base = [td for td in self.tendons if td.i in self.anchored and td.j in self.anchored]
-        rest = [td for td in self.tendons if td not in base]
-        rows = ([(td.i, td.j, td.k) for td in base]
-                + [(i, j, len(self.tendons)) for i, j in self.struts]
-                + [(td.i, td.j, td.k) for td in rest])
+        ends = [(td.i, td.j, k) for k, td in enumerate(self.tendons)]
+        base = [row for row in ends if {row[0], row[1]} <= self.anchored]
+        rows = (base + [(i, j, len(ends)) for i, j in self.struts]
+                + [row for row in ends if row not in base])
         i, j, target = np.array(rows, dtype=int).reshape(-1, 3).T
-        ti, tj = np.array(self.tendon_pairs(), dtype=int).reshape(-1, 2).T
+        ti, tj = np.array([(td.i, td.j) for td in self.tendons], dtype=int).reshape(-1, 2).T
         table = MemberTable(i, j, target, np.array(self.free_nodes, dtype=int), ti, tj)
         for arr in table:  # shared by every caller, like nominal_coords
             arr.flags.writeable = False
         return table
 
 
-def build_canonical(strut_length: float = 0.30,
-                    rest_lengths: dict[int, float] | None = None) -> Topology:
+def build_canonical(strut_length: float = 0.30) -> Topology:
     """Build the canonical expanded-octahedron topology.
 
     Nodes sit at the 12 cyclic permutations of (0, +-1, +-2) scaled by
@@ -104,13 +104,9 @@ def build_canonical(strut_length: float = 0.30,
     (the anchored base) lies in the z = 0 plane with its centroid at the
     origin and node 0 on the +x axis.  Each strut joins the two nodes that
     differ only in the sign of their largest-magnitude coordinate; the 24
-    tendons are the node pairs at distance strut_length * sqrt(6) / 4.
-
-    Args:
-        strut_length: rigid strut length in meters, > 0.
-        rest_lengths: optional per-tendon overrides {tendon index: meters}
-            for pre-strained tendons; default is the geometric nominal
-            strut_length * sqrt(6) / 4 for every tendon.
+    tendons (CANONICAL_TENDONS) are the node pairs at distance
+    strut_length * sqrt(6) / 4, which is every tendon's rest length.  A
+    topology file's rest_length_m gives pre-strained tendons.
     """
     if not np.isfinite(strut_length) or strut_length <= 0:
         raise TopologyError(f"strut_length must be > 0, got {strut_length}")
@@ -134,26 +130,11 @@ def build_canonical(strut_length: float = 0.30,
 
     struts = ((0, 3), (4, 5), (1, 6), (7, 8), (2, 9), (10, 11))
 
-    tendon_nominal = strut_length * SQRT6_OVER_4
-    pairs = [
-        (i, j) for i, j in combinations(range(12), 2)
-        if abs(np.linalg.norm(coords[i] - coords[j]) - tendon_nominal) < 1e-9 * max(1.0, strut_length)
-    ]
-    anchor_edges = [(0, 1), (1, 2), (0, 2)]
-    others = sorted(p for p in pairs if p not in anchor_edges)
-    ordered = anchor_edges + others
-    if len(ordered) != 24:
-        raise TopologyError(f"canonical construction produced {len(ordered)} tendons")
-
-    overrides = rest_lengths or {}
-    tendons = tuple(
-        Tendon(k=k, i=i, j=j, rest_length=float(overrides.get(k, tendon_nominal)))
-        for k, (i, j) in enumerate(ordered)
-    )
+    rest = float(strut_length * SQRT6_OVER_4)
     return Topology(
         strut_length=float(strut_length),
         struts=struts,
-        tendons=tendons,
+        tendons=tuple(Tendon(i, j, rest) for i, j in CANONICAL_TENDONS),
         anchored=frozenset((0, 1, 2)),
         nominal_coords=coords,
     )
@@ -182,8 +163,8 @@ def validate(t: Topology) -> list[str]:
     for i, j in t.struts:
         out.extend(f"strut {i}-{j} joins unknown node {v}"
                    for v in (i, j) if v not in known)
-    for td in t.tendons:
-        out.extend(f"tendon {td.k} joins unknown node {v}"
+    for k, td in enumerate(t.tendons):
+        out.extend(f"tendon {k} joins unknown node {v}"
                    for v in (td.i, td.j) if v not in known)
     out.extend(f"anchored node {v} is unknown" for v in sorted(t.anchored) if v not in known)
 
@@ -195,15 +176,15 @@ def validate(t: Topology) -> list[str]:
 
     strut_set = {tuple(sorted(p)) for p in t.struts}
     tendon_set = set()
-    for td in t.tendons:
+    for k, td in enumerate(t.tendons):
         pair = tuple(sorted((td.i, td.j)))
         if pair in strut_set:
-            out.append(f"tendon {td.k} duplicates strut pair {pair}")
+            out.append(f"tendon {k} duplicates strut pair {pair}")
         if pair in tendon_set:
             out.append(f"duplicate tendon pair {pair}")
         tendon_set.add(pair)
         if not np.isfinite(td.rest_length) or td.rest_length <= 0:
-            out.append(f"tendon {td.k} rest length must be > 0, got {td.rest_length}")
+            out.append(f"tendon {k} rest length must be > 0, got {td.rest_length}")
 
     degree = {i: 0 for i in known}
     for td in t.tendons:
@@ -280,8 +261,8 @@ def to_json_dict(t: Topology) -> dict:
         "strut_length_m": t.strut_length,
         "struts": [list(p) for p in t.struts],
         "tendons": [
-            {"k": td.k, "i": td.i, "j": td.j, "rest_length_m": td.rest_length}
-            for td in t.tendons
+            {"k": k, "i": td.i, "j": td.j, "rest_length_m": td.rest_length}
+            for k, td in enumerate(t.tendons)
         ],
         "anchored": sorted(t.anchored),
         "nominal_coords_m": [[float(x) for x in row] for row in t.nominal_coords],
@@ -289,26 +270,19 @@ def to_json_dict(t: Topology) -> dict:
 
 
 def _topology_from_doc(d: dict) -> Topology:
-    tendons = tuple(
-        Tendon(k=int(r["k"]), i=int(r["i"]), j=int(r["j"]),
-               rest_length=float(r["rest_length_m"]))
-        for r in d["tendons"]
-    )
+    """Tendon rows in "k" order; the indices must be 0..n-1, each once."""
+    rows = sorted(d["tendons"], key=lambda r: int(r["k"]))
+    ks = [int(r["k"]) for r in rows]
+    if ks != list(range(len(rows))):
+        raise ValueError(f"tendon indices must be 0..{len(rows) - 1}, each once; got {ks}")
     return Topology(
         strut_length=float(d["strut_length_m"]),
         struts=tuple((int(a), int(b)) for a, b in d["struts"]),
-        tendons=tuple(sorted(tendons, key=lambda td: td.k)),
+        tendons=tuple(Tendon(int(r["i"]), int(r["j"]), float(r["rest_length_m"]))
+                      for r in rows),
         anchored=frozenset(int(x) for x in d["anchored"]),
         nominal_coords=np.array(d["nominal_coords_m"], dtype=float),
     )
-
-
-def from_json_dict(d: dict) -> Topology:
-    """Topology from an already decoded document; a malformed one raises TopologyError."""
-    try:
-        return _topology_from_doc(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"malformed topology JSON: {exc}") from exc
 
 
 def save_topology(t: Topology, path) -> None:

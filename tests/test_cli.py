@@ -1,13 +1,16 @@
 """CLI subcommands, exit codes, and the simulate/reconstruct/evaluate chain."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from tenserecon import cli
 from tenserecon.lstm import save_model
-from tenserecon.sensors import bending_strain
+from tenserecon.sensors import (BendCalibration, bending_strain, default_stretch_table,
+                                save_calibration)
 from tenserecon.topology import load_topology
 
 
@@ -57,6 +60,27 @@ def test_topology_emit_and_validate(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("violation: ")
 
 
+def test_topology_prints_the_file_it_would_write(tmp_path, capsys):
+    out = tmp_path / "topo.json"
+    assert cli.cli(["topology", "--strut-length", "0.17", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.cli(["topology", "--strut-length", "0.17"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_main_exits_with_the_command_code(tmp_path, monkeypatch, capsys):
+    # main() is the [project.scripts] entry point
+    out = tmp_path / "topo.json"
+    monkeypatch.setattr(sys, "argv", ["tenserecon", "topology", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == cli.EXIT_OK and out.exists()
+    monkeypatch.setattr(sys, "argv", ["tenserecon", "validate-topology", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == cli.EXIT_DATA
+
+
 def test_fit_bend_reports_r_squared(tmp_path, capsys):
     data = tmp_path / "bend.csv"
     xs = np.linspace(-1.0, 0.0, 120)
@@ -77,6 +101,18 @@ def test_fit_bend_bad_file(tmp_path, capsys):
     bad.write_text("dr_ratio,strain\n0.0,alpha\n")
     assert cli.cli(["fit-bend", str(bad)]) == cli.EXIT_DATA
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dr,strain\n0.0,0.0\n", "line 1: bad header 'dr,strain'; expected 'dr_ratio,strain'"),
+    ("dr_ratio,strain\n-0.5,0.1\n\n0.0,x\n", "line 4: non-numeric cell: "),
+    ("dr_ratio,strain\n-0.5,0.1\n0.0,0.0,0.0\n", "line 3: expected 2 columns"),
+], ids=["bad-header", "after-blank-line", "three-columns"])
+def test_fit_bend_error_names_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert cli.cli(["fit-bend", str(bad)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_missing_file_is_data_error(capsys):
@@ -124,6 +160,40 @@ def test_train_lstm_writes_model(tmp_path, capsys):
     assert out.exists()
     printed = capsys.readouterr().out
     assert "epoch,train_loss,val_loss" in printed
+
+
+def test_train_lstm_noise_band_reaches_the_data(tmp_path, capsys):
+    argv = ["train-lstm", "--epochs", "1", "--hidden-size", "4", "--seed", "1"]
+    clean, noisy = tmp_path / "clean.json", tmp_path / "noisy.json"
+    assert cli.cli(argv + ["--out", str(clean)]) == cli.EXIT_OK
+    assert cli.cli(argv + ["--out", str(noisy), "--noise-band", "-0.2", "0.1"]) == cli.EXIT_OK
+    assert noisy.read_bytes() != clean.read_bytes()
+
+
+def test_simulate_saved_defaults_give_the_same_session(tmp_path):
+    cal, table = tmp_path / "cal.json", tmp_path / "table.json"
+    save_calibration(BendCalibration(), cal)
+    stretch = default_stretch_table()
+    table.write_text(json.dumps({"strain": stretch.strain.tolist(),
+                                 "dr_ratio": stretch.dr_ratio.tolist()}))
+    outputs = []
+    for name, extra in (("default", []),
+                        ("saved", ["--calibration", str(cal), "--stretch-table", str(table)])):
+        outputs.append((tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"))
+        assert cli.cli(["simulate", "--seed", "2", "--sensors-out", str(outputs[-1][0]),
+                        "--truth-out", str(outputs[-1][1])] + extra) == cli.EXIT_OK
+    (csv_a, truth_a), (csv_b, truth_b) = outputs
+    assert csv_b.read_bytes() == csv_a.read_bytes()
+    assert truth_b.read_bytes() == truth_a.read_bytes()
+
+
+def test_reconstruct_sensor_error_names_frame(capsys, tmp_path, model_path, session_files):
+    # without --clamp a noisy regime crossing leaves the bending domain
+    code = cli.cli(["reconstruct", session_files[0], "--model", model_path,
+                    "--out", str(tmp_path / "f.jsonl")])
+    assert code == cli.EXIT_DATA
+    assert re.match(r"error: t=\d+ ms: sensor \d+: dR/R = \S+ outside calibration domain",
+                    capsys.readouterr().err)
 
 
 def test_reconstruct_nonconvergence_exits_3(tmp_path, model_path):
@@ -174,6 +244,18 @@ def test_evaluate_agrees_with_run_all(tmp_path, capsys):
     assert eval_lines == [f"wrote {metrics}"] + run_lines
     assert [ln.split(":")[0] for ln in run_lines] == [
         "node height RMSE", "face height RMSE", "system RMSE", "converged"]
+
+
+def test_run_all_with_model_reproduces_trained_run(tmp_path, capsys):
+    trained, reused = tmp_path / "trained", tmp_path / "reused"
+    code = cli.cli(["run-all", "--seed", "7", "--epochs", "3", "--outdir", str(trained)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
+    assert cli.cli(["run-all", "--seed", "7", "--model", str(trained / "lstm.json"),
+                    "--outdir", str(reused)]) == code
+    names = sorted(p.name for p in trained.iterdir())
+    assert len(names) == 8 and sorted(p.name for p in reused.iterdir()) == names
+    for name in names:
+        assert (reused / name).read_bytes() == (trained / name).read_bytes(), name
 
 
 def test_scenario_flag_drives_simulate(tmp_path):
@@ -255,27 +337,43 @@ def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, ca
     assert "unknown noise kind 'gaussian'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "reconstruct", "evaluate", "run-all"])
+def _shift_k(rows):
+    for row in rows:
+        row["k"] += 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "evaluate", "run-all",
+                                     "validate-topology"])
 def test_invalid_topology_file_is_data_error(tmp_path, capsys, model_path,
                                              session_files, command):
     good = tmp_path / "topo.json"
     assert cli.cli(["topology", "--out", str(good)]) == cli.EXIT_OK
-    doc = json.loads(good.read_text())
-    doc["tendons"][5]["j"] = 15
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
     sensors, truth = session_files
     argv = {
         "simulate": ["simulate", "--sensors-out", str(tmp_path / "s.csv"),
-                     "--truth-out", str(tmp_path / "t.jsonl")],
+                     "--truth-out", str(tmp_path / "t.jsonl"), "--topology", str(bad)],
         "reconstruct": ["reconstruct", sensors, "--model", model_path,
-                        "--out", str(tmp_path / "f.jsonl")],
-        "evaluate": ["evaluate", "--est", truth, "--truth", truth],
-        "run-all": ["run-all", "--model", model_path, "--outdir", str(tmp_path / "run")],
+                        "--out", str(tmp_path / "f.jsonl"), "--topology", str(bad)],
+        "evaluate": ["evaluate", "--est", truth, "--truth", truth, "--topology", str(bad)],
+        "run-all": ["run-all", "--model", model_path, "--outdir", str(tmp_path / "run"),
+                    "--topology", str(bad)],
+        "validate-topology": ["validate-topology", str(bad)],
     }[command]
-    capsys.readouterr()
-    assert cli.cli(argv + ["--topology", str(bad)]) == cli.EXIT_DATA
-    assert "tendon 5 joins unknown node 15" in capsys.readouterr().err
+    indices = f"malformed {bad}: tendon indices must be 0..23, each once; got "
+    defects = [  # edit of the tendon rows, and what the error must say
+        (lambda rows: rows[5].update(j=15), "tendon 5 joins unknown node 15"),
+        (_shift_k, indices + "[1, 2, 3, "),
+        (lambda rows: rows[5].update(k=4), indices + "[0, 1, 2, 3, 4, 4, 6, "),
+    ]
+    for edit, message in defects:
+        doc = json.loads(good.read_text())
+        edit(doc["tendons"])
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.cli(argv) == cli.EXIT_DATA, message
+        printed = capsys.readouterr()
+        assert message in printed.out + printed.err  # validate-topology prints violations
 
 
 @pytest.mark.parametrize("command, flag, value", [

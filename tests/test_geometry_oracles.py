@@ -5,6 +5,8 @@ for bit against a straightforward Python loop over the members (or faces),
 and a tracked noisy solve is run once with each implementation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,7 @@ from tenserecon.simulator import deform, press_scenario
 from tenserecon.topology import (
     build_canonical,
     edge_lengths,
-    from_json_dict,
     tendon_triangles,
-    to_json_dict,
 )
 
 TOPO = build_canonical(0.30)
@@ -38,11 +38,12 @@ FREE = list(TOPO.free_nodes)
 def ref_member_rows(t):
     """Residual row order: anchor-triangle tendons, struts, remaining tendons."""
     anchored = t.anchored
-    base = [td for td in t.tendons if td.i in anchored and td.j in anchored]
-    rest = [td for td in t.tendons if not (td.i in anchored and td.j in anchored)]
-    rows = [(td.i, td.j, ("tendon", td.k)) for td in base]
+    tendons = list(enumerate(t.tendons))  # a tendon's index is its position
+    base = [(k, td) for k, td in tendons if td.i in anchored and td.j in anchored]
+    rest = [(k, td) for k, td in tendons if not (td.i in anchored and td.j in anchored)]
+    rows = [(td.i, td.j, ("tendon", k)) for k, td in base]
     rows += [(i, j, ("strut", s)) for s, (i, j) in enumerate(t.struts)]
-    rows += [(td.i, td.j, ("tendon", td.k)) for td in rest]
+    rows += [(td.i, td.j, ("tendon", k)) for k, td in rest]
     return rows
 
 
@@ -175,20 +176,13 @@ def test_jacobian_bit_identical(off):
 
 def relabeled(t, shift=5):
     """The same structure with node n renamed (n + shift) % 12, tendons reordered."""
-    doc = to_json_dict(t)
     perm = [(n + shift) % 12 for n in range(12)]
-    doc["struts"] = [[perm[i], perm[j]] for i, j in doc["struts"]]
-    for row in doc["tendons"]:
-        row["i"], row["j"] = perm[row["i"]], perm[row["j"]]
-    doc["tendons"].reverse()
-    for k, row in enumerate(doc["tendons"]):
-        row["k"] = k
-    doc["anchored"] = [perm[n] for n in doc["anchored"]]
-    coords = [None] * 12
-    for n in range(12):
-        coords[perm[n]] = doc["nominal_coords_m"][n]
-    doc["nominal_coords_m"] = coords
-    return from_json_dict(doc)
+    coords = np.empty_like(t.nominal_coords)
+    coords[perm] = t.nominal_coords
+    return replace(
+        t, struts=tuple((perm[i], perm[j]) for i, j in t.struts),
+        tendons=tuple(replace(td, i=perm[td.i], j=perm[td.j]) for td in reversed(t.tendons)),
+        anchored=frozenset(perm[n] for n in t.anchored), nominal_coords=coords)
 
 
 @settings(max_examples=50, deadline=None)

@@ -81,6 +81,14 @@ class TestParse:
             parse_sensor_csv(io.StringIO("time,r0\n"))
         assert err.value.line == 1
 
+    def test_empty_file_is_missing_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("")
+        with pytest.raises(DataFormatError) as err:
+            parse_sensor_csv(path)
+        assert str(err.value) == "line 1: empty file: missing header"
+        assert err.value.line == 1
+
     def test_non_numeric_cell_names_line(self):
         rows = [row(0, np.full(24, 1e6)),
                 row(100, np.full(24, 1e6)).replace("1000000.0", "banana", 1)]

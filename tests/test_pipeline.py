@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tenserecon.errors import TenseReconError
+from tenserecon import pipeline
+from tenserecon.errors import SensorDomainError, TenseReconError
 from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions
 from tenserecon.sensors import BendCalibration, default_stretch_table
@@ -29,6 +30,25 @@ def test_every_frame_yields_a_result(topo, clean_session, clean_model):
     assert len(results) == len(sensed)
     assert [r.state.timestamp_ms for r in results] == \
         [f.timestamp_ms for f in sensed]
+
+
+def test_sensor_error_names_its_frame(topo, clean_session, clean_model, monkeypatch):
+    _, sensed = clean_session
+    exact = pipeline.strains_from_frame
+    calls = []
+
+    def fail_fourth(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise SensorDomainError("dR/R = 0.01 outside calibration domain", sensor=5)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "strains_from_frame", fail_fourth)
+    with pytest.raises(SensorDomainError) as err:
+        reconstruct_session(sensed[:10], topo, BendCalibration(), clean_model)
+    assert str(err.value) == "t=300 ms: sensor 5: dR/R = 0.01 outside calibration domain"
+    assert err.value.sensor == 5
+    assert err.value.detail == "dR/R = 0.01 outside calibration domain"
 
 
 def test_missing_model_rejected(topo, clean_session):

@@ -1,5 +1,7 @@
 """Residual assembly, analytic Jacobian, damped solver, and tracking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,24 @@ class TestSolve:
             assert not out.converged
             assert out.residual_norm > 1e-3
 
+    def test_singular_damped_system_grows_damping(self, topo, monkeypatch):
+        # the first damped system raises LinAlgError; the retry adds 10x the damping
+        lengths = edge_lengths(topo, deform(topo, {8: np.array([0.0, 0.0, -0.030])}))
+        exact = np.linalg.solve
+        systems = []
+
+        def fail_first(a, b):
+            systems.append(a.copy())
+            if len(systems) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return exact(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", fail_first)
+        out = solve(nominal_state(topo), lengths, topo)
+        assert out.converged and out.residual_norm < 1e-5
+        grown = 9.0 * SolveOptions().damping_init * np.eye(27)
+        assert np.allclose(systems[1] - systems[0], grown, rtol=0.0, atol=1e-12)
+
     def test_bad_initial_anchors_rejected(self, topo):
         coords = topo.nominal_coords.copy()
         coords[0, 0] += 1e-6
@@ -351,6 +371,42 @@ class TestTrack:
         assert bad.error is not None
         after = tracker.process(200, topo.rest_lengths())
         assert after.converged  # tracker continued from the last good state
+
+
+class TestMirroredRetry:
+    """Tracker.process retries a mirrored solve once, from the same warm start
+    with 100x the damping; solve is patched to report a mirror on chosen calls."""
+
+    def track_two_frames(self, topo, monkeypatch, mirrored_calls):
+        exact = reconstruction.solve
+        calls = []
+
+        def patched(initial, lengths, t, opts):
+            calls.append((initial.coords, opts.damping_init))
+            out = exact(initial, lengths, t, opts)
+            if len(calls) in mirrored_calls:
+                return replace(out, mirrored=True, converged=False)
+            return out
+
+        monkeypatch.setattr(reconstruction, "solve", patched)
+        lengths = edge_lengths(topo, deform(topo, {8: np.array([0.0, 0.0, -0.010])}))
+        tracker = Tracker(topo)
+        first = tracker.process(0, lengths)
+        tracker.process(100, lengths)
+        assert [damping for _, damping in calls[:2]] == [1e-3, 1e-1]
+        return first, calls
+
+    def test_clean_retry_is_kept(self, topo, monkeypatch):
+        first, calls = self.track_two_frames(topo, monkeypatch, {1})
+        assert first.converged and not first.mirrored
+        assert np.array_equal(calls[2][0], first.state.coords)  # the next warm start
+
+    def test_mirrored_retry_emits_warm_state(self, topo, monkeypatch):
+        first, calls = self.track_two_frames(topo, monkeypatch, {1, 2})
+        assert first.mirrored and not first.converged
+        assert first.state.timestamp_ms == 0
+        assert np.array_equal(first.state.coords, topo.nominal_coords)
+        assert np.array_equal(calls[2][0], topo.nominal_coords)  # last good state kept
 
 
 class TestOptions:

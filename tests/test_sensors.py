@@ -1,5 +1,7 @@
 """Per-sensor math: bending polynomial, fits, dispatch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,7 +262,8 @@ class TestModeAndLengths:
         assert np.array_equal(out, t.rest_lengths())
 
     def test_direct_arithmetic(self):
-        t = build_canonical(0.30, rest_lengths={k: 0.100 for k in range(24)})
+        t = build_canonical(0.30)
+        t = replace(t, tendons=tuple(replace(td, rest_length=0.100) for td in t.tendons))
         eps = np.zeros(24)
         eps[5] = 0.1
         out = lengths_from_strain(StrainVector(eps), t)

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tenserecon.errors import SensorDomainError, TopologyError
+from tenserecon import simulator
+from tenserecon.errors import RelaxationError, SensorDomainError, TopologyError
 from tenserecon.harness import write_sensor_csv
 from tenserecon.sensors import (
     BendCalibration,
@@ -32,6 +33,13 @@ from reference_sensors import ref_generate_session
 @pytest.fixture(scope="module")
 def topo():
     return build_canonical(0.30)
+
+
+def with_rest_length(t, k, rest):
+    """t with tendon k pre-strained to rest length ``rest`` (m)."""
+    tendons = list(t.tendons)
+    tendons[k] = dataclasses.replace(tendons[k], rest_length=rest)
+    return dataclasses.replace(t, tendons=tuple(tendons))
 
 
 def strut_lengths(topo, coords):
@@ -111,7 +119,7 @@ class TestResistances:
 
     def test_out_of_range_strain_tagged(self):
         # shrink a rest length so the nominal state implies a huge stretch
-        t2 = build_canonical(0.30, rest_lengths={5: 0.05})
+        t2 = with_rest_length(build_canonical(0.30), 5, 0.05)
         sc = Scenario(keyframes=STILL, noise=NoiseModel(kind="none"))
         with pytest.raises(SensorDomainError, match=r"^t=0 ms: sensor 5: strain ") as err:
             generate_session(sc, t2, BendCalibration(), default_stretch_table())
@@ -125,7 +133,7 @@ class TestResistances:
                                     topo, BendCalibration(), default_stretch_table())
         lengths = np.stack([edge_lengths(topo, s) for s in truth])
         k = int(np.argmax(lengths.max(axis=0) / lengths[0]))
-        t2 = build_canonical(0.30, rest_lengths={k: float(lengths[0, k]) / 1.99})
+        t2 = with_rest_length(topo, k, float(lengths[0, k]) / 1.99)
         first = int(np.argmax(lengths[:, k] / t2.rest_lengths()[k] - 1.0 > 1.0))
         assert first > 0
         with pytest.raises(SensorDomainError) as err:
@@ -135,6 +143,23 @@ class TestResistances:
         assert err.value.sensor == k
         assert str(err.value).endswith(err.value.detail)
         assert not err.value.detail.startswith(("t=", "sensor"))
+
+
+    def test_relaxation_error_names_its_frame(self, topo, monkeypatch):
+        exact = simulator.deform
+        calls = []
+
+        def fail_third(t, displacements):
+            calls.append(displacements)
+            if len(calls) == 3:
+                raise RelaxationError("strut 0-3 collapsed during projection")
+            return exact(t, displacements)
+
+        monkeypatch.setattr(simulator, "deform", fail_third)
+        with pytest.raises(RelaxationError,
+                           match=r"^t=200 ms: strut 0-3 collapsed during projection$"):
+            generate_session(press_scenario(topo), topo, BendCalibration(),
+                             default_stretch_table())
 
 
 class TestSessionMatchesScalarReference:

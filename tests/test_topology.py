@@ -1,6 +1,7 @@
 """Canonical topology construction, validation, and edge-length geometry."""
 
 import dataclasses
+import json
 import math
 from itertools import combinations
 
@@ -12,7 +13,6 @@ from tenserecon.topology import (
     Tendon,
     build_canonical,
     edge_lengths,
-    from_json_dict,
     load_topology,
     save_topology,
     tendon_triangles,
@@ -46,6 +46,20 @@ def test_canonical_member_lengths_strut_4m():
     assert len(struts) == 6 and len(tendons) == 24
     assert max(abs(d - 4.0) for d in struts) < 1e-12
     assert max(abs(d - math.sqrt(6.0)) for d in tendons) < 1e-12
+
+
+@pytest.mark.parametrize("strut_length", [1e-3, 0.17, 0.30, 1.0, 2.5, 10.0])
+def test_canonical_tendons_are_the_pairs_at_tendon_distance(strut_length):
+    # the literal tendon table, re-derived from distances at every scale
+    t = build_canonical(strut_length)
+    coords = t.nominal_coords
+    tendon_len = strut_length * SQRT6_OVER_4
+    at_tendon_distance = {
+        (i, j) for i, j in combinations(range(12), 2)
+        if abs(np.linalg.norm(coords[i] - coords[j]) - tendon_len) < 1e-9 * tendon_len}
+    pairs = [(td.i, td.j) for td in t.tendons]
+    assert len(pairs) == 24 and set(pairs) == at_tendon_distance
+    assert t.rest_lengths().tolist() == [tendon_len] * 24
 
 
 @pytest.mark.parametrize("strut_length", [0.05, 0.30, 1.0, 4.0, 10.0])
@@ -107,12 +121,11 @@ def test_validate_anchor_off_plane():
 
 def test_validate_duplicate_and_strut_shadow_tendons():
     t = build_canonical(0.30)
-    dup = t.tendons[3]
-    t2 = dataclasses.replace(t, tendons=t.tendons[:23] + (dataclasses.replace(dup, k=23),))
+    t2 = dataclasses.replace(t, tendons=t.tendons[:23] + (t.tendons[3],))
     assert any("duplicate" in v for v in validate(t2))
-    shadow = Tendon(k=23, i=t.struts[0][0], j=t.struts[0][1], rest_length=0.18)
+    shadow = Tendon(i=t.struts[0][0], j=t.struts[0][1], rest_length=0.18)
     t3 = dataclasses.replace(t, tendons=t.tendons[:23] + (shadow,))
-    assert any("duplicates strut" in v for v in validate(t3))
+    assert "tendon 23 duplicates strut pair (0, 3)" in validate(t3)
 
 
 def test_edge_lengths_nominal():
@@ -148,8 +161,8 @@ def test_edge_length_shift_along_tendon_axis():
     axis = coords[td.i] - coords[td.j]
     axis /= np.linalg.norm(axis)
     coords[td.i] = coords[td.i] + 0.010 * axis
-    before = edge_lengths(t, t.nominal_coords)[td.k]
-    after = edge_lengths(t, coords)[td.k]
+    before = edge_lengths(t, t.nominal_coords)[7]
+    after = edge_lengths(t, coords)[7]
     assert after - before == pytest.approx(0.010, abs=1e-12)
 
 
@@ -162,7 +175,7 @@ def test_eight_tendon_triangles():
 
 def test_tendon_index_order_matches_documented_contract():
     t = build_canonical(0.30)
-    pairs = t.tendon_pairs()
+    pairs = tuple((td.i, td.j) for td in t.tendons)
     assert pairs[:3] == ((0, 1), (1, 2), (0, 2))
     assert pairs[3:5] == ((0, 7), (0, 9))
     assert pairs[-2:] == ((8, 9), (8, 11))
@@ -187,16 +200,32 @@ def test_json_round_trip(tmp_path):
     assert validate(t2) == []
 
 
-def test_from_json_rejects_garbage():
-    with pytest.raises(TopologyError):
-        from_json_dict({"strut_length_m": 0.3})
+def test_from_json_rejects_garbage(tmp_path):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps({"strut_length_m": 0.3}))
+    with pytest.raises(TopologyError, match=f"^malformed {path}: 'tendons'"):
+        load_topology(path)
 
 
-def test_rest_length_overrides():
-    t = build_canonical(0.30, rest_lengths={0: 0.15, 7: 0.2})
-    rests = t.rest_lengths()
+def test_rest_length_overrides(tmp_path):
+    # a file's rest_length_m is the way to give pre-strained tendons
+    doc = to_json_dict(build_canonical(0.30))
+    doc["tendons"][0]["rest_length_m"] = 0.15
+    doc["tendons"][7]["rest_length_m"] = 0.2
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(doc))
+    rests = load_topology(path).rest_lengths()
     assert rests[0] == 0.15 and rests[7] == 0.2
     assert rests[1] == pytest.approx(0.30 * SQRT6_OVER_4)
+
+
+def test_tendon_rows_are_read_in_k_order(tmp_path):
+    t = build_canonical(0.30)
+    doc = to_json_dict(t)
+    doc["tendons"].reverse()
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(doc))
+    assert load_topology(path).tendons == t.tendons
 
 
 def test_alternate_labeling_loadable(tmp_path):
@@ -212,7 +241,9 @@ def test_alternate_labeling_loadable(tmp_path):
     for n in range(12):
         coords[perm[n]] = doc["nominal_coords_m"][n]
     doc["nominal_coords_m"] = coords
-    t2 = from_json_dict(doc)
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(doc))
+    t2 = load_topology(path)
     assert validate(t2) == []
     assert t2.anchored == frozenset(perm[i] for i in (0, 1, 2))
 
@@ -224,7 +255,7 @@ def test_member_table_cached_read_only_in_row_order():
     assert list(zip(m.i[:9], m.j[:9])) == [(0, 1), (1, 2), (0, 2), *t.struts]
     assert list(m.target) == [0, 1, 2] + [24] * 6 + list(range(3, 24))
     assert list(m.free) == list(t.free_nodes)
-    assert list(zip(m.tendon_i, m.tendon_j)) == list(t.tendon_pairs())
+    assert list(zip(m.tendon_i, m.tendon_j)) == [(td.i, td.j) for td in t.tendons]
     for arr in m:
         with pytest.raises(ValueError):
             arr[0] = 0
