@@ -149,32 +149,50 @@ def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h_t, c_t
 
 
-def _forward_batch(m: LstmModel, x: np.ndarray, *, keep_cache: bool = False):
-    """Batched forward over normalized windows x (B, T, D) -> (preds_norm, cache).
+def _stacked_gates(m: LstmModel) -> tuple[np.ndarray, np.ndarray]:
+    """Gate weights as one (4H, D+H) matrix, rows [f; i; o; g], and its bias."""
+    return (np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h]),
+            np.concatenate([m.b_f, m.b_i, m.b_o, np.zeros(m.hidden_size)]))  # g has no bias
 
-    The gate weights are stacked into one (4H, D+H) matrix, rows [f; i; o; g],
-    so one product per step computes all four gates.  The per-step cache
-    that backprop needs is built only with keep_cache=True, else it is None.
+
+def _forward_batch(m: LstmModel, x: np.ndarray) -> np.ndarray:
+    """Inference over normalized windows x (B, T, D) -> normalized preds (B,).
+
+    With the gate weights stacked (_stacked_gates), one product per step
+    computes all four gates.  The buffers are made once per call, and each
+    step writes z = [x_t, h], the gates a and the cell state c in place.
+    The sigmoid's inner 0.5 is folded into the f/i/o rows and biases,
+    so one tanh covers all four gates and sigmoid(a) = (tanh(a/2) + 1) * 0.5
+    needs only the +1 and the outer 0.5.  A power-of-two scale commutes with
+    rounding, so this is bit-identical to lstm_step's sigmoid; a pre-activation
+    small enough for the halving to round (a subnormal) gives 0.5 either way.
+    Backprop keeps its own cached forward in _backward_batch.
     """
-    b, t, _ = x.shape
+    b, t, d = x.shape
     hs = m.hidden_size
-    w_t = np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h]).T
-    bias = np.concatenate([m.b_f, m.b_i, m.b_o, np.zeros(hs)])  # g has no bias
-    h = np.zeros((b, hs))
+    w, bias = _stacked_gates(m)
+    w[:3 * hs] *= 0.5
+    bias[:3 * hs] *= 0.5
+    z = np.zeros((b, d + hs))
+    a = np.empty((b, 4 * hs))
     c = np.zeros((b, hs))
-    cache = []
+    tmp = np.empty((b, hs))
+    sig = a[:, :3 * hs]
+    f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
+    h = z[:, d:]
     for step in range(t):
-        z = np.concatenate([x[:, step, :], h], axis=1)
-        a = z @ w_t + bias
-        a[:, :3 * hs] = _sigmoid(a[:, :3 * hs])
-        a[:, 3 * hs:] = np.tanh(a[:, 3 * hs:])
-        f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
-        c_prev, c = c, f * c + i * g
-        h = o * np.tanh(c)
-        if keep_cache:
-            cache.append((z, a, c_prev, c))
-    y = h @ m.w_out + m.b_out
-    return y, ((cache, h) if keep_cache else None)
+        z[:, :d] = x[:, step, :]
+        np.matmul(z, w.T, out=a)
+        a += bias
+        np.tanh(a, out=a)
+        sig += 1.0
+        sig *= 0.5
+        c *= f
+        np.multiply(i, g, out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        np.multiply(o, tmp, out=h)
+    return np.ascontiguousarray(h) @ m.w_out + m.b_out
 
 
 def _normalize_windows(m: LstmModel, windows: np.ndarray) -> np.ndarray:
@@ -218,7 +236,7 @@ def forward_sequence(window: np.ndarray, m: LstmModel):
         raise ModelFormatError(
             f"window shape {w.shape} does not match (T={m.window}, D={m.input_size})")
     batch = w.reshape(-1, m.window, m.input_size)
-    y, _ = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, batch)))
+    y = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, batch)))
     strains = y * m.norm.target_scale + m.norm.target_mean
     return float(strains[0]) if w.ndim == 2 else strains
 
@@ -236,18 +254,32 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
     """Mean-squared-error gradients over a normalized batch.
 
     Returns (preds_norm, grads dict) where the loss is
-    mean((pred - target)^2) in normalized target space.  Per step, one
+    mean((pred - target)^2) in normalized target space.  The forward pass
+    here keeps every step's inputs, gates and cell states for the backward
+    sweep (inference uses the cache-free _forward_batch).  Per step, one
     product with the stacked gate matrix carries the gradient back to the
     step's inputs and one accumulates the gate weight gradients.
     """
-    b, _, d = x.shape
+    b, t, d = x.shape
     hs = m.hidden_size
-    y, (cache, h_final) = _forward_batch(m, x, keep_cache=True)
+    w, bias = _stacked_gates(m)
+    h = np.zeros((b, hs))
+    c = np.zeros((b, hs))
+    cache = []
+    for step in range(t):
+        z = np.concatenate([x[:, step, :], h], axis=1)
+        a = z @ w.T + bias
+        a[:, :3 * hs] = _sigmoid(a[:, :3 * hs])
+        a[:, 3 * hs:] = np.tanh(a[:, 3 * hs:])
+        f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
+        c_prev, c = c, f * c + i * g
+        h = o * np.tanh(c)
+        cache.append((z, a, c_prev, c))
+    y = h @ m.w_out + m.b_out
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite forward pass during backprop")
     dy = 2.0 * (y - targets) / b
 
-    w = np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h])  # the forward's gate stacking
     g_w = np.zeros_like(w)
     g_b = np.zeros(4 * hs)
     dh = np.outer(dy, m.w_out)
@@ -264,7 +296,7 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
         dc = dc * f
     grads = {"w_f": g_w[:hs], "b_f": g_b[:hs], "w_i": g_w[hs:2 * hs], "b_i": g_b[hs:2 * hs],
              "w_o": g_w[2 * hs:3 * hs], "b_o": g_b[2 * hs:3 * hs], "w_h": g_w[3 * hs:],
-             "w_out": h_final.T @ dy, "b_out": float(dy.sum())}
+             "w_out": h.T @ dy, "b_out": float(dy.sum())}
     return y, grads
 
 
@@ -284,7 +316,7 @@ def backward(window: np.ndarray, target: float, m: LstmModel) -> dict:
 
 
 def sequence_loss(m: LstmModel, windows_norm: np.ndarray, targets_norm: np.ndarray) -> float:
-    y, _ = _forward_batch(m, windows_norm)
+    y = _forward_batch(m, windows_norm)
     return float(np.mean((y - targets_norm) ** 2))
 
 

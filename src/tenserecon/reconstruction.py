@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OrderingError, SingularGeometryError, TopologyError
-from .topology import Topology, row_norms, unit_jacobian
+from .topology import Topology, row_norms
 
 COINCIDENCE_LIMIT = 1e-9  # connected nodes closer than this are corrupt input
 # A step-tolerance stop counts as converged only at a stationary point: a
@@ -100,11 +100,12 @@ def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology) -> np
     lengths = np.asarray(tendon_lengths, dtype=float)
     if lengths.shape != (len(t.tendons),):
         raise TopologyError(f"expected {len(t.tendons)} tendon lengths, got {lengths.shape}")
-    if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0):
+    if not ((lengths > 0.0) & (lengths < np.inf)).all():  # NaN fails both
         raise TopologyError("tendon target lengths must be finite and > 0")
     m = t.members
-    targets = np.append(lengths, t.strut_length)[m.target]
-    return row_norms(coords[m.i] - coords[m.j]) - targets
+    targets = lengths.take(m.row_tendon)
+    targets[m.strut_rows] = t.strut_length
+    return row_norms(coords.take(m.i, 0) - coords.take(m.j, 0)) - targets
 
 
 def jacobian(coords: np.ndarray, t: Topology) -> np.ndarray:
@@ -112,17 +113,23 @@ def jacobian(coords: np.ndarray, t: Topology) -> np.ndarray:
 
     d|Ni - Nj|/dNi = (Ni - Nj)/|Ni - Nj|; anchored nodes contribute no
     columns.  Free-node columns are grouped by ascending node id, xyz within.
+    The result is C-ordered: BLAS rounds products with a Fortran-ordered copy
+    differently.
     """
     coords = np.asarray(coords, dtype=float)
     m = t.members
-    e = coords[m.i] - coords[m.j]
+    e = coords.take(m.i, 0) - coords.take(m.j, 0)
     d = row_norms(e)
-    close = np.flatnonzero(d < COINCIDENCE_LIMIT)
-    if close.size:
-        n = close[0]
+    if d.min() < COINCIDENCE_LIMIT:
+        n = np.flatnonzero(d < COINCIDENCE_LIMIT)[0]
         raise SingularGeometryError(
             f"nodes {m.i[n]} and {m.j[n]} coincide (distance {d[n]:.2e} m)")
-    return unit_jacobian(e, d, m.i, m.j, len(coords), m.free)
+    u = (e / d[:, None]).reshape(-1)
+    jac = np.zeros((len(d), 3 * len(m.free)))
+    flat = jac.reshape(-1)
+    flat[m.jac_plus] = u[m.u_plus]
+    flat[m.jac_minus] = -u[m.u_minus]
+    return jac
 
 
 def _assemble(initial_coords: np.ndarray, free: np.ndarray, x: np.ndarray):
@@ -169,7 +176,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
 
     coords = _assemble(coords0, free, x)
     res = residuals(coords, tendon_lengths, t)
-    if not np.all(np.isfinite(res)):
+    if not np.isfinite(res).all():
         raise SingularGeometryError("non-finite residual at initial state")
     cost = cost_of(res, x)
     history = [cost]
@@ -186,7 +193,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
         if w2 > 0.0:
             grad = grad + w2 * (x - x_prior)
             normal = normal + w2 * eye
-        if at_floor and np.linalg.norm(grad) <= STATIONARY_GRADIENT_LIMIT:
+        if at_floor and np.sqrt(grad @ grad) <= STATIONARY_GRADIENT_LIMIT:
             converged = True
             iterations -= 1  # stopped before this iteration tried a step
             break
@@ -198,13 +205,13 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            if np.linalg.norm(step) < STEP_TOLERANCE:
-                converged = bool(np.linalg.norm(grad) <= STATIONARY_GRADIENT_LIMIT)
+            if np.sqrt(step @ step) < STEP_TOLERANCE:
+                converged = bool(np.sqrt(grad @ grad) <= STATIONARY_GRADIENT_LIMIT)
                 break
             x_new = x + step
             coords_new = _assemble(coords0, free, x_new)
             res_new = residuals(coords_new, tendon_lengths, t)
-            cost_new = cost_of(res_new, x_new) if np.all(np.isfinite(res_new)) else np.inf
+            cost_new = cost_of(res_new, x_new) if np.isfinite(res_new).all() else np.inf
             if cost_new < cost:
                 at_floor = cost - cost_new <= NOISE_FLOOR_RELATIVE_DROP * cost
                 x, coords, res, cost = x_new, coords_new, res_new, cost_new
@@ -226,7 +233,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                        anchored=t.anchored)
     return SolveResult(
         state=state, converged=converged and not mirrored,
-        iterations=iterations, residual_norm=float(np.linalg.norm(res)),
+        iterations=iterations, residual_norm=float(np.sqrt(res @ res)),
         residuals=res, cost_history=tuple(history), mirrored=mirrored,
     )
 
@@ -242,7 +249,10 @@ class Tracker:
     Frame 0 solves from the topology's nominal coordinates; every later
     frame starts from the previous good solution.  Solver failures are
     emitted in-stream (converged=False, error set) and tracking continues
-    from the last good state.
+    from the last good state.  A mirrored solve is retried once from the same
+    warm start with 100x the damping; if that is mirrored too, the frame
+    emits the warm state (mirrored, iterations 0) with its residuals for the
+    frame's lengths.
     """
 
     def __init__(self, t: Topology, opts: SolveOptions = SolveOptions()):
@@ -260,11 +270,18 @@ class Tracker:
         try:
             result = solve(warm, tendon_lengths, self.topology, self.opts)
             if result.mirrored:
-                # one retry from the last good state; keep it if still mirrored
-                retry = solve(warm, tendon_lengths, self.topology,
-                              replace(self.opts, damping_init=self.opts.damping_init * 100))
-                result = retry if not retry.mirrored else replace(
-                    result, state=warm, converged=False)
+                # one retry from the last good state; if still mirrored, emit
+                # that state with its own residuals for this frame's lengths
+                result = solve(warm, tendon_lengths, self.topology,
+                               replace(self.opts, damping_init=self.opts.damping_init * 100))
+                if result.mirrored:
+                    res = residuals(warm.coords, tendon_lengths, self.topology)
+                    result = SolveResult(
+                        state=warm, converged=False, iterations=0,
+                        residual_norm=float(np.sqrt(res @ res)), residuals=res,
+                        mirrored=True,
+                        error="solve and its 100x-damped retry both ended mirrored; "
+                              "kept the last good state")
         except (SingularGeometryError, TopologyError) as exc:
             return SolveResult(state=warm, converged=False, iterations=0,
                                residual_norm=float("nan"),

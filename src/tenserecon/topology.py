@@ -45,7 +45,9 @@ class Tendon:
 
 
 # index arrays of the member equations; see Topology.members
-MemberTable = namedtuple("MemberTable", "i j target free tendon_i tendon_j")
+MemberTable = namedtuple(
+    "MemberTable",
+    "i j free tendon_i tendon_j row_tendon strut_rows jac_plus u_plus jac_minus u_minus")
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,33 @@ class Topology:
 
         Rows: the anchored-triangle tendons, the struts, then the other tendons
         in tendon-index order; row n joins nodes i[n] and j[n] at length
-        ``append(tendon_lengths, strut_length)[target[n]]``.  ``free`` holds
-        the free nodes ascending, ``tendon_i``/``tendon_j`` the tendon ends.
+        ``tendon_lengths[row_tendon[n]]``, or at the strut length on the
+        ``strut_rows`` (where row_tendon is 0).  ``free`` holds the free nodes
+        ascending, ``tendon_i``/``tendon_j`` the tendon ends.  Flattened, the
+        rows x free-coordinate Jacobian holds ``u.flat[u_plus]`` at
+        ``jac_plus`` and ``-u.flat[u_minus]`` at ``jac_minus``, for the
+        (rows, 3) unit vectors ``u`` from j[n] to i[n].
         """
         ends = [(td.i, td.j, k) for k, td in enumerate(self.tendons)]
         base = [row for row in ends if {row[0], row[1]} <= self.anchored]
-        rows = (base + [(i, j, len(ends)) for i, j in self.struts]
+        rows = (base + [(i, j, -1) for i, j in self.struts]
                 + [row for row in ends if row not in base])
-        i, j, target = np.array(rows, dtype=int).reshape(-1, 3).T
+        i, j, tendon = np.array(rows, dtype=int).reshape(-1, 3).T
         ti, tj = np.array([(td.i, td.j) for td in self.tendons], dtype=int).reshape(-1, 2).T
-        table = MemberTable(i, j, target, np.array(self.free_nodes, dtype=int), ti, tj)
+        free = np.array(self.free_nodes, dtype=int)
+
+        # column of each node's x in the free-coordinate Jacobian; -1 if anchored
+        col = np.full(len(self.nominal_coords), -1)
+        col[free] = 3 * np.arange(len(free))
+        xyz = np.arange(3)
+
+        def scatter(end):
+            at = np.arange(len(rows))[:, None] * 3 * len(free) + col[end][:, None] + xyz
+            kept = np.repeat(col[end] >= 0, 3)
+            return at.reshape(-1)[kept], np.flatnonzero(kept)
+
+        table = MemberTable(i, j, free, ti, tj, np.maximum(tendon, 0),
+                            np.flatnonzero(tendon < 0), *scatter(i), *scatter(j))
         for arr in table:  # shared by every caller, like nominal_coords
             arr.flags.writeable = False
         return table

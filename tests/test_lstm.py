@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tenserecon import lstm
 from tenserecon.errors import DivergenceError, ModelFormatError
 from tenserecon.lstm import (
     Normalization,
@@ -29,6 +30,9 @@ from tenserecon.lstm import (
     sequence_loss,
     train,
 )
+from tenserecon.simulator import DEFAULT_NOISE_BAND
+
+from reference_lstm import ref_forward_batch
 
 PARAM_ARRAYS = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out")
 
@@ -150,8 +154,7 @@ class TestFusedPaths:
         m = dataclasses.replace(m, b_f=rng.normal(size=h), b_i=rng.normal(size=h),
                                 b_o=rng.normal(size=h), b_out=float(rng.normal()))
         x = rng.normal(scale=2.0, size=(b, t, d))
-        y, cache = _forward_batch(m, x)
-        assert cache is None
+        y = _forward_batch(m, x)
         for k in range(b):
             hk, ck = np.zeros(h), np.zeros(h)
             for step in range(t):
@@ -159,13 +162,16 @@ class TestFusedPaths:
             assert y[k] == pytest.approx(float(hk @ m.w_out + m.b_out), abs=1e-12)
 
     def test_cache_is_kept_only_for_backprop(self):
+        # inference returns predictions only; backprop runs its own cached
+        # forward, which must predict the same bits
         m = init_model(2, 4, 5, seed=1)
-        x = np.random.default_rng(1).normal(size=(3, 5, 2))
-        y_plain, cache = _forward_batch(m, x)
-        y_kept, (steps, h_final) = _forward_batch(m, x, keep_cache=True)
-        assert cache is None
-        assert np.array_equal(y_plain, y_kept)
-        assert len(steps) == 5 and h_final.shape == (3, 4)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, 5, 2))
+        y_lean = _forward_batch(m, x)
+        y_kept, grads = _backward_batch(m, x, rng.normal(size=3))
+        assert isinstance(y_lean, np.ndarray) and y_lean.shape == (3,)
+        assert np.array_equal(y_lean, y_kept)
+        assert set(grads) == set(PARAM_ARRAYS) | {"b_out"}
 
     def test_block_of_windows_matches_single_windows(self):
         m = init_model(2, 6, 7, seed=2)
@@ -180,6 +186,39 @@ class TestFusedPaths:
         assert feats.shape == (5, 7, 2)
         for k in range(5):
             assert np.array_equal(feats[k], features_from_window(block[:, k]))
+
+
+class TestLeanForwardMatchesReference:
+    """The in-place inference forward against the allocate-per-step form in
+    reference_lstm, bit for bit, including saturated gates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), b=st.integers(1, 40), h=st.integers(1, 40),
+           t=st.integers(1, 25), weight_scale=st.floats(0.05, 20.0),
+           input_scale=st.floats(0.1, 10.0))
+    def test_forward_bit_identical(self, seed, b, h, t, weight_scale, input_scale):
+        rng = np.random.default_rng(seed)
+        m = init_model(2, h, t, seed=seed)
+        m = dataclasses.replace(
+            m, **{name: getattr(m, name) * weight_scale for name in ("w_f", "w_i", "w_h", "w_o")},
+            b_f=rng.normal(scale=weight_scale, size=h), b_i=rng.normal(size=h),
+            b_o=rng.normal(size=h), b_out=float(rng.normal()))
+        x = rng.normal(scale=input_scale, size=(b, t, 2))
+        assert np.array_equal(_forward_batch(m, x), ref_forward_batch(m, x))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_training_bit_identical(self, seed, monkeypatch):
+        data = make_stretch_dataset(seed=seed, noise_band=DEFAULT_NOISE_BAND)
+        lean, lean_report = train(data, epochs=3, seed=seed)
+        monkeypatch.setattr(lstm, "_forward_batch", ref_forward_batch)
+        ref, ref_report = train(data, epochs=3, seed=seed)
+        for lean_losses, ref_losses in ((lean_report.train_losses, ref_report.train_losses),
+                                        (lean_report.val_losses, ref_report.val_losses)):
+            assert [v.hex() for v in lean_losses] == [v.hex() for v in ref_losses]
+        assert lean_report.best_epoch == ref_report.best_epoch
+        for name in PARAM_ARRAYS:
+            assert np.array_equal(getattr(lean, name), getattr(ref, name))
+        assert lean.b_out.hex() == ref.b_out.hex()
 
 
 class TestForward:

@@ -394,19 +394,84 @@ class TestMirroredRetry:
         first = tracker.process(0, lengths)
         tracker.process(100, lengths)
         assert [damping for _, damping in calls[:2]] == [1e-3, 1e-1]
-        return first, calls
+        return first, calls, lengths
 
     def test_clean_retry_is_kept(self, topo, monkeypatch):
-        first, calls = self.track_two_frames(topo, monkeypatch, {1})
+        first, calls, _ = self.track_two_frames(topo, monkeypatch, {1})
         assert first.converged and not first.mirrored
         assert np.array_equal(calls[2][0], first.state.coords)  # the next warm start
 
     def test_mirrored_retry_emits_warm_state(self, topo, monkeypatch):
-        first, calls = self.track_two_frames(topo, monkeypatch, {1, 2})
+        first, calls, lengths = self.track_two_frames(topo, monkeypatch, {1, 2})
         assert first.mirrored and not first.converged
         assert first.state.timestamp_ms == 0
         assert np.array_equal(first.state.coords, topo.nominal_coords)
         assert np.array_equal(calls[2][0], topo.nominal_coords)  # last good state kept
+        # the diagnostics describe the emitted coordinates, not the mirrored solve
+        own = residuals(first.state.coords, lengths, topo)
+        assert np.array_equal(first.residuals, own)
+        assert first.residual_norm == np.linalg.norm(own)
+        assert first.residual_norm > 1e-3  # the warm start does not realize the press
+        assert first.iterations == 0 and first.cost_history == ()
+        assert "retry" in first.error
+
+
+class TestBenchmarkBoundaries:
+    """perfbench wraps reconstruction.residuals and .jacobian by module
+    attribute and derives per-call costs and the step-accept ratio from their
+    call counts, so solve must reach both through the module: residuals once
+    per evaluated point (the start, then each trial step), jacobian once per
+    iteration (plus the one whose gradient ends a noise-floor stop)."""
+
+    def count_per_solve(self, monkeypatch):
+        calls = {"residuals": [], "jacobian": []}
+        for name, seen in calls.items():
+            def counted(coords, *args, _fn=getattr(reconstruction, name), _seen=seen):
+                _seen.append(np.array(coords))
+                return _fn(coords, *args)
+            monkeypatch.setattr(reconstruction, name, counted)
+        exact = reconstruction.solve
+        per_solve = []
+
+        def solve_counted(*args):
+            mark = {name: len(seen) for name, seen in calls.items()}
+            out = exact(*args)
+            per_solve.append((out, *(seen[mark[name]:] for name, seen in calls.items())))
+            return out
+
+        monkeypatch.setattr(reconstruction, "solve", solve_counted)
+        return per_solve
+
+    def check(self, per_solve):
+        for out, res_at, jac_at in per_solve:
+            points = {p.tobytes() for p in res_at}
+            assert len(points) == len(res_at)  # never the same point twice
+            assert len(res_at) >= len(out.cost_history) >= 1
+            assert out.iterations <= len(jac_at) <= out.iterations + 1
+            assert all(p.tobytes() in points for p in jac_at)
+        accepted = sum(len(out.cost_history) - 1 for out, _, _ in per_solve)
+        trials = sum(len(res_at) for _, res_at, _ in per_solve) - len(per_solve)
+        assert 0 < accepted <= trials  # perfbench's step_accept_ratio is in (0, 1]
+
+    def test_tracked_noisy_press(self, topo, monkeypatch):
+        per_solve = self.count_per_solve(monkeypatch)
+        sc = press_scenario(topo)
+        rng = np.random.default_rng(3)
+        frames = []
+        for k in range(20):
+            exact = edge_lengths(topo, deform(topo, sc.displacements_at(200 * k)))
+            frames.append((200 * k, exact * (1.0 + rng.normal(0.0, 2e-3, size=24))))
+        results = list(track(frames, topo, SolveOptions(prior_weight=1.0)))
+        assert len(per_solve) == len(results) == 20
+        assert all(out is r for (out, _, _), r in zip(per_solve, results))
+        self.check(per_solve)
+
+    def test_cold_solve(self, topo, monkeypatch):
+        per_solve = self.count_per_solve(monkeypatch)
+        truth = random_feasible_state(topo, np.random.default_rng(11))
+        out = reconstruction.solve(nominal_state(topo), edge_lengths(topo, truth), topo)
+        assert out.iterations > 1
+        self.check(per_solve)
 
 
 class TestOptions:

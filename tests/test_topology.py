@@ -253,7 +253,8 @@ def test_member_table_cached_read_only_in_row_order():
     m = t.members
     assert t.members is m
     assert list(zip(m.i[:9], m.j[:9])) == [(0, 1), (1, 2), (0, 2), *t.struts]
-    assert list(m.target) == [0, 1, 2] + [24] * 6 + list(range(3, 24))
+    assert list(m.row_tendon) == [0, 1, 2] + [0] * 6 + list(range(3, 24))
+    assert list(m.strut_rows) == list(range(3, 9))
     assert list(m.free) == list(t.free_nodes)
     assert list(zip(m.tendon_i, m.tendon_j)) == [(td.i, td.j) for td in t.tendons]
     for arr in m:
