@@ -9,6 +9,15 @@ because the tensile response depends on how fast the tendon is pulled.
 Training is plain mini-batch gradient descent with gradient-norm clipping,
 deterministic for a fixed seed.  The model and its normalization statistics
 serialize to a small versioned JSON file.
+
+The batched kernels (_run_steps, _backward_batch) keep the four gates
+gate-major, as one (4, B, H) block, so each gate op is one contiguous pass
+rather than one pass per row of a (B, 4H) column slice.  They give the same
+bits as the allocate-per-step forms kept in the tests, because only the
+layout moved: each product keeps its form and operand layout (z @ w.T into
+a C-ordered (B, 4H), and da.T @ z and da @ w from a C-ordered da; a
+transposed product such as w @ z.T rounds differently), and each
+elementwise expression keeps its operation order.
 """
 
 from __future__ import annotations
@@ -54,6 +63,30 @@ class Normalization:
     input_low: np.ndarray | None = None
     input_high: np.ndarray | None = None
 
+    def validate(self, d: int) -> None:
+        """Raise ModelFormatError unless these statistics fit D input features:
+        finite means, finite positive scales, and either no hull or a finite
+        D-entry input_low <= input_high."""
+        lo, hi = self.input_low, self.input_high
+        if (lo is None) != (hi is None):
+            raise ModelFormatError("input_low and input_high must be given together")
+        hull = () if lo is None else ("input_low", "input_high")
+        for name in ("input_mean", "input_scale") + hull:
+            arr = getattr(self, name)
+            if np.shape(arr) != (d,):
+                raise ModelFormatError(
+                    f"{name} has shape {np.shape(arr)}, expected ({d},) for input_size {d}")
+            if not np.all(np.isfinite(arr)):
+                raise ModelFormatError(f"{name} contains non-finite values")
+        if not np.all(self.input_scale > 0):
+            raise ModelFormatError("input_scale must be > 0")
+        if hull and np.any(lo > hi):
+            raise ModelFormatError("input_low exceeds input_high")
+        if not np.isfinite(self.target_mean):
+            raise ModelFormatError("target_mean is not finite")
+        if not (np.isfinite(self.target_scale) and self.target_scale > 0):
+            raise ModelFormatError(f"target_scale must be finite and > 0, got {self.target_scale}")
+
 
 @dataclass(frozen=True)
 class LstmModel:
@@ -88,8 +121,9 @@ class LstmModel:
                     f"{name} has shape {np.asarray(arr).shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ModelFormatError(f"{name} contains non-finite values")
-        if len(self.norm.input_mean) != d or len(self.norm.input_scale) != d:
-            raise ModelFormatError("normalization stats do not match input_size")
+        if not np.isfinite(self.b_out):
+            raise ModelFormatError("b_out is not finite")
+        self.norm.validate(d)
 
 
 def init_model(input_size: int = 2, hidden_size: int = 32, window: int = 20,
@@ -155,44 +189,80 @@ def _stacked_gates(m: LstmModel) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([m.b_f, m.b_i, m.b_o, np.zeros(m.hidden_size)]))  # g has no bias
 
 
+def _forward_gates(w: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward's copy of the stacked gates: the sigmoid's inner 0.5 folded
+    into the f/i/o rows, and the bias as a (4, 1, H) gate-major block.
+
+    A power-of-two scale commutes with rounding, so z @ (0.5 w).T + 0.5 b is
+    0.5 (z @ w.T + b) bit for bit, and one tanh covers all four gates:
+    sigmoid(a) = (tanh(a/2) + 1) * 0.5 needs only the +1 and the outer 0.5.
+    A pre-activation small enough for the halving to round (a subnormal)
+    gives sigmoid 0.5 either way.
+    """
+    hs = len(bias) // 4
+    w = w.copy()
+    w[:3 * hs] *= 0.5
+    bias = bias.reshape(4, 1, hs).copy()
+    bias[:3] *= 0.5
+    return w, bias
+
+
+def _step_buffers(z, gates, c_prev, c, tc, h) -> tuple:
+    """One step's buffers, with the gate views, as _run_steps unpacks them."""
+    return z, gates, gates[:3], *gates, c_prev, c, tc, h
+
+
+def _run_steps(x: np.ndarray, w: np.ndarray, bias: np.ndarray, a: np.ndarray,
+               steps) -> None:
+    """The recurrence over normalized windows x (B, T, D), one _step_buffers
+    tuple per step; the buffers passed in decide what a step keeps.
+
+    Per step, x_t goes into z = [x_t, h_prev], and the product with the
+    forward gates (_forward_gates) runs C-ordered into a (B, 4H).  One add
+    then moves it, with the bias, into the gate-major gates (4, B, H), rows
+    f, i, o, g, so that every gate op below is one contiguous pass where a
+    column slice of a would take one pass per row.  The step leaves
+    c = f * c_prev + i * g, tanh(c) in tc and h = o * tanh(c), in
+    lstm_step's elementwise order.  c_prev may be c (updated in place), tc
+    may sit in a (dead once the gates are formed), and h may sit inside the
+    next step's z.
+    """
+    b, _, d = x.shape
+    a_gates = a.reshape(b, 4, -1).transpose(1, 0, 2)
+    for step, (z, gates, sig, f, i, o, g, c_prev, c, tc, h) in enumerate(steps):
+        z[:, :d] = x[:, step, :]
+        np.matmul(z, w.T, out=a)
+        np.add(a_gates, bias, out=gates)
+        np.tanh(gates, out=gates)
+        sig += 1.0
+        sig *= 0.5
+        np.multiply(c_prev, f, out=c)
+        np.multiply(i, g, out=tc)
+        c += tc
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+
+
 def _forward_batch(m: LstmModel, x: np.ndarray) -> np.ndarray:
     """Inference over normalized windows x (B, T, D) -> normalized preds (B,).
 
-    With the gate weights stacked (_stacked_gates), one product per step
-    computes all four gates.  The buffers are made once per call, and each
-    step writes z = [x_t, h], the gates a and the cell state c in place.
-    The sigmoid's inner 0.5 is folded into the f/i/o rows and biases,
-    so one tanh covers all four gates and sigmoid(a) = (tanh(a/2) + 1) * 0.5
-    needs only the +1 and the outer 0.5.  A power-of-two scale commutes with
-    rounding, so this is bit-identical to lstm_step's sigmoid; a pre-activation
-    small enough for the halving to round (a subnormal) gives 0.5 either way.
-    Backprop keeps its own cached forward in _backward_batch.
+    Every step gets the same buffers, made once per call and O(B H) with no
+    T axis: z = [x_t, h] with h written in place, the product a, the gates,
+    and the cell state c updated in place.  tanh(c), and at the end a
+    contiguous copy of h for the readout, go into the head of a, which is
+    dead once a step has formed its gates.
     """
     b, t, d = x.shape
     hs = m.hidden_size
-    w, bias = _stacked_gates(m)
-    w[:3 * hs] *= 0.5
-    bias[:3 * hs] *= 0.5
+    w, bias = _forward_gates(*_stacked_gates(m))
     z = np.zeros((b, d + hs))
     a = np.empty((b, 4 * hs))
     c = np.zeros((b, hs))
-    tmp = np.empty((b, hs))
-    sig = a[:, :3 * hs]
-    f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
+    tc = a.reshape(-1)[:b * hs].reshape(b, hs)
     h = z[:, d:]
-    for step in range(t):
-        z[:, :d] = x[:, step, :]
-        np.matmul(z, w.T, out=a)
-        a += bias
-        np.tanh(a, out=a)
-        sig += 1.0
-        sig *= 0.5
-        c *= f
-        np.multiply(i, g, out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        np.multiply(o, tmp, out=h)
-    return np.ascontiguousarray(h) @ m.w_out + m.b_out
+    _run_steps(x, w, bias, a, [_step_buffers(z, np.empty((4, b, hs)), c, c, tc, h)] * t)
+    np.copyto(tc, h)
+    return tc @ m.w_out + m.b_out
 
 
 def _normalize_windows(m: LstmModel, windows: np.ndarray) -> np.ndarray:
@@ -254,27 +324,29 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
     """Mean-squared-error gradients over a normalized batch.
 
     Returns (preds_norm, grads dict) where the loss is
-    mean((pred - target)^2) in normalized target space.  The forward pass
-    here keeps every step's inputs, gates and cell states for the backward
-    sweep (inference uses the cache-free _forward_batch).  Per step, one
-    product with the stacked gate matrix carries the gradient back to the
-    step's inputs and one accumulates the gate weight gradients.
+    mean((pred - target)^2) in normalized target space.  The forward runs
+    _run_steps into per-step caches made once per call: z (T+1, B, D+H), the
+    gate-major gates (T, 4, B, H), c (T+1, B, H) and tanh(c) (T, B, H).
+    Each step writes its h straight into the next step's z, and the sweep
+    reuses the forward's tanh(c).  The sweep writes the gate gradients
+    gate-major too and copies them into a C-ordered (B, 4H) da, so the two
+    products per step keep their matmul form: da.T @ z accumulates the gate
+    weight gradients and da @ w carries the gradient back to the step's
+    inputs.  Each gate derivative keeps its elementwise order, e.g.
+    ((dc * c_prev) * f) * (1 - f), so the gradients are the same bits as
+    the allocate-per-step form.
     """
     b, t, d = x.shape
     hs = m.hidden_size
     w, bias = _stacked_gates(m)
-    h = np.zeros((b, hs))
-    c = np.zeros((b, hs))
-    cache = []
-    for step in range(t):
-        z = np.concatenate([x[:, step, :], h], axis=1)
-        a = z @ w.T + bias
-        a[:, :3 * hs] = _sigmoid(a[:, :3 * hs])
-        a[:, 3 * hs:] = np.tanh(a[:, 3 * hs:])
-        f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
-        c_prev, c = c, f * c + i * g
-        h = o * np.tanh(c)
-        cache.append((z, a, c_prev, c))
+    zs = np.zeros((t + 1, b, d + hs))
+    gates = np.empty((t, 4, b, hs))
+    cs = np.zeros((t + 1, b, hs))
+    tcs = np.empty((t, b, hs))
+    steps = [_step_buffers(zs[s], gates[s], cs[s], cs[s + 1], tcs[s], zs[s + 1, :, d:])
+             for s in range(t)]
+    _run_steps(x, *_forward_gates(w, bias), np.empty((b, 4 * hs)), steps)
+    h = np.ascontiguousarray(zs[t, :, d:])
     y = h @ m.w_out + m.b_out
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite forward pass during backprop")
@@ -284,16 +356,39 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
     g_b = np.zeros(4 * hs)
     dh = np.outer(dy, m.w_out)
     dc = np.zeros((b, hs))
-    for z, a, c_prev, c_new in reversed(cache):
-        f, i, o, g = a[:, :hs], a[:, hs:2 * hs], a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
-        tc = np.tanh(c_new)
-        dc = dc + dh * o * (1.0 - tc * tc)
-        da = np.concatenate([dc * c_prev * f * (1.0 - f), dc * g * i * (1.0 - i),
-                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+    dgates = np.empty((4, b, hs))
+    d_sig = dgates[:3]
+    d_f, d_i, d_o, d_g = dgates
+    one_minus = np.empty((4, b, hs))
+    one_minus_sig, one_minus_g = one_minus[:3], one_minus[3]
+    da = np.empty((b, 4 * hs))
+    da_gates = da.reshape(b, 4, hs).transpose(1, 0, 2)
+    dz = np.empty((b, d + hs))
+    tmp = np.empty((b, hs))
+    for z, _, sig, f, i, o, g, c_prev, _, tc, _ in reversed(steps):
+        # dc = dc + dh * o * (1 - tc * tc)
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, o, out=d_f)
+        d_f *= tmp
+        dc += d_f
+        # the gate gradients [((dc * c_prev) * f) * (1 - f), ((dc * g) * i) * (1 - i),
+        #                     ((dh * tc) * o) * (1 - o), (dc * i) * (1 - g * g)]
+        np.multiply(dc, c_prev, out=d_f)
+        np.multiply(dc, g, out=d_i)
+        np.multiply(dh, tc, out=d_o)
+        np.multiply(dc, i, out=d_g)
+        d_sig *= sig
+        np.subtract(1.0, sig, out=one_minus_sig)
+        np.multiply(g, g, out=one_minus_g)
+        np.subtract(1.0, one_minus_g, out=one_minus_g)
+        dgates *= one_minus
+        da_gates[...] = dgates
         g_w += da.T @ z
         g_b += da.sum(axis=0)
-        dh = (da @ w)[:, d:]
-        dc = dc * f
+        np.matmul(da, w, out=dz)
+        dh = dz[:, d:]
+        dc *= f
     grads = {"w_f": g_w[:hs], "b_f": g_b[:hs], "w_i": g_w[hs:2 * hs], "b_i": g_b[hs:2 * hs],
              "w_o": g_w[2 * hs:3 * hs], "b_o": g_b[2 * hs:3 * hs], "w_h": g_w[3 * hs:],
              "w_out": h.T @ dy, "b_out": float(dy.sum())}
@@ -428,29 +523,33 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
 
     m = init_model(input_size=d, hidden_size=hidden_size, window=window,
                    seed=seed, norm=norm)
-    xn = _normalize_windows(m, data.windows)
-    tn = (data.targets - t_mean) / t_scale
-    tr, va = data.train_idx, data.val_idx
+    # each split is normalized once, so no epoch gathers a copy of its
+    # windows, and the raw training windows are dropped: less peak memory
+    x_tr = _normalize_windows(m, x_train)
+    del x_train, flat
+    x_va = _normalize_windows(m, data.windows[data.val_idx])
+    t_tr, t_va = ((data.targets[idx] - t_mean) / t_scale
+                  for idx in (data.train_idx, data.val_idx))
 
     rng = np.random.default_rng(seed)
-    train_losses = [sequence_loss(m, xn[tr], tn[tr])]
-    val_losses = [sequence_loss(m, xn[va], tn[va])]
+    train_losses = [sequence_loss(m, x_tr, t_tr)]
+    val_losses = [sequence_loss(m, x_va, t_va)]
     best = (val_losses[0], 0, m)
 
-    order = np.arange(len(tr))
+    order = np.arange(len(x_tr))
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
         for start in range(0, len(order), BATCH_SIZE):
-            batch = tr[order[start:start + BATCH_SIZE]]
+            batch = order[start:start + BATCH_SIZE]
             try:
-                _, grads = _backward_batch(m, xn[batch], tn[batch])
+                _, grads = _backward_batch(m, x_tr[batch], t_tr[batch])
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}: {exc}", epoch=epoch
                 ) from exc
             m = _clipped_update(m, grads, learning_rate, clip)
-        tl = sequence_loss(m, xn[tr], tn[tr])
-        vl = sequence_loss(m, xn[va], tn[va])
+        tl = sequence_loss(m, x_tr, t_tr)
+        vl = sequence_loss(m, x_va, t_va)
         if not (np.isfinite(tl) and np.isfinite(vl)):
             raise DivergenceError(f"loss became non-finite at epoch {epoch}", epoch=epoch)
         train_losses.append(tl)

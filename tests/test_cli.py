@@ -320,6 +320,40 @@ def test_nested_list_in_json_input_is_data_error(tmp_path, capsys, model_path,
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"norm": {"input_high": None}}, "input_low and input_high must be given together"),
+    ({"norm": {"input_low": [-1.0, -1.0, -1.0]}}, "input_low has shape (3,), expected (2,)"),
+    ({"norm": {"input_low": [-1.0]}}, "input_low has shape (1,), expected (2,)"),
+    ({"norm": {"input_low": [float("nan"), -1.0]}}, "input_low contains non-finite values"),
+    ({"norm": {"input_high": [float("inf"), 1.0]}}, "input_high contains non-finite values"),
+    ({"norm": {"input_low": [1e3, -1.0]}}, "input_low exceeds input_high"),
+    ({"norm": {"input_mean": [float("nan"), 0.0]}}, "input_mean contains non-finite values"),
+    ({"norm": {"input_scale": [0.0, 1.0]}}, "input_scale must be > 0"),
+    ({"norm": {"input_scale": [float("inf"), 1.0]}}, "input_scale contains non-finite values"),
+    ({"norm": {"target_mean": float("nan")}}, "target_mean is not finite"),
+    ({"norm": {"target_scale": 0.0}}, "target_scale must be finite and > 0, got 0.0"),
+    ({"norm": {"target_scale": float("inf")}}, "target_scale must be finite and > 0, got inf"),
+    ({"weights": {"b_out": float("nan")}}, "b_out is not finite"),
+], ids=["one-sided-hull", "hull-too-long", "hull-too-short", "nan-hull", "inf-hull",
+        "inverted-hull", "nan-input-mean", "zero-input-scale", "inf-input-scale",
+        "nan-target-mean", "zero-target-scale", "inf-target-scale", "nan-b-out"])
+def test_bad_model_normalization_is_data_error(tmp_path, capsys, model_path, session_files,
+                                               edit, message):
+    # each of these once reached prediction: a traceback from np.clip, a silent
+    # one-bound clip, a divide-by-zero warning, or a data error blamed on a sensor
+    with open(model_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for block, values in edit.items():
+        doc[block].update(values)
+    path = tmp_path / "lstm.json"
+    path.write_text(json.dumps(doc))  # json writes NaN/Infinity literals
+    code = cli.cli(["reconstruct", session_files[0], "--model", str(path), "--clamp",
+                    "--out", str(tmp_path / "f.jsonl")])
+    assert code == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, capsys):
     doc = {"sample_rate_hz": 10.0, "seed": 11,  # top-level seed from older writers
            "noise": {"kind": "uniform", "seed": 11},

@@ -32,7 +32,7 @@ from tenserecon.lstm import (
 )
 from tenserecon.simulator import DEFAULT_NOISE_BAND
 
-from reference_lstm import ref_forward_batch
+from reference_lstm import ref_backward_batch, ref_forward_batch
 
 PARAM_ARRAYS = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out")
 
@@ -189,28 +189,46 @@ class TestFusedPaths:
 
 
 class TestLeanForwardMatchesReference:
-    """The in-place inference forward against the allocate-per-step form in
-    reference_lstm, bit for bit, including saturated gates."""
+    """The gate-major forward and backprop against the allocate-per-step forms
+    in reference_lstm, bit for bit, including saturated gates."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**16), b=st.integers(1, 40), h=st.integers(1, 40),
-           t=st.integers(1, 25), weight_scale=st.floats(0.05, 20.0),
-           input_scale=st.floats(0.1, 10.0))
-    def test_forward_bit_identical(self, seed, b, h, t, weight_scale, input_scale):
+    @staticmethod
+    def random_case(seed, b, h, t, weight_scale, input_scale):
         rng = np.random.default_rng(seed)
         m = init_model(2, h, t, seed=seed)
         m = dataclasses.replace(
             m, **{name: getattr(m, name) * weight_scale for name in ("w_f", "w_i", "w_h", "w_o")},
             b_f=rng.normal(scale=weight_scale, size=h), b_i=rng.normal(size=h),
             b_o=rng.normal(size=h), b_out=float(rng.normal()))
-        x = rng.normal(scale=input_scale, size=(b, t, 2))
+        return m, rng.normal(scale=input_scale, size=(b, t, 2)), rng.normal(size=b)
+
+    cases = dict(seed=st.integers(0, 2**16), b=st.integers(1, 40), h=st.integers(1, 40),
+                 t=st.integers(1, 25), weight_scale=st.floats(0.05, 20.0),
+                 input_scale=st.floats(0.1, 10.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**cases)
+    def test_forward_bit_identical(self, seed, b, h, t, weight_scale, input_scale):
+        m, x, _ = self.random_case(seed, b, h, t, weight_scale, input_scale)
         assert np.array_equal(_forward_batch(m, x), ref_forward_batch(m, x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**cases)
+    def test_backward_bit_identical(self, seed, b, h, t, weight_scale, input_scale):
+        m, x, targets = self.random_case(seed, b, h, t, weight_scale, input_scale)
+        y, grads = _backward_batch(m, x, targets)
+        y_ref, grads_ref = ref_backward_batch(m, x, targets)
+        assert np.array_equal(y, y_ref)
+        assert set(grads) == set(grads_ref) == set(PARAM_ARRAYS) | {"b_out"}
+        for name in grads:
+            assert np.array_equal(grads[name], grads_ref[name]), name
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_training_bit_identical(self, seed, monkeypatch):
         data = make_stretch_dataset(seed=seed, noise_band=DEFAULT_NOISE_BAND)
         lean, lean_report = train(data, epochs=3, seed=seed)
         monkeypatch.setattr(lstm, "_forward_batch", ref_forward_batch)
+        monkeypatch.setattr(lstm, "_backward_batch", ref_backward_batch)
         ref, ref_report = train(data, epochs=3, seed=seed)
         for lean_losses, ref_losses in ((lean_report.train_losses, ref_report.train_losses),
                                         (lean_report.val_losses, ref_report.val_losses)):
