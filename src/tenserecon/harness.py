@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError, read_lines
 from .reconstruction import SolveResult, StateFrame
 from .sensors import N_SENSORS, SensorFrame
-from .topology import Topology, tendon_triangles
+from .topology import Topology, edge_lengths, tendon_triangles
 
 SENSOR_CSV_HEADER = "t_ms," + ",".join(f"r{k:02d}" for k in range(N_SENSORS))
 
@@ -79,7 +79,7 @@ def write_sensor_csv(frames, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SENSOR_CSV_HEADER + "\n")
         for f in frames:
-            cells = [str(int(f.timestamp_ms))] + [repr(float(v)) for v in f.resistances]
+            cells = [str(int(f.timestamp_ms))] + [repr(v) for v in f.resistances.tolist()]
             fh.write(",".join(cells) + "\n")
 
 
@@ -90,14 +90,14 @@ def _result_to_json_dict(r) -> dict:
             "converged": bool(r.converged),
             "iters": int(r.iterations),
             "residual_norm": float(r.residual_norm),
-            "coords_m": [[float(x) for x in row] for row in r.state.coords],
+            "coords_m": r.state.coords.tolist(),
         }
     return {  # plain StateFrame (ground truth)
         "t_ms": int(r.timestamp_ms),
         "converged": True,
         "iters": 0,
         "residual_norm": 0.0,
-        "coords_m": [[float(x) for x in row] for row in r.coords],
+        "coords_m": r.coords.tolist(),
     }
 
 
@@ -181,8 +181,6 @@ def _face_dz(a: np.ndarray, b: np.ndarray, t: Topology) -> np.ndarray:
 
 def tendon_length_series(states, t: Topology) -> tuple[np.ndarray, np.ndarray]:
     """Per-tendon length series: (timestamps_ms, lengths (n_frames, 24))."""
-    from .topology import edge_lengths
-
     states = list(states)
     if not states:
         raise MetricsError("no states to tabulate")
@@ -195,8 +193,8 @@ def write_length_series_csv(states, t: Topology, path) -> None:
     ts, series = tendon_length_series(states, t)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ms," + ",".join(f"len{k:02d}" for k in range(series.shape[1])) + "\n")
-        for row_ts, row in zip(ts, series):
-            fh.write(",".join([str(int(row_ts))] + [repr(float(v)) for v in row]) + "\n")
+        for row_ts, row in zip(ts.tolist(), series.tolist()):
+            fh.write(",".join([str(row_ts)] + [repr(v) for v in row]) + "\n")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import DivergenceError, ModelFormatError, read_json, write_json
 from .sensors import default_stretch_curve
 
 MODEL_FORMAT_VERSION = 1
+N_FEATURES = 2  # per sample, from features_from_window: dR/R and its difference
 
 # The synthetic stretch sessions make_stretch_dataset trains on.
 STRETCH_RATES = (0.05, 0.1, 0.2)  # pull rates, strain per second
@@ -126,7 +127,7 @@ class LstmModel:
         self.norm.validate(d)
 
 
-def init_model(input_size: int = 2, hidden_size: int = 32, window: int = 20,
+def init_model(input_size: int = N_FEATURES, hidden_size: int = 32, window: int = 20,
                seed: int = 0, norm: Normalization | None = None) -> LstmModel:
     """Uniform +-1/sqrt(D+H) weight init, zero biases, seeded."""
     rng = np.random.default_rng(seed)
@@ -608,7 +609,11 @@ def save_model(m: LstmModel, path) -> None:
 
 
 def load_model(path) -> LstmModel:
-    return read_json(path, ModelFormatError, _model_from_json_dict)
+    m = read_json(path, ModelFormatError, _model_from_json_dict)
+    if m.input_size != N_FEATURES:
+        raise ModelFormatError(f"{path}: model input size D={m.input_size}, but "
+                               f"stretch windows give D={N_FEATURES} features per sample")
+    return m
 
 
 def _model_from_json_dict(doc: dict) -> LstmModel:

@@ -3,16 +3,19 @@
 This is the software image of the live system: a resistance stream comes in,
 per-sensor regime flags are chosen from the previously reconstructed shape,
 strains go through the bending polynomial or the sequence model, and the
-geometric solver tracks node positions frame to frame.
+geometric solver tracks node positions frame to frame.  A regime is known
+only once the previous frame is solved, so the sequence model runs first,
+over all 24 channels of every frame, STRETCH_BLOCK_FRAMES frames per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SensorDomainError, TenseReconError
 from .harness import MetricsReport, evaluate
-from .lstm import LstmModel
+from .lstm import LstmModel, predict_strain
 from .reconstruction import SolveOptions, SolveResult, Tracker
 from .sensors import (
     BendCalibration,
@@ -25,20 +28,29 @@ from .sensors import (
 )
 from .topology import Topology, edge_lengths
 
+# Frames per predict_strain call: a forward pass costs least per window at a
+# few hundred windows, and 8 to 16 frames of 24 measured alike.
+STRETCH_BLOCK_FRAMES = 16
 
-def _dr_windows(frames: list[SensorFrame], window: int) -> list[np.ndarray]:
-    """Per frame, the (window, 24) dR/R history whose last row is that frame.
 
-    dR/R = (R - R0) / R0 with the session's first frame as the baseline R0.
-    No other code forms dR/R, so the baseline rule lives here alone.
-
-    Histories are left-padded with the earliest sample until enough frames
-    have arrived, so every frame has a full window.
-    """
+def _session_dr(frames: list[SensorFrame]) -> np.ndarray:
+    """The session's (frames, 24) dR/R = (R - R0) / R0, R0 its first frame;
+    no other code forms dR/R, so the baseline rule lives here alone."""
     r0 = frames[0].resistances
-    dr = (np.stack([f.resistances for f in frames]) - r0) / r0
-    padded = np.concatenate([np.repeat(dr[:1], window - 1, axis=0), dr])
-    return [padded[n:n + window] for n in range(len(frames))]
+    return (np.stack([f.resistances for f in frames]) - r0) / r0
+
+
+def _stretch_strains(dr: np.ndarray, model: LstmModel) -> np.ndarray:
+    """The model strain of every channel at every frame, (frames, 24), each
+    from the window of dR/R ending at that frame, left-padded with the
+    earliest sample until enough frames have arrived."""
+    padded = np.concatenate([np.repeat(dr[:1], model.window - 1, axis=0), dr])
+    windows = sliding_window_view(padded, model.window, axis=0)  # (frames, 24, window)
+    out = np.empty(dr.shape)
+    for s in range(0, len(dr), STRETCH_BLOCK_FRAMES):
+        block = windows[s:s + STRETCH_BLOCK_FRAMES].reshape(-1, model.window)
+        out[s:s + STRETCH_BLOCK_FRAMES] = predict_strain(model, block.T).reshape(-1, N_SENSORS)
+    return out
 
 
 def reconstruct_session(frames, t: Topology, cal: BendCalibration,
@@ -61,14 +73,16 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 
+    dr = _session_dr(frames)
+    stretch = _stretch_strains(dr, model)
     rest = t.rest_lengths()
     tracker = Tracker(t, opts)
     results: list[SolveResult] = []
     modes = [Mode.STRETCHING] * N_SENSORS
 
-    for frame, hist in zip(frames, _dr_windows(frames, model.window)):
+    for frame, dr_row, stretch_row in zip(frames, dr, stretch):
         try:
-            strains = strains_from_frame(hist, cal, modes, model, clamp=clamp)
+            strains = strains_from_frame(dr_row, cal, modes, stretch_row, clamp=clamp)
         except SensorDomainError as exc:
             raise SensorDomainError(exc.detail, exc.sensor, frame.timestamp_ms) from exc
         lengths = lengths_from_strain(strains, t)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CalibrationError, SensorDomainError, TenseReconError, read_json, write_json
+from .errors import CalibrationError, SensorDomainError, read_json, write_json
 
 N_SENSORS = 24
 
@@ -270,42 +270,27 @@ def load_stretch_table(path) -> StretchTable:
         dr_ratio=np.array(d["dr_ratio"], dtype=float)))
 
 
-def strains_from_frame(history: np.ndarray, cal: BendCalibration, modes, model, *,
+def strains_from_frame(dr: np.ndarray, cal: BendCalibration, modes, stretch: np.ndarray, *,
                        clamp: bool = False) -> StrainVector:
-    """Convert one frame's dR/R history into per-tendon strains.
+    """Convert one frame's dR/R into per-tendon strains.
 
-    ``history`` is a (window, 24) array of dR/R samples whose last row is
-    the current frame.  Per sensor, the mode flag routes that row to the
-    bending polynomial or the whole column to the sequence model; each
-    regime's sensors go through their model together, as one batch.  Errors
-    are tagged with the sensor index; an error from the batched model names
-    every stretching sensor it covered.
+    ``dr`` is the frame's 24 dR/R values and ``stretch`` the sequence model's
+    24 strains at this frame; per sensor, the mode flag picks the bending
+    polynomial at its dR/R or its model strain.  Errors name the sensor.
 
     clamp=True clips out-of-domain bending inputs to the domain edge and
     bounds all strains away from -1; use it for noisy live data.
     """
-    from .lstm import predict_strain  # deferred to avoid a cycle at import
-
     modes = list(modes)
     if len(modes) != N_SENSORS:
         raise SensorDomainError(f"expected {N_SENSORS} mode flags, got {len(modes)}")
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2 or history.shape[1] != N_SENSORS:
-        raise SensorDomainError(f"history must be (window, {N_SENSORS}), got {history.shape}")
-
     bending = np.array([m is Mode.BENDING for m in modes])
-    out = np.empty(N_SENSORS)
+    out = np.array(stretch, dtype=float)
     try:
-        out[bending] = bending_strain(history[-1, bending], cal, clamp=clamp)
+        out[bending] = bending_strain(dr[bending], cal, clamp=clamp)
     except SensorDomainError as exc:
         k = int(np.flatnonzero(bending)[exc.sensor])
         raise SensorDomainError(exc.detail, sensor=k) from exc
-    stretching = np.flatnonzero(~bending).tolist()
-    if stretching:
-        try:
-            out[stretching] = predict_strain(model, history[-model.window:, stretching])
-        except TenseReconError as exc:
-            raise SensorDomainError(f"stretching sensors {stretching}: {exc}") from exc
     if clamp:
         np.clip(out, -0.95, 2.0, out=out)
     return StrainVector(strains=out)

@@ -17,7 +17,7 @@ from .errors import (CalibrationError, RelaxationError, SensorDomainError, Topol
                      read_json, write_json)
 from .reconstruction import StateFrame
 from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
-from .topology import Topology, edge_lengths, row_norms, unit_jacobian
+from .topology import Topology, edge_lengths, row_norms, tendon_triangles, unit_jacobian
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
 DEFAULT_BASELINE_OHMS = 5.8e6
@@ -228,8 +228,6 @@ def press_scenario(t: Topology, depth: float = 0.030, seed: int = 0,
     by 20 s, then at rest until 30 s.  ``seed`` seeds the default noise
     model; an explicit ``noise`` carries its own.
     """
-    from .topology import tendon_triangles
-
     tris = tendon_triangles(t)
     top = max(tris, key=lambda tri: t.nominal_coords[list(tri), 2].mean())
     down = {n: (0.0, 0.0, -depth) for n in top}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tenserecon import cli
-from tenserecon.lstm import save_model
+from tenserecon.lstm import init_model, save_model
 from tenserecon.sensors import (BendCalibration, bending_strain, default_stretch_table,
                                 save_calibration)
 from tenserecon.topology import load_topology
@@ -352,6 +352,26 @@ def test_bad_model_normalization_is_data_error(tmp_path, capsys, model_path, ses
     assert code == cli.EXIT_DATA
     assert message in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "run-all"])
+def test_model_input_size_other_than_two_is_data_error(tmp_path, capsys, session_files,
+                                                       command):
+    # its weights fit its own D, so it once loaded and failed at frame 0, blamed
+    # on all 24 sensors: "t=0 ms: stretching sensors [0, 1, ..., 23]: ..."
+    path = tmp_path / "lstm.json"
+    save_model(init_model(3, 4, 5, seed=0), path)
+    if command == "reconstruct":
+        argv = ["reconstruct", session_files[0], "--model", str(path),
+                "--out", str(tmp_path / "f.jsonl")]
+    else:
+        argv = ["run-all", "--model", str(path), "--outdir", str(tmp_path / "ra")]
+    assert cli.cli(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {path}: model input size D=3" in err
+    assert "sensor" not in err and "t=0 ms" not in err
+    assert not (tmp_path / "f.jsonl").exists()
+    assert not (tmp_path / "ra" / "frames.jsonl").exists()
 
 
 def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, capsys):

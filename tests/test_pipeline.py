@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tenserecon import pipeline
-from tenserecon.errors import SensorDomainError, TenseReconError
-from tenserecon.pipeline import reconstruct_session
-from tenserecon.reconstruction import SolveOptions
-from tenserecon.sensors import BendCalibration, default_stretch_table
+from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconError
+from tenserecon.lstm import init_model, predict_strain
+from tenserecon.pipeline import STRETCH_BLOCK_FRAMES, reconstruct_session
+from tenserecon.reconstruction import SolveOptions, Tracker
+from tenserecon.sensors import BendCalibration, SensorFrame, StrainVector, default_stretch_table
 from tenserecon.simulator import NoiseModel, generate_session, press_scenario
 from tenserecon.topology import build_canonical
 
@@ -71,3 +74,64 @@ def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
         (results[0].state.coords[free] - topo.nominal_coords[free]) ** 2,
         axis=1)))
     assert err < 0.005  # at rest, within model-bias tolerance of nominal
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_frames=st.integers(1, 3 * STRETCH_BLOCK_FRAMES + 5),
+       window=st.integers(1, 24))
+@example(seed=0, n_frames=3, window=20)  # fewer frames than the window
+@example(seed=1, n_frames=STRETCH_BLOCK_FRAMES + 1, window=5)  # a one-frame last block
+def test_session_model_strains_match_per_window_oracle(topo, seed, n_frames, window):
+    # the model strains reconstruct_session hands strains_from_frame against
+    # each frame's window, left-padded with the first sample, through
+    # predict_strain one channel at a time; the frames solve at rest, so any
+    # resistances will do
+    rng = np.random.default_rng(seed)
+    model = init_model(2, 8, window, seed=seed % 97)
+    r = 5.8e6 * np.exp(rng.normal(scale=0.3, size=(n_frames, 24)))
+    frames = [SensorFrame(100 * n, r[n]) for n in range(n_frames)]
+    seen, batches = [], []
+
+    def record(dr, cal, modes, stretch, *, clamp=False):
+        seen.append((np.array(dr), np.array(stretch)))
+        return StrainVector(np.zeros(24))
+
+    def count(model, block):
+        batches.append(block.shape[1])
+        return predict_strain(model, block)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "strains_from_frame", record)
+        mp.setattr(pipeline, "predict_strain", count)
+        reconstruct_session(frames, topo, BendCalibration(), model)
+    assert len(seen) == n_frames
+    assert batches == [24 * min(STRETCH_BLOCK_FRAMES, n_frames - s)
+                       for s in range(0, n_frames, STRETCH_BLOCK_FRAMES)]
+    for n, (dr, stretch) in enumerate(seen):
+        assert np.array_equal(dr, (r[n] - r[0]) / r[0])
+        for k in range(24):
+            idx = [max(m, 0) for m in range(n - window + 1, n + 1)]
+            expected = predict_strain(model, (r[idx, k] - r[0, k]) / r[0, k])
+            assert stretch[k] == pytest.approx(expected, abs=1e-12)
+
+
+def test_model_error_is_raised_before_frame_0(topo, clean_session, monkeypatch):
+    # a model that cannot take the stretch features is the model's error,
+    # not one blamed on the sensors of the first frame
+    _, sensed = clean_session
+    solved = []
+    monkeypatch.setattr(Tracker, "process", lambda *args: solved.append(args))
+    with pytest.raises(ModelFormatError) as err:
+        reconstruct_session(sensed[:5], topo, BendCalibration(), init_model(3, 4, 5, seed=0))
+    assert not isinstance(err.value, SensorDomainError)
+    assert solved == []
+
+
+def test_programming_error_in_model_propagates(topo, clean_session, clean_model,
+                                               monkeypatch):
+    def broken(m, window):
+        raise TypeError("broken model")
+
+    monkeypatch.setattr(pipeline, "predict_strain", broken)
+    with pytest.raises(TypeError, match="broken model"):
+        reconstruct_session(clean_session[1][:5], topo, BendCalibration(), clean_model)

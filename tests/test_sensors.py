@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenserecon import lstm, sensors
+from tenserecon import sensors
 from tenserecon.errors import CalibrationError, SensorDomainError
-from tenserecon.lstm import init_model, predict_strain
+from tenserecon.lstm import predict_strain
 from tenserecon.sensors import (
     BendCalibration,
     Mode,
@@ -308,16 +308,15 @@ class TestStrainsFromFrame:
     def _frame(self, resistances, ts=0):
         return SensorFrame(timestamp_ms=ts, resistances=np.asarray(resistances, float))
 
-    def test_baseline_frame_bending_gives_constant_term(self, clean_model):
+    def test_baseline_frame_bending_gives_constant_term(self):
         modes = [Mode.BENDING] * 24
-        hist = np.zeros((clean_model.window, 24))
-        out = strains_from_frame(hist, BendCalibration(), modes, clean_model)
+        out = strains_from_frame(np.zeros(24), BendCalibration(), modes, np.full(24, 0.3))
         assert np.all(out.strains == -0.0016)
 
     def test_weight_sharing_constant_history(self, clean_model):
         modes = [Mode.STRETCHING] * 24
-        hist = np.zeros((clean_model.window, 24))
-        out = strains_from_frame(hist, BendCalibration(), modes, clean_model)
+        stretch = predict_strain(clean_model, np.zeros((clean_model.window, 24)))
+        out = strains_from_frame(np.zeros(24), BendCalibration(), modes, stretch)
         assert np.all(out.strains == out.strains[0])
 
     def test_nonpositive_resistance_tagged_with_index(self):
@@ -327,30 +326,24 @@ class TestStrainsFromFrame:
             self._frame(values)
         assert err.value.sensor == 17
 
-    def test_window_underflow_tagged(self, clean_model):
-        modes = [Mode.STRETCHING] * 24
-        hist = np.zeros((3, 24))  # shorter than the model window
-        with pytest.raises(SensorDomainError, match="stretching sensors"):
-            strains_from_frame(hist, BendCalibration(), modes, clean_model)
-
-    def test_out_of_domain_bending_tagged(self, clean_model):
+    def test_out_of_domain_bending_tagged(self):
         modes = [Mode.BENDING] * 24
-        hist = np.zeros((clean_model.window, 24))
-        hist[-1, 4] = 0.55  # outside the bending domain
+        dr = np.zeros(24)
+        dr[4] = 0.55  # outside the bending domain
         with pytest.raises(SensorDomainError) as err:
-            strains_from_frame(hist, BendCalibration(), modes, clean_model)
+            strains_from_frame(dr, BendCalibration(), modes, np.zeros(24))
         assert err.value.sensor == 4
-        out = strains_from_frame(hist, BendCalibration(), modes, clean_model, clamp=True)
+        out = strains_from_frame(dr, BendCalibration(), modes, np.zeros(24), clamp=True)
         assert out.strains[4] == -0.0016
 
-    def test_out_of_domain_bending_in_subset_names_full_index(self, clean_model):
+    def test_out_of_domain_bending_in_subset_names_full_index(self):
         modes = [Mode.STRETCHING] * 24
         for k in (2, 4, 9):
             modes[k] = Mode.BENDING
-        hist = np.zeros((clean_model.window, 24))
-        hist[-1, 9] = 0.55
+        dr = np.zeros(24)
+        dr[9] = 0.55
         with pytest.raises(SensorDomainError, match=r"^sensor 9: dR/R = 0\.55 outside") as err:
-            strains_from_frame(hist, BendCalibration(), modes, clean_model)
+            strains_from_frame(dr, BendCalibration(), modes, np.zeros(24))
         assert err.value.sensor == 9
 
     @settings(max_examples=40, deadline=None)
@@ -358,34 +351,25 @@ class TestStrainsFromFrame:
            clamp=st.booleans())
     def test_batch_matches_per_sensor_oracle(self, seed, mode_bits, clamp):
         rng = np.random.default_rng(seed)
-        model = init_model(2, 8, 6, seed=seed % 97)
         modes = [Mode.BENDING if mode_bits >> k & 1 else Mode.STRETCHING
                  for k in range(24)]
-        hist = rng.normal(scale=0.4, size=(model.window + 3, 24))
-        hist[-1] = rng.uniform(-0.7, 0.0, size=24)  # the current frame, bending domain
-        out = strains_from_frame(hist, BendCalibration(), modes, model,
-                                 clamp=clamp).strains
+        dr = rng.uniform(-0.7, 0.0, size=24)  # the bending domain
+        stretch = rng.uniform(-1.5, 2.5, size=24) if clamp else rng.uniform(-0.9, 2.5, size=24)
+        out = strains_from_frame(dr, BendCalibration(), modes, stretch, clamp=clamp).strains
         for k in range(24):
             if modes[k] is Mode.BENDING:
-                expected = bending_strain(hist[-1, k], BendCalibration(), clamp=clamp)
+                expected = bending_strain(dr[k], BendCalibration(), clamp=clamp)
             else:
-                expected = predict_strain(model, hist[-model.window:, k])
+                expected = stretch[k]
             if clamp:
                 expected = min(max(expected, -0.95), 2.0)
-            assert out[k] == pytest.approx(expected, abs=1e-12)
-
-    def test_model_error_names_stretching_sensors(self):
-        modes = [Mode.BENDING] * 24
-        modes[3] = modes[11] = Mode.STRETCHING
-        model = init_model(3, 4, 5, seed=0)  # expects 3 features, gets 2
-        with pytest.raises(SensorDomainError, match=r"stretching sensors \[3, 11\]"):
-            strains_from_frame(np.zeros((5, 24)), BendCalibration(), modes, model)
+            assert out[k] == expected
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(m, window):
-            raise TypeError("broken model")
+        def broken(x, cal, *, clamp=False):
+            raise TypeError("broken polynomial")
 
-        monkeypatch.setattr(lstm, "predict_strain", broken)
-        with pytest.raises(TypeError, match="broken model"):
-            strains_from_frame(np.zeros((5, 24)), BendCalibration(),
-                               [Mode.STRETCHING] * 24, init_model(2, 4, 5, seed=0))
+        monkeypatch.setattr(sensors, "bending_strain", broken)
+        with pytest.raises(TypeError, match="broken polynomial"):
+            strains_from_frame(np.zeros(24), BendCalibration(), [Mode.BENDING] * 24,
+                               np.zeros(24))
