@@ -188,6 +188,8 @@ def cmd_run_all(args) -> int:
     topo = _resolve_topology(args)
     cal = _resolve_calibration(args)
     table = _resolve_stretch_table(args)
+    # loaded before anything is written, so a rejected model leaves no outputs
+    model = lstm.load_model(args.model) if args.model else None
 
     topology.save_topology(topo, outdir / "topology.json")
 
@@ -200,9 +202,7 @@ def cmd_run_all(args) -> int:
 
     noisy = sc.noise.kind != "none"
     model_path = outdir / "lstm.json"
-    if args.model:
-        model = lstm.load_model(args.model)
-    else:
+    if model is None:
         noise_band = sc.noise.band if noisy else None
         data = lstm.make_stretch_dataset(seed=args.seed, noise_band=noise_band)
         model, _ = lstm.train(data, epochs=args.epochs, seed=args.seed)

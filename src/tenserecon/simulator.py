@@ -3,7 +3,9 @@
 Replaces the physical rig: ground-truth shapes come from kinematic
 constraint projection (struts stay rigid, anchors stay put, tendons follow),
 and sensor resistances come from inverting the strain models over the whole
-session and adding banded dR/R noise.  Everything is deterministic for a fixed seed.
+session and adding banded dR/R noise.  A session takes one timeline pass, one
+projection per run of identical frames, one length pass and one sensor pass.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -81,15 +83,22 @@ class Scenario:
                                         f"must be 3 finite numbers, got {vec}")
 
     def displacements_at(self, t_ms: float) -> dict[int, np.ndarray]:
+        """node -> displacement at t_ms: one row of timeline()."""
+        nodes, disp = self.timeline([t_ms])
+        return dict(zip(nodes, disp[0]))
+
+    def timeline(self, stamps) -> tuple[list[int], np.ndarray]:
+        """The named nodes, ascending, and their (stamps, nodes, 3) displacements."""
         nodes = sorted({n for _, d in self.keyframes for n in d})
         times = np.array([t for t, _ in self.keyframes], dtype=float)
-        out = {}
-        for n in nodes:
+        stamps = np.asarray(stamps, dtype=float)
+        out = np.empty((len(stamps), len(nodes), 3))
+        for k, n in enumerate(nodes):
             track = np.array([d.get(n, (0.0, 0.0, 0.0)) for _, d in self.keyframes],
                              dtype=float)
-            vec = np.array([np.interp(t_ms, times, track[:, ax]) for ax in range(3)])
-            out[n] = vec
-        return out
+            for ax in range(3):
+                out[:, k, ax] = np.interp(stamps, times, track[:, ax])
+        return nodes, out
 
 
 def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
@@ -111,17 +120,16 @@ def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
     for n, vec in displacements.items():
         coords[n] = coords[n] + np.asarray(vec, dtype=float)
 
-    free = t.members.free
-    si, sj = np.array(t.struts).T
+    m = t.members
+    free, si, sj = m.free, m.i[m.strut_rows], m.j[m.strut_rows]
     for _ in range(DEFORM_MAX_ITER):
         e = coords[si] - coords[sj]
         d = row_norms(e)
         gaps = d - t.strut_length
-        if np.max(np.abs(gaps)) < DEFORM_TOL:
+        if np.abs(gaps).max() < DEFORM_TOL:
             return coords
-        collapsed = np.flatnonzero(d < 1e-9)
-        if collapsed.size:
-            n = collapsed[0]
+        if d.min() < 1e-9:
+            n = np.flatnonzero(d < 1e-9)[0]
             raise RelaxationError(f"strut {si[n]}-{sj[n]} collapsed during projection")
         jac = unit_jacobian(e, d, si, sj, len(coords), free)
         # least-norm correction: move as little as possible to close the gaps
@@ -140,22 +148,30 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     Returns (ground-truth StateFrames, SensorFrames), timestamp-aligned,
     sampled at scenario.sample_rate_hz over [0, last keyframe), every sensor
     resting at DEFAULT_BASELINE_OHMS.  Output is bit-reproducible per scenario.
-    The session's (frames, 24) strains L/L0 - 1 become resistances in one pass:
+    The timeline is evaluated at all frame times at once.  deform projects only
+    a frame whose displacements differ in their bits from the previous frame's;
+    a hold shares that frame's read-only coordinates.  The tendon lengths come
+    from one pass over the (frames, 12, 3) stack, and the (frames, 24) strains
+    L/L0 - 1 become resistances in one pass:
     compressive ones invert the bending polynomial, tensile ones the stretch
     table, and noise is added in dR/R space before R = R0 * (1 + dR/R).
     """
     duration_ms = scenario.keyframes[-1][0]
     n_frames = int(round(duration_ms / 1000.0 * scenario.sample_rate_hz))
+    stamps = [int(round(k * 1000.0 / scenario.sample_rate_hz)) for k in range(n_frames)]
+    nodes, disp = scenario.timeline(stamps)
+    bits = disp.view(np.uint64)  # raw bits, so -0.0 and 0.0 are different displacements
+    moved = np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))]
     truth: list[StateFrame] = []
-    for k in range(n_frames):
-        t_ms = int(round(k * 1000.0 / scenario.sample_rate_hz))
-        try:
-            coords = deform(t, scenario.displacements_at(t_ms))
-        except RelaxationError as exc:
-            raise RelaxationError(f"t={t_ms} ms: {exc}") from exc
+    for t_ms, vecs, project in zip(stamps, disp, moved):
+        if project:  # else a hold, which keeps the previous frame's coords
+            try:
+                coords = deform(t, dict(zip(nodes, vecs)))
+            except RelaxationError as exc:
+                raise RelaxationError(f"t={t_ms} ms: {exc}") from exc
         truth.append(StateFrame(timestamp_ms=t_ms, coords=coords, anchored=t.anchored))
 
-    lengths = np.array([edge_lengths(t, s) for s in truth]).reshape(-1, len(t.tendons))
+    lengths = edge_lengths(t, np.reshape([s.coords for s in truth], (-1, len(t.nodes), 3)))
     strains = lengths / t.rest_lengths() - 1.0
     # dead band keeps rounding-level strains on the stretch side,
     # matching the ties-go-to-stretching convention

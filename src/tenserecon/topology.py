@@ -230,13 +230,14 @@ def validate(t: Topology) -> list[str]:
 def edge_lengths(t: Topology, state) -> np.ndarray:
     """Euclidean tendon lengths in tendon-index order.
 
-    Accepts a 12x3 coordinate array or any object with a .coords attribute.
+    Accepts a 12x3 coordinate array or any object with a .coords attribute,
+    or a (frames, 12, 3) stack, which gives (frames, 24) lengths.
     """
     coords = np.asarray(getattr(state, "coords", state), dtype=float)
-    if coords.shape != (len(t.nominal_coords), 3):
+    if coords.shape[-2:] != (len(t.nominal_coords), 3) or coords.ndim > 3:
         raise TopologyError(f"state must be {len(t.nominal_coords)}x3, got {coords.shape}")
     m = t.members
-    return np.linalg.norm(coords[m.tendon_i] - coords[m.tendon_j], axis=1)
+    return np.linalg.norm(coords[..., m.tendon_i, :] - coords[..., m.tendon_j, :], axis=-1)
 
 
 def row_norms(e: np.ndarray) -> np.ndarray:

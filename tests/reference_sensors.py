@@ -2,8 +2,9 @@
 
 One tendon and one strain at a time, as plain Python floats: the bending
 polynomial in Horner form, its peak by scalar scan and golden section (once
-per calibration), the bisection inverse, the stretch-table lookup, and a
-session generator that converts each frame alone with a per-tendon loop.  The array code in
+per calibration), the bisection inverse, the stretch-table lookup, a scalar
+keyframe interpolation, and a session generator that interpolates, projects
+and converts each frame alone with a per-tendon loop.  The array code in
 ``sensors`` and ``simulator.generate_session`` must match it bit for bit.
 """
 
@@ -104,15 +105,27 @@ def ref_resistances_from_state(coords, t, cal, table, noise, rng, timestamp_ms):
     return SensorFrame(timestamp_ms=timestamp_ms, resistances=np.maximum(resist, 1.0))
 
 
+def ref_displacements_at(scenario, t_ms):
+    """node -> displacement at t_ms, one scalar np.interp per node and axis."""
+    nodes = sorted({n for _, d in scenario.keyframes for n in d})
+    times = np.array([t for t, _ in scenario.keyframes], dtype=float)
+    out = {}
+    for n in nodes:
+        track = np.array([d.get(n, (0.0, 0.0, 0.0)) for _, d in scenario.keyframes],
+                         dtype=float)
+        out[n] = np.array([np.interp(t_ms, times, track[:, ax]) for ax in range(3)])
+    return out
+
+
 def ref_generate_session(scenario, t, cal, table):
-    """Frame by frame: deform, then convert that frame's strains alone."""
+    """Frame by frame: interpolate, deform, then convert that frame's strains alone."""
     rng = np.random.default_rng(scenario.noise.seed)
     n_frames = int(round(scenario.keyframes[-1][0] / 1000.0 * scenario.sample_rate_hz))
     truth, sensed = [], []
     for k in range(n_frames):
         t_ms = int(round(k * 1000.0 / scenario.sample_rate_hz))
         try:
-            coords = deform(t, scenario.displacements_at(t_ms))
+            coords = deform(t, ref_displacements_at(scenario, t_ms))
             frame = ref_resistances_from_state(coords, t, cal, table, scenario.noise,
                                                rng, t_ms)
         except (RelaxationError, SensorDomainError) as exc:

@@ -1,9 +1,14 @@
 """Ground-truth deformation, sensor synthesis, and session generation."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenserecon import simulator
 from tenserecon.errors import RelaxationError, SensorDomainError, TopologyError
@@ -27,7 +32,7 @@ from tenserecon.simulator import (
 )
 from tenserecon.topology import build_canonical, edge_lengths
 
-from reference_sensors import ref_generate_session
+from reference_sensors import ref_displacements_at, ref_generate_session
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,16 @@ BOTH_REGIMES = Scenario(
     keyframes=((0, {}), (2000, {4: (0.0, 0.0, -0.030), 8: (0.01, 0.0, -0.020)}),
                (3000, {4: (0.0, 0.0, -0.030), 8: (0.01, 0.0, -0.020)}), (5000, {})),
     noise=NoiseModel(seed=11))
+
+
+# 7 Hz, so most keyframe times fall between frames; two holds at one shape
+# with a rest between them, and -0.0 where other keyframes have 0.0
+PRESSED = {8: (0.0, 0.0, -0.020), 4: (0.005, 0.0, 0.0)}
+HOLD_AND_RETURN = Scenario(
+    keyframes=((0, {8: (0.0, -0.0, 0.0)}), (1500, PRESSED), (4000, PRESSED),
+               (5200, {8: (0.0, 0.0, 0.0)}), (6000, PRESSED), (9000, PRESSED),
+               (11000, {8: (0.0, -0.0, 0.0)})),
+    sample_rate_hz=7.0, noise=NoiseModel(seed=5))
 
 
 class TestResistances:
@@ -145,21 +160,76 @@ class TestResistances:
         assert not err.value.detail.startswith(("t=", "sensor"))
 
 
-    def test_relaxation_error_names_its_frame(self, topo, monkeypatch):
+    @staticmethod
+    def press_failing_at_projection(topo, monkeypatch, failing_call):
         exact = simulator.deform
         calls = []
 
-        def fail_third(t, displacements):
+        def fail_once(t, displacements):
             calls.append(displacements)
-            if len(calls) == 3:
+            if len(calls) == failing_call:
                 raise RelaxationError("strut 0-3 collapsed during projection")
             return exact(t, displacements)
 
-        monkeypatch.setattr(simulator, "deform", fail_third)
+        monkeypatch.setattr(simulator, "deform", fail_once)
+        generate_session(press_scenario(topo), topo, BendCalibration(),
+                         default_stretch_table())
+
+    def test_relaxation_error_names_its_frame(self, topo, monkeypatch):
         with pytest.raises(RelaxationError,
                            match=r"^t=200 ms: strut 0-3 collapsed during projection$"):
-            generate_session(press_scenario(topo), topo, BendCalibration(),
-                             default_stretch_table())
+            self.press_failing_at_projection(topo, monkeypatch, 3)
+
+    def test_relaxation_error_after_a_hold_names_its_frame(self, topo, monkeypatch):
+        # the press projects t=0 and the 50 ramp frames to 5000 ms, then keeps
+        # that shape through the hold, so its 52nd projection is at 15100 ms
+        with pytest.raises(RelaxationError,
+                           match=r"^t=15100 ms: strut 0-3 collapsed during projection$"):
+            self.press_failing_at_projection(topo, monkeypatch, 52)
+
+
+def bits(displacements):
+    """A displacement dict as (node, raw bytes) pairs, so -0.0 differs from 0.0."""
+    return [(n, np.asarray(v, dtype=float).tobytes()) for n, v in displacements.items()]
+
+
+def outcome(generate, *args):
+    """Per frame (timestamp, coordinate bytes, sensor CSV line), or the error raised."""
+    try:
+        truth, sensed = generate(*args)
+    except (RelaxationError, SensorDomainError) as exc:
+        return type(exc), str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sensors.csv"
+        write_sensor_csv(sensed, path)
+        lines = path.read_text().splitlines()[1:]
+    return [(s.timestamp_ms, s.coords.tobytes(), line) for s, line in zip(truth, lines)]
+
+
+# a few shared values, so that shapes repeat, with 0.0 and -0.0 both among them
+COMPONENTS = st.sampled_from([0.0, -0.0, 0.006, -0.012]) | st.floats(-0.015, 0.015)
+
+
+@st.composite
+def keyframed_scenarios(draw):
+    nodes = draw(st.lists(st.integers(3, 11), min_size=1, max_size=3, unique=True))
+    vec = st.tuples(COMPONENTS, COMPONENTS, COMPONENTS)
+    shape = st.fixed_dictionaries({}, optional={n: vec for n in nodes})
+    shapes = [draw(shape), draw(shape)]
+    # each drawn shape is kept for one or two keyframes, the second making a hold
+    picks = [p for p, keep in draw(st.lists(
+        st.tuples(st.integers(0, len(shapes) - 1), st.integers(1, 2)), min_size=1, max_size=4))
+        for _ in range(keep)]
+    n_keyframes = len(picks)
+    gaps = draw(st.lists(st.integers(100, 700), min_size=n_keyframes - 1,
+                         max_size=n_keyframes - 1))
+    # a single keyframe needs a later time to cover any frame
+    start = draw(st.integers(0, 400) if gaps else st.integers(300, 1500))
+    times = [start + sum(gaps[:k]) for k in range(n_keyframes)]
+    rate = draw(st.sampled_from([7.0, 10.0, 13.0]) | st.floats(2.0, 15.0))
+    noise = draw(st.sampled_from([NoiseModel(kind="none"), NoiseModel(seed=3)]))
+    return Scenario(keyframes=tuple((t, shapes[p]) for t, p in zip(times, picks)),
+                    sample_rate_hz=rate, noise=noise)
 
 
 class TestSessionMatchesScalarReference:
@@ -178,6 +248,7 @@ class TestSessionMatchesScalarReference:
         pytest.param(lambda t: press_scenario(t, seed=8, noise=NoiseModel(kind="none")),
                      id="press-clean-seed8"),
         pytest.param(lambda t: BOTH_REGIMES, id="custom-both-regimes"),
+        pytest.param(lambda t: HOLD_AND_RETURN, id="custom-hold-and-return"),
     ])
     def test_sensor_csv_bit_identical(self, topo, scenario, tmp_path):
         sc = scenario(topo)
@@ -188,6 +259,42 @@ class TestSessionMatchesScalarReference:
             self.csv_bytes(ref_sensed, tmp_path / "b.csv")
         assert all(np.array_equal(a.coords, b.coords) for a, b in zip(truth, ref_truth))
         assert len(sensed) == len(ref_sensed) == len(truth)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sc=keyframed_scenarios())
+    def test_keyframed_session_bit_identical(self, topo, sc):
+        """Holds, returns to an earlier shape, odd rates and single keyframes."""
+        cal, table = BendCalibration(), default_stretch_table()
+        with mock.patch.object(simulator, "deform", wraps=deform) as projections:
+            got = outcome(generate_session, sc, topo, cal, table)
+        assert got == outcome(ref_generate_session, sc, topo, cal, table)
+
+        stamps = [t_ms for t_ms, _, _ in got] if isinstance(got, list) else []
+        nodes, disp = sc.timeline(stamps)
+        rows = [ref_displacements_at(sc, t_ms) for t_ms in stamps]
+        for t_ms, row, ref in zip(stamps, disp, rows):
+            assert bits(sc.displacements_at(t_ms)) == bits(dict(zip(nodes, row))) == bits(ref)
+        # one projection per run of bit-identical frames
+        if stamps:
+            assert projections.call_count == 1 + sum(
+                bits(a) != bits(b) for a, b in zip(rows, rows[1:]))
+
+    def test_press_projects_each_distinct_shape_once(self, topo):
+        with mock.patch.object(simulator, "deform", wraps=deform) as projections:
+            truth, _ = generate_session(press_scenario(topo), topo, BendCalibration(),
+                                        default_stretch_table())
+        # t=0, the 50 ramp frames and the 50 release frames; holds and rest reuse
+        assert projections.call_count == 101
+        assert truth[51].coords is truth[50].coords and truth[250].coords is truth[200].coords
+        assert not truth[50].coords.flags.writeable
+
+    def test_signed_zeros_are_different_shapes(self, topo):
+        # the frames interpolate to x = 0.0, -0.0, 0.0: equal values, three bit patterns
+        sc = Scenario(keyframes=((0, {4: (0.0, 0.0, 0.0)}), (100, {4: (-0.0, 0.0, 0.0)}),
+                                 (300, {4: (-0.0, 0.0, 0.0)})))
+        with mock.patch.object(simulator, "deform", wraps=deform) as projections:
+            generate_session(sc, topo, BendCalibration(), default_stretch_table())
+        assert projections.call_count == 3
 
     def test_empty_session(self, topo):
         sc = Scenario(keyframes=((0, {}),))

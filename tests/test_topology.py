@@ -166,6 +166,16 @@ def test_edge_length_shift_along_tendon_axis():
     assert after - before == pytest.approx(0.010, abs=1e-12)
 
 
+def test_edge_lengths_of_a_stack_are_its_frames_lengths():
+    t = build_canonical(0.30)
+    stack = t.nominal_coords + np.random.default_rng(0).normal(0.0, 0.01, (5, 12, 3))
+    assert np.array_equal(edge_lengths(t, stack),
+                          np.stack([edge_lengths(t, coords) for coords in stack]))
+    for bad in (np.zeros((5, 12, 4)), np.zeros((2, 5, 12, 3)), np.zeros(36)):
+        with pytest.raises(TopologyError, match=r"^state must be 12x3, got "):
+            edge_lengths(t, bad)
+
+
 def test_eight_tendon_triangles():
     t = build_canonical(0.30)
     tris = tendon_triangles(t)
