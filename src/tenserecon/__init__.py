@@ -11,16 +11,16 @@ Submodules:
 """
 
 from .errors import TenseReconError
-from .reconstruction import SolveOptions, SolveResult, StateFrame, solve, track
-from .sensors import BendCalibration, Mode, SensorFrame, StrainVector
+from .reconstruction import SolveOptions, SolveResult, StateFrame, solve
+from .sensors import BendCalibration, Mode, SensorFrame
 from .topology import Topology, build_canonical, edge_lengths, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TenseReconError",
-    "SolveOptions", "SolveResult", "StateFrame", "solve", "track",
-    "BendCalibration", "Mode", "SensorFrame", "StrainVector",
+    "SolveOptions", "SolveResult", "StateFrame", "solve",
+    "BendCalibration", "Mode", "SensorFrame",
     "Topology", "build_canonical", "edge_lengths", "validate",
     "__version__",
 ]

@@ -173,8 +173,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     topo = _resolve_topology(args)
-    est = harness.load_frames(args.est, anchored=topo.anchored)
-    truth = harness.load_frames(args.truth, anchored=topo.anchored)
+    est = harness.load_frames(args.est)
+    truth = harness.load_frames(args.truth)
     report = harness.evaluate([d["state"] for d in est],
                               [d["state"] for d in truth], topo,
                               converged_flags=[d["converged"] for d in est])

@@ -112,7 +112,7 @@ def export_frames(results, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def load_frames(path, anchored=frozenset()) -> list[dict]:
+def load_frames(path) -> list[dict]:
     """Read a frames JSONL file into dicts with a parsed StateFrame under "state".
 
     A record needs a JSON integer "t_ms", a JSON boolean "converged" and an
@@ -135,8 +135,7 @@ def load_frames(path, anchored=frozenset()) -> list[dict]:
                     f'"converged" must be a JSON boolean, got {converged!r}',
                     line=lineno)
             doc["state"] = StateFrame(timestamp_ms=t_ms,
-                                      coords=np.array(doc["coords_m"], dtype=float),
-                                      anchored=anchored)
+                                      coords=np.array(doc["coords_m"], dtype=float))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                 TopologyError) as exc:
             raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
@@ -185,8 +184,7 @@ def tendon_length_series(states, t: Topology) -> tuple[np.ndarray, np.ndarray]:
     if not states:
         raise MetricsError("no states to tabulate")
     ts = np.array([int(s.timestamp_ms) for s in states])
-    series = np.stack([edge_lengths(t, s) for s in states])
-    return ts, series
+    return ts, edge_lengths(t, np.stack([s.coords for s in states]))
 
 
 def write_length_series_csv(states, t: Topology, path) -> None:

@@ -11,7 +11,6 @@ over all 24 channels of every frame, STRETCH_BLOCK_FRAMES frames per call.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SensorDomainError, TenseReconError
 from .harness import MetricsReport, evaluate
@@ -45,7 +44,9 @@ def _stretch_strains(dr: np.ndarray, model: LstmModel) -> np.ndarray:
     from the window of dR/R ending at that frame, left-padded with the
     earliest sample until enough frames have arrived."""
     padded = np.concatenate([np.repeat(dr[:1], model.window - 1, axis=0), dr])
-    windows = sliding_window_view(padded, model.window, axis=0)  # (frames, 24, window)
+    # (frames, 24, window); a name import would put numpy's dispatch
+    # wrapper, which has a __wrapped__, on this module
+    windows = np.lib.stride_tricks.sliding_window_view(padded, model.window, axis=0)
     out = np.empty(dr.shape)
     for s in range(0, len(dr), STRETCH_BLOCK_FRAMES):
         block = windows[s:s + STRETCH_BLOCK_FRAMES].reshape(-1, model.window)
@@ -83,9 +84,9 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     for frame, dr_row, stretch_row in zip(frames, dr, stretch):
         try:
             strains = strains_from_frame(dr_row, cal, modes, stretch_row, clamp=clamp)
+            lengths = lengths_from_strain(strains, t)
         except SensorDomainError as exc:
             raise SensorDomainError(exc.detail, exc.sensor, frame.timestamp_ms) from exc
-        lengths = lengths_from_strain(strains, t)
         result = tracker.process(frame.timestamp_ms, lengths)
         results.append(result)
         prev = edge_lengths(t, result.state)

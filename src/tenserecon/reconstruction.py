@@ -37,11 +37,10 @@ STEP_TOLERANCE = 1e-12  # m; a shorter proposed update ends the solve
 
 @dataclass(frozen=True)
 class StateFrame:
-    """Timestamped 12x3 node positions in meters, with anchored flags."""
+    """Timestamped 12x3 node positions in meters."""
 
     timestamp_ms: int
     coords: np.ndarray
-    anchored: frozenset[int] = frozenset()
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
@@ -229,8 +228,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
             break
 
     mirrored = bool(np.mean(coords[free, 2]) < 0.0)
-    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords,
-                       anchored=t.anchored)
+    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords)
     return SolveResult(
         state=state, converged=converged and not mirrored,
         iterations=iterations, residual_norm=float(np.sqrt(res @ res)),
@@ -239,8 +237,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
 
 
 def nominal_state(t: Topology, timestamp_ms: int = 0) -> StateFrame:
-    return StateFrame(timestamp_ms=timestamp_ms, coords=t.nominal_coords.copy(),
-                      anchored=t.anchored)
+    return StateFrame(timestamp_ms=timestamp_ms, coords=t.nominal_coords.copy())
 
 
 class Tracker:
@@ -291,13 +288,3 @@ class Tracker:
         if result.converged:
             self._last_good = result.state
         return result
-
-
-def track(length_frames, t: Topology, opts: SolveOptions = SolveOptions()):
-    """Run the tracker over an iterable of (timestamp_ms, 24 lengths) pairs.
-
-    Yields one SolveResult per consumed frame, in order.
-    """
-    tracker = Tracker(t, opts)
-    for timestamp_ms, lengths in length_frames:
-        yield tracker.process(int(timestamp_ms), np.asarray(lengths, dtype=float))

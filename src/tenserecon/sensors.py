@@ -60,22 +60,6 @@ class SensorFrame:
 
 
 @dataclass(frozen=True)
-class StrainVector:
-    """Dimensionless strains for all 24 tendons; every entry must be > -1."""
-
-    strains: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.strains, dtype=float)
-        if e.shape != (N_SENSORS,):
-            raise SensorDomainError(f"expected {N_SENSORS} strains, got shape {e.shape}")
-        _reject_first(e, ~(np.isfinite(e) & (e > -1.0)),
-                      lambda v: f"strain must be finite and > -1, got {v}")
-        e.flags.writeable = False
-        object.__setattr__(self, "strains", e)
-
-
-@dataclass(frozen=True)
 class BendCalibration:
     """Degree-5 polynomial strain(dR/R), coefficients highest power first."""
 
@@ -196,13 +180,18 @@ def select_mode(estimated_length: float, rest_length: float) -> Mode:
     return Mode.BENDING if estimated_length < rest_length else Mode.STRETCHING
 
 
-def lengths_from_strain(strains: StrainVector, topology) -> np.ndarray:
-    """Tendon lengths L_k = (1 + strain_k) * rest_k, in tendon-index order."""
+def lengths_from_strain(strains: np.ndarray, topology) -> np.ndarray:
+    """Tendon lengths L_k = (1 + strain_k) * rest_k, in tendon-index order.
+
+    Every strain must be finite and > -1; an error names the sensor.
+    """
     rest = topology.rest_lengths()
-    if rest.shape != strains.strains.shape:
-        raise SensorDomainError(
-            f"strain/rest-length mismatch: {strains.strains.shape} vs {rest.shape}")
-    return (1.0 + strains.strains) * rest
+    e = np.asarray(strains, dtype=float)
+    if e.shape != rest.shape:
+        raise SensorDomainError(f"expected {len(rest)} strains, got shape {e.shape}")
+    _reject_first(e, ~(np.isfinite(e) & (e > -1.0)),
+                  lambda v: f"strain must be finite and > -1, got {v}")
+    return (1.0 + e) * rest
 
 
 @dataclass(frozen=True)
@@ -271,8 +260,8 @@ def load_stretch_table(path) -> StretchTable:
 
 
 def strains_from_frame(dr: np.ndarray, cal: BendCalibration, modes, stretch: np.ndarray, *,
-                       clamp: bool = False) -> StrainVector:
-    """Convert one frame's dR/R into per-tendon strains.
+                       clamp: bool = False) -> np.ndarray:
+    """Convert one frame's dR/R into its (24,) per-tendon strains.
 
     ``dr`` is the frame's 24 dR/R values and ``stretch`` the sequence model's
     24 strains at this frame; per sensor, the mode flag picks the bending
@@ -293,4 +282,4 @@ def strains_from_frame(dr: np.ndarray, cal: BendCalibration, modes, stretch: np.
         raise SensorDomainError(exc.detail, sensor=k) from exc
     if clamp:
         np.clip(out, -0.95, 2.0, out=out)
-    return StrainVector(strains=out)
+    return out

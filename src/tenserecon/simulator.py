@@ -82,11 +82,6 @@ class Scenario:
                     raise TopologyError(f"keyframe t_ms={t_ms}, node {node}: displacement "
                                         f"must be 3 finite numbers, got {vec}")
 
-    def displacements_at(self, t_ms: float) -> dict[int, np.ndarray]:
-        """node -> displacement at t_ms: one row of timeline()."""
-        nodes, disp = self.timeline([t_ms])
-        return dict(zip(nodes, disp[0]))
-
     def timeline(self, stamps) -> tuple[list[int], np.ndarray]:
         """The named nodes, ascending, and their (stamps, nodes, 3) displacements."""
         nodes = sorted({n for _, d in self.keyframes for n in d})
@@ -169,7 +164,7 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
                 coords = deform(t, dict(zip(nodes, vecs)))
             except RelaxationError as exc:
                 raise RelaxationError(f"t={t_ms} ms: {exc}") from exc
-        truth.append(StateFrame(timestamp_ms=t_ms, coords=coords, anchored=t.anchored))
+        truth.append(StateFrame(timestamp_ms=t_ms, coords=coords))
 
     lengths = edge_lengths(t, np.reshape([s.coords for s in truth], (-1, len(t.nodes), 3)))
     strains = lengths / t.rest_lengths() - 1.0

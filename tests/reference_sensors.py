@@ -130,6 +130,6 @@ def ref_generate_session(scenario, t, cal, table):
                                                rng, t_ms)
         except (RelaxationError, SensorDomainError) as exc:
             raise type(exc)(f"t={t_ms} ms: {exc}") from exc
-        truth.append(StateFrame(timestamp_ms=t_ms, coords=coords, anchored=t.anchored))
+        truth.append(StateFrame(timestamp_ms=t_ms, coords=coords))
         sensed.append(frame)
     return truth, sensed

@@ -20,9 +20,9 @@ from tenserecon.reconstruction import (
     COINCIDENCE_LIMIT,
     SolveOptions,
     StateFrame,
+    Tracker,
     jacobian,
     residuals,
-    track,
 )
 from tenserecon.simulator import deform, press_scenario
 from tenserecon.topology import (
@@ -233,9 +233,10 @@ def noisy_press_lengths(seed=3, n_frames=40):
     sc = press_scenario(TOPO)
     rng = np.random.default_rng(seed)
     frames = []
-    for k in range(n_frames):
-        t_ms = 200 * k
-        exact = edge_lengths(TOPO, deform(TOPO, sc.displacements_at(t_ms)))
+    stamps = [200 * k for k in range(n_frames)]
+    nodes, disp = sc.timeline(stamps)
+    for t_ms, d in zip(stamps, disp):
+        exact = edge_lengths(TOPO, deform(TOPO, dict(zip(nodes, d))))
         frames.append((t_ms, exact * (1.0 + rng.normal(0.0, 2e-3, size=24))))
     return frames
 
@@ -243,10 +244,12 @@ def noisy_press_lengths(seed=3, n_frames=40):
 def test_tracked_noisy_solve_matches_reference(monkeypatch):
     frames = noisy_press_lengths()
     opts = SolveOptions(prior_weight=1.0)
-    fast = list(track(frames, TOPO, opts))
+    tracker = Tracker(TOPO, opts)
+    fast = [tracker.process(ts, lengths) for ts, lengths in frames]
     monkeypatch.setattr(reconstruction, "residuals", ref_residuals)
     monkeypatch.setattr(reconstruction, "jacobian", ref_jacobian)
-    slow = list(track(frames, TOPO, opts))
+    tracker = Tracker(TOPO, opts)
+    slow = [tracker.process(ts, lengths) for ts, lengths in frames]
     assert len(fast) == len(slow) == len(frames)
     assert sum(r.iterations for r in fast) > len(frames)  # real solves, not no-ops
     for f, s in zip(fast, slow):

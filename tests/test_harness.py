@@ -36,8 +36,8 @@ def row(ts, values):
     return ",".join([str(ts)] + [repr(float(v)) for v in values])
 
 
-def state(ts, coords, topo):
-    return StateFrame(timestamp_ms=ts, coords=coords, anchored=topo.anchored)
+def state(ts, coords):
+    return StateFrame(timestamp_ms=ts, coords=coords)
 
 
 class TestParse:
@@ -127,7 +127,7 @@ class TestParse:
 
 class TestRmse:
     def test_identical_streams_are_zero(self, topo):
-        frames = [state(i * 100, topo.nominal_coords, topo) for i in range(3)]
+        frames = [state(i * 100, topo.nominal_coords) for i in range(3)]
         report = evaluate(frames, frames, topo)
         assert report.rmse_node_height_mm == 0.0
         assert report.rmse_face_height_mm == 0.0
@@ -137,8 +137,8 @@ class TestRmse:
         # one node off by 9 mm in z among 9 free nodes: sqrt(81/9) = 3 mm
         est = topo.nominal_coords.copy()
         est[5, 2] += 0.009
-        a = [state(0, est, topo)]
-        b = [state(0, topo.nominal_coords, topo)]
+        a = [state(0, est)]
+        b = [state(0, topo.nominal_coords)]
         assert evaluate(a, b, topo).rmse_node_height_mm == pytest.approx(3.0, rel=1e-12)
 
     def test_face_rmse_uniform_lift(self, topo):
@@ -152,8 +152,8 @@ class TestRmse:
             n_free = sum(1 for n in tri if n in free)
             per_face.append(10.0 * n_free / 3.0)
         expected = math.sqrt(sum(v ** 2 for v in per_face) / len(per_face))
-        a = [state(0, est, topo)]
-        b = [state(0, topo.nominal_coords, topo)]
+        a = [state(0, est)]
+        b = [state(0, topo.nominal_coords)]
         assert evaluate(a, b, topo).rmse_face_height_mm == pytest.approx(expected, rel=1e-12)
         # the anchored face contributes zero
         anchored_face = [v for tri, v in zip(tris, per_face)
@@ -164,8 +164,8 @@ class TestRmse:
         # one node off by (3,0,4) mm: sqrt(25/27) mm over 9 free nodes
         est = topo.nominal_coords.copy()
         est[7] += np.array([0.003, 0.0, 0.004])
-        a = [state(0, est, topo)]
-        b = [state(0, topo.nominal_coords, topo)]
+        a = [state(0, est)]
+        b = [state(0, topo.nominal_coords)]
         assert evaluate(a, b, topo).rmse_system_mm == pytest.approx(
             math.sqrt(25.0 / 27.0), rel=1e-12)
 
@@ -178,8 +178,8 @@ class TestRmse:
             g = topo.nominal_coords.copy()
             e[free] += rng.normal(scale=0.01, size=(9, 3))
             g[free] += rng.normal(scale=0.01, size=(9, 3))
-            est.append(state(i * 100, e, topo))
-            truth.append(state(i * 100, g, topo))
+            est.append(state(i * 100, e))
+            truth.append(state(i * 100, g))
         total = 0.0
         count = 0
         for a, b in zip(est, truth):
@@ -197,8 +197,8 @@ class TestRmse:
         for i in range(6):
             e = topo.nominal_coords.copy()
             e[free] += rng.normal(scale=0.01, size=(9, 3))
-            est.append(state(i * 100, e, topo))
-            truth.append(state(i * 100, topo.nominal_coords, topo))
+            est.append(state(i * 100, e))
+            truth.append(state(i * 100, topo.nominal_coords))
         perm = [3, 0, 5, 1, 4, 2]
         base = evaluate(est, truth, topo)
         shuffled = evaluate([est[i] for i in perm], [truth[i] for i in perm], topo)
@@ -206,8 +206,8 @@ class TestRmse:
             assert getattr(shuffled, field) == pytest.approx(getattr(base, field), rel=1e-15)
 
     def test_misaligned_streams_diagnosed(self, topo):
-        est = [state(i * 100, topo.nominal_coords, topo) for i in range(5)]
-        truth = [state(i * 100, topo.nominal_coords, topo) for i in range(3)]
+        est = [state(i * 100, topo.nominal_coords) for i in range(5)]
+        truth = [state(i * 100, topo.nominal_coords) for i in range(3)]
         with pytest.raises(MetricsError) as err:
             evaluate(est, truth, topo)
         assert "common timestamp range" in str(err.value)
@@ -219,17 +219,17 @@ class TestRmse:
 
 class TestSeries:
     def test_constant_stream_flat(self, topo):
-        frames = [state(i * 100, topo.nominal_coords, topo) for i in range(4)]
+        frames = [state(i * 100, topo.nominal_coords) for i in range(4)]
         ts, series = tendon_length_series(frames, topo)
         assert series.shape == (4, 24)
         assert np.all(series == series[0])
 
     def test_nominal_values(self, topo):
-        _, series = tendon_length_series([state(0, topo.nominal_coords, topo)], topo)
+        _, series = tendon_length_series([state(0, topo.nominal_coords)], topo)
         assert np.max(np.abs(series - 0.30 * math.sqrt(6.0) / 4.0)) < 1e-12
 
     def test_csv_written(self, topo, tmp_path):
-        frames = [state(i * 100, topo.nominal_coords, topo) for i in range(3)]
+        frames = [state(i * 100, topo.nominal_coords) for i in range(3)]
         path = tmp_path / "series.csv"
         write_length_series_csv(frames, topo, path)
         lines = path.read_text().splitlines()
@@ -249,7 +249,7 @@ class TestExport:
                                  edge_lengths(topo, coords), topo))
         path = tmp_path / "frames.jsonl"
         export_frames(results, path)
-        back = load_frames(path, anchored=topo.anchored)
+        back = load_frames(path)
         assert len(back) == 5
         for r, d in zip(results, back):
             assert np.array_equal(r.state.coords, d["state"].coords)
@@ -263,7 +263,7 @@ class TestExport:
         assert load_frames(path) == []
 
     def test_three_hundred_frames_three_hundred_lines(self, topo, tmp_path):
-        frames = [state(i * 100, topo.nominal_coords, topo) for i in range(300)]
+        frames = [state(i * 100, topo.nominal_coords) for i in range(300)]
         path = tmp_path / "f.jsonl"
         export_frames(frames, path)
         assert len(path.read_text().splitlines()) == 300
@@ -303,19 +303,19 @@ class TestExport:
 
     def test_wrong_coords_shape_is_data_error(self, topo, tmp_path):
         path = tmp_path / "bad.jsonl"
-        export_frames([state(0, topo.nominal_coords, topo)], path)
+        export_frames([state(0, topo.nominal_coords)], path)
         doc = json.loads(path.read_text())
         doc["coords_m"] = [row[:2] for row in doc["coords_m"]]  # 12x2
         path.write_text(path.read_text() + json.dumps(doc) + "\n")
         with pytest.raises(DataFormatError) as err:
-            load_frames(path, anchored=topo.anchored)
+            load_frames(path)
         assert err.value.line == 2
         assert "Nx3" in str(err.value)
 
 
 class TestEvaluate:
     def test_report_fields(self, topo):
-        est = [state(i * 100, topo.nominal_coords, topo) for i in range(4)]
+        est = [state(i * 100, topo.nominal_coords) for i in range(4)]
         report = evaluate(est, est, topo, converged_flags=[True, True, False, True])
         assert report.frames_evaluated == 4
         assert report.converged_fraction == 0.75

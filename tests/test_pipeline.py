@@ -10,9 +10,9 @@ from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconErr
 from tenserecon.lstm import init_model, predict_strain
 from tenserecon.pipeline import STRETCH_BLOCK_FRAMES, reconstruct_session
 from tenserecon.reconstruction import SolveOptions, Tracker
-from tenserecon.sensors import BendCalibration, SensorFrame, StrainVector, default_stretch_table
+from tenserecon.sensors import BendCalibration, Mode, SensorFrame, default_stretch_table
 from tenserecon.simulator import NoiseModel, generate_session, press_scenario
-from tenserecon.topology import build_canonical
+from tenserecon.topology import build_canonical, edge_lengths
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,53 @@ def test_sensor_error_names_its_frame(topo, clean_session, clean_model, monkeypa
     assert str(err.value) == "t=300 ms: sensor 5: dR/R = 0.01 outside calibration domain"
     assert err.value.sensor == 5
     assert err.value.detail == "dR/R = 0.01 outside calibration domain"
+
+
+def test_strain_error_names_its_frame(topo, clean_session, clean_model, monkeypatch):
+    # lengths_from_strain holds the strain check, so its error is a sensor
+    # error of the frame too
+    _, sensed = clean_session
+    calls = []
+
+    def degenerate_third(*args, **kwargs):
+        calls.append(args)
+        out = np.zeros(24)
+        if len(calls) == 3:
+            out[7] = -1.0
+        return out
+
+    monkeypatch.setattr(pipeline, "strains_from_frame", degenerate_third)
+    with pytest.raises(SensorDomainError) as err:
+        reconstruct_session(sensed[:10], topo, BendCalibration(), clean_model)
+    assert str(err.value) == "t=200 ms: sensor 7: strain must be finite and > -1, got -1.0"
+    assert err.value.sensor == 7
+
+
+def test_regime_follows_previous_solved_lengths(topo, clean_session, clean_model,
+                                                monkeypatch):
+    # frame 0 is all stretching; frame n bends exactly the tendons that frame
+    # n - 1 solved shorter than rest, and a tie stretches
+    _, sensed = clean_session
+    exact = pipeline.strains_from_frame
+    seen = []
+
+    def record(dr, cal, modes, stretch, *, clamp=False):
+        seen.append(list(modes))
+        return exact(dr, cal, modes, stretch, clamp=clamp)
+
+    monkeypatch.setattr(pipeline, "strains_from_frame", record)
+    results = reconstruct_session(sensed, topo, BendCalibration(), clean_model,
+                                  SolveOptions(prior_weight=0.5), clamp=True)
+    assert len(seen) == len(results) == len(sensed)
+    assert seen[0] == [Mode.STRETCHING] * 24
+    rest = topo.rest_lengths()
+    ties = bending = 0
+    for modes, prev in zip(seen[1:], results):
+        solved = edge_lengths(topo, prev.state)
+        assert [m is Mode.BENDING for m in modes] == (solved < rest).tolist()
+        ties += int(np.sum(solved == rest))
+        bending += int(np.sum(solved < rest))
+    assert ties > 0 and bending > 0  # both rules were exercised
 
 
 def test_missing_model_rejected(topo, clean_session):
@@ -94,7 +141,7 @@ def test_session_model_strains_match_per_window_oracle(topo, seed, n_frames, win
 
     def record(dr, cal, modes, stretch, *, clamp=False):
         seen.append((np.array(dr), np.array(stretch)))
-        return StrainVector(np.zeros(24))
+        return np.zeros(24)
 
     def count(model, block):
         batches.append(block.shape[1])
@@ -113,6 +160,23 @@ def test_session_model_strains_match_per_window_oracle(topo, seed, n_frames, win
             idx = [max(m, 0) for m in range(n - window + 1, n + 1)]
             expected = predict_strain(model, (r[idx, k] - r[0, k]) / r[0, k])
             assert stretch[k] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("window", [5, 20])
+def test_stretch_windows_pad_with_the_first_row(window):
+    # the padding is the session's first dR/R row, which is 0 only for a
+    # frame-0 baseline; padding with zeros instead would pass the oracle
+    # above, so here the first row is not zero
+    rng = np.random.default_rng(window)
+    model = init_model(2, 8, window, seed=3)
+    dr = rng.uniform(-0.3, 0.3, size=(window + 3, 24))
+    assert np.all(dr[0] != 0.0)
+    got = pipeline._stretch_strains(dr, model)
+    for n in range(len(dr)):
+        padded = np.concatenate([np.repeat(dr[:1], window - 1, axis=0), dr[:n + 1]])
+        win = padded[-window:]
+        for k in range(24):
+            assert got[n, k] == pytest.approx(predict_strain(model, win[:, k]), abs=1e-12)
 
 
 def test_model_error_is_raised_before_frame_0(topo, clean_session, monkeypatch):

@@ -16,7 +16,6 @@ from tenserecon.reconstruction import (
     nominal_state,
     residuals,
     solve,
-    track,
 )
 from tenserecon.sensors import BendCalibration, default_stretch_table
 from tenserecon.simulator import (
@@ -32,6 +31,12 @@ from tenserecon.topology import build_canonical, edge_lengths
 @pytest.fixture(scope="module")
 def topo():
     return build_canonical(0.30)
+
+
+def run_tracker(frames, topo, opts=SolveOptions()):
+    """One Tracker over (timestamp_ms, 24 lengths) pairs, a result per frame."""
+    tracker = Tracker(topo, opts)
+    return [tracker.process(ts, lengths) for ts, lengths in frames]
 
 
 def random_feasible_state(topo, rng, scale=0.045):
@@ -240,7 +245,7 @@ class TestSolve:
     def test_bad_initial_anchors_rejected(self, topo):
         coords = topo.nominal_coords.copy()
         coords[0, 0] += 1e-6
-        bad = StateFrame(timestamp_ms=0, coords=coords, anchored=topo.anchored)
+        bad = StateFrame(timestamp_ms=0, coords=coords)
         with pytest.raises(TopologyError):
             solve(bad, topo.rest_lengths(), topo)
 
@@ -282,7 +287,7 @@ class TestSolve:
             for sign in (1.0, -1.0):
                 init = topo.nominal_coords.copy()
                 init[free] = (init[free].reshape(-1) + sign * 0.015 * null).reshape(9, 3)
-                st = StateFrame(timestamp_ms=0, coords=init, anchored=topo.anchored)
+                st = StateFrame(timestamp_ms=0, coords=init)
                 outs.append(solve(st, lengths, topo,
                                   SolveOptions(residual_tolerance=0.0)))
             sep = np.linalg.norm(outs[0].state.coords - outs[1].state.coords)
@@ -296,7 +301,7 @@ class TestTrack:
     def test_constant_stream_fixed_point(self, topo):
         lengths = edge_lengths(topo, deform(topo, {8: np.array([0, 0, -0.02])}))
         frames = [(i * 100, lengths) for i in range(6)]
-        results = list(track(frames, topo))
+        results = run_tracker(frames, topo)
         ref = results[1].state.coords
         for r in results[2:]:
             assert np.array_equal(r.state.coords, ref)
@@ -317,7 +322,7 @@ class TestTrack:
             frames.append((i * 100, edge_lengths(topo, deform(topo, disp))))
         # exact lengths deserve a tight stop: near rest the flex direction
         # is only pinned to ~1 mm at the default cost tolerance
-        results = list(track(frames, topo, SolveOptions(residual_tolerance=0.0)))
+        results = run_tracker(frames, topo, SolveOptions(residual_tolerance=0.0))
         assert len(results) == 120
         final = results[-1].state.coords
         free = list(topo.free_nodes)
@@ -329,14 +334,15 @@ class TestTrack:
         # the default cost tolerance stops ~14 um of residual short, which
         # near the flexible rest shape leaves the flex free by up to 1.8 mm
         sc = press_scenario(topo)
-        truth = [deform(topo, sc.displacements_at(100 * k)) for k in range(300)]
+        nodes, disp = sc.timeline([100 * k for k in range(300)])
+        truth = [deform(topo, dict(zip(nodes, d))) for d in disp]
         frames = [(100 * k, edge_lengths(topo, c)) for k, c in enumerate(truth)]
-        results = list(track(frames, topo, SolveOptions(residual_tolerance=0.0)))
+        results = run_tracker(frames, topo, SolveOptions(residual_tolerance=0.0))
         assert all(r.converged for r in results)
         worst = max(float(np.max(np.abs(r.state.coords - c)))
                     for r, c in zip(results, truth))
         assert worst < 1e-8, worst
-        loose = list(track(frames, topo))
+        loose = run_tracker(frames, topo)
         worst_loose = max(float(np.max(np.abs(r.state.coords - c)))
                           for r, c in zip(loose, truth))
         assert worst_loose > 1e-3
@@ -458,10 +464,11 @@ class TestBenchmarkBoundaries:
         sc = press_scenario(topo)
         rng = np.random.default_rng(3)
         frames = []
-        for k in range(20):
-            exact = edge_lengths(topo, deform(topo, sc.displacements_at(200 * k)))
+        nodes, disp = sc.timeline([200 * k for k in range(20)])
+        for k, d in enumerate(disp):
+            exact = edge_lengths(topo, deform(topo, dict(zip(nodes, d))))
             frames.append((200 * k, exact * (1.0 + rng.normal(0.0, 2e-3, size=24))))
-        results = list(track(frames, topo, SolveOptions(prior_weight=1.0)))
+        results = run_tracker(frames, topo, SolveOptions(prior_weight=1.0))
         assert len(per_solve) == len(results) == 20
         assert all(out is r for (out, _, _), r in zip(per_solve, results))
         self.check(per_solve)
@@ -554,8 +561,7 @@ def reference_solve(initial, tendon_lengths, t, opts=SolveOptions()):
             converged = True
             break
     mirrored = bool(np.mean(coords[free, 2]) < 0.0)
-    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords,
-                       anchored=t.anchored)
+    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords)
     return SolveResult(state=state, converged=converged and not mirrored,
                        iterations=iterations,
                        residual_norm=float(np.linalg.norm(res)), residuals=res,
@@ -604,9 +610,9 @@ class TestNoiseFloorStop:
         assert gap <= 1e-6, gap
 
     def test_tracked_press_matches_reference(self, topo, press_lengths, monkeypatch):
-        fast = list(track(press_lengths, topo, self.OPTS))
+        fast = run_tracker(press_lengths, topo, self.OPTS)
         monkeypatch.setattr(reconstruction, "solve", reference_solve)
-        slow = list(track(press_lengths, topo, self.OPTS))
+        slow = run_tracker(press_lengths, topo, self.OPTS)
         assert all(r.converged for r in fast)
         self.assert_matches_reference(fast, slow)
         # the saving: noise-floor iterations are gone
@@ -624,9 +630,9 @@ class TestNoiseFloorStop:
         self.assert_matches_reference(fast, slow)
 
     def test_iterations_stable_under_ulp_lengths(self, topo, press_lengths):
-        base = [r.iterations for r in track(press_lengths, topo, self.OPTS)]
+        base = [r.iterations for r in run_tracker(press_lengths, topo, self.OPTS)]
         nudged = [(ts, lengths * (1.0 + 2.2e-16)) for ts, lengths in press_lengths]
-        moved = [r.iterations for r in track(nudged, topo, self.OPTS)]
+        moved = [r.iterations for r in run_tracker(nudged, topo, self.OPTS)]
         assert sum(a == b for a, b in zip(base, moved)) >= 299
 
     def test_small_drop_at_large_gradient_keeps_iterating(self, topo, monkeypatch):

@@ -14,7 +14,6 @@ from tenserecon.sensors import (
     BendCalibration,
     Mode,
     SensorFrame,
-    StrainVector,
     StretchTable,
     bend_inverse,
     _bend_peak,
@@ -258,7 +257,7 @@ class TestModeAndLengths:
 
     def test_zero_strain_gives_rest_lengths(self):
         t = build_canonical(0.30)
-        out = lengths_from_strain(StrainVector(np.zeros(24)), t)
+        out = lengths_from_strain(np.zeros(24), t)
         assert np.array_equal(out, t.rest_lengths())
 
     def test_direct_arithmetic(self):
@@ -266,21 +265,23 @@ class TestModeAndLengths:
         t = replace(t, tendons=tuple(replace(td, rest_length=0.100) for td in t.tendons))
         eps = np.zeros(24)
         eps[5] = 0.1
-        out = lengths_from_strain(StrainVector(eps), t)
+        out = lengths_from_strain(eps, t)
         assert out[5] == pytest.approx(0.110, rel=1e-15)
 
     def test_degenerate_strain_rejected(self):
         eps = np.zeros(24)
         eps[3] = -1.0
-        with pytest.raises(SensorDomainError):
-            StrainVector(eps)
+        with pytest.raises(SensorDomainError,
+                           match=r"^sensor 3: strain must be finite and > -1, got -1\.0$") as err:
+            lengths_from_strain(eps, build_canonical(0.30))
+        assert err.value.sensor == 3
 
     def test_strain_round_trip(self):
         t = build_canonical(0.30)
         rng = np.random.default_rng(9)
         for _ in range(20):
             eps = rng.uniform(-0.5, 0.8, size=24)
-            lengths = lengths_from_strain(StrainVector(eps), t)
+            lengths = lengths_from_strain(eps, t)
             back = lengths / t.rest_lengths() - 1.0
             assert np.max(np.abs(back - eps)) < 1e-12
 
@@ -311,13 +312,13 @@ class TestStrainsFromFrame:
     def test_baseline_frame_bending_gives_constant_term(self):
         modes = [Mode.BENDING] * 24
         out = strains_from_frame(np.zeros(24), BendCalibration(), modes, np.full(24, 0.3))
-        assert np.all(out.strains == -0.0016)
+        assert np.all(out == -0.0016)
 
     def test_weight_sharing_constant_history(self, clean_model):
         modes = [Mode.STRETCHING] * 24
         stretch = predict_strain(clean_model, np.zeros((clean_model.window, 24)))
         out = strains_from_frame(np.zeros(24), BendCalibration(), modes, stretch)
-        assert np.all(out.strains == out.strains[0])
+        assert np.all(out == out[0])
 
     def test_nonpositive_resistance_tagged_with_index(self):
         values = np.full(24, 5.8e6)
@@ -334,7 +335,7 @@ class TestStrainsFromFrame:
             strains_from_frame(dr, BendCalibration(), modes, np.zeros(24))
         assert err.value.sensor == 4
         out = strains_from_frame(dr, BendCalibration(), modes, np.zeros(24), clamp=True)
-        assert out.strains[4] == -0.0016
+        assert out[4] == -0.0016
 
     def test_out_of_domain_bending_in_subset_names_full_index(self):
         modes = [Mode.STRETCHING] * 24
@@ -355,7 +356,7 @@ class TestStrainsFromFrame:
                  for k in range(24)]
         dr = rng.uniform(-0.7, 0.0, size=24)  # the bending domain
         stretch = rng.uniform(-1.5, 2.5, size=24) if clamp else rng.uniform(-0.9, 2.5, size=24)
-        out = strains_from_frame(dr, BendCalibration(), modes, stretch, clamp=clamp).strains
+        out = strains_from_frame(dr, BendCalibration(), modes, stretch, clamp=clamp)
         for k in range(24):
             if modes[k] is Mode.BENDING:
                 expected = bending_strain(dr[k], BendCalibration(), clamp=clamp)
