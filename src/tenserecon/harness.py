@@ -40,7 +40,8 @@ def parse_sensor_csv(source) -> list[SensorFrame]:
 
     Rejections (wrong arity, non-numeric cells, a resistance SensorFrame
     rejects, non-monotone timestamps, bad header) raise DataFormatError
-    naming the 1-based line.
+    naming the 1-based line.  So do the Python-only number spellings that
+    int() and float() accept: digit-group underscores and non-ASCII digits.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         return parse_sensor_csv(read_lines(source))
@@ -57,6 +58,8 @@ def parse_sensor_csv(source) -> list[SensorFrame]:
             continue
         if line == "":
             continue  # tolerate trailing newline
+        if "_" in line or not line.isascii():
+            raise DataFormatError("'_' or a non-ASCII character in a number", line=lineno)
         cells = line.split(",")
         if len(cells) != N_SENSORS + 1:
             raise DataFormatError(
@@ -79,37 +82,37 @@ def write_sensor_csv(frames, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SENSOR_CSV_HEADER + "\n")
         for f in frames:
-            cells = [str(int(f.timestamp_ms))] + [repr(v) for v in f.resistances.tolist()]
-            fh.write(",".join(cells) + "\n")
-
-
-def _result_to_json_dict(r) -> dict:
-    if isinstance(r, SolveResult):
-        return {
-            "t_ms": int(r.state.timestamp_ms),
-            "converged": bool(r.converged),
-            "iters": int(r.iterations),
-            "residual_norm": float(r.residual_norm),
-            "coords_m": r.state.coords.tolist(),
-        }
-    return {  # plain StateFrame (ground truth)
-        "t_ms": int(r.timestamp_ms),
-        "converged": True,
-        "iters": 0,
-        "residual_norm": 0.0,
-        "coords_m": r.coords.tolist(),
-    }
+            fh.write(",".join(map(repr, [int(f.timestamp_ms), *f.resistances.tolist()])) + "\n")
 
 
 def export_frames(results, path) -> None:
-    """Write SolveResults or StateFrames as JSON lines; bit-exact on re-load."""
-    rows = [_result_to_json_dict(r) for r in results]
+    """Write SolveResults or StateFrames as JSON lines; bit-exact on re-load.
+
+    A StateFrame is ground truth and gets trivial solver fields.  Its
+    coordinates are JSON-encoded once per distinct coordinates object (held
+    frames share the object of the frame before them), and its line is
+    byte-identical to json.dumps of the whole record.
+    """
+    results = list(results)  # keeps each coordinates object, and so its id(), alive
+    encoded: dict[int, str] = {}
+    lines = []
+    for r in results:
+        if isinstance(r, SolveResult):
+            lines.append(json.dumps({
+                "t_ms": int(r.state.timestamp_ms),
+                "converged": bool(r.converged),
+                "iters": int(r.iterations),
+                "residual_norm": float(r.residual_norm),
+                "coords_m": r.state.coords.tolist(),
+            }))
+            continue
+        coords = encoded.get(id(r.coords))
+        if coords is None:
+            coords = encoded[id(r.coords)] = json.dumps(r.coords.tolist())
+        lines.append(f'{{"t_ms": {int(r.timestamp_ms)}, "converged": true, "iters": 0, '
+                     f'"residual_norm": 0.0, "coords_m": {coords}}}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if not rows:
-            fh.write("# no frames\n")
-            return
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+        fh.write("\n".join(lines) + "\n" if lines else "# no frames\n")
 
 
 def load_frames(path) -> list[dict]:

@@ -88,14 +88,9 @@ class SolveResult:
     error: str | None = None
 
 
-def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology) -> np.ndarray:
-    """Signed distance residuals |Ni - Nj| - target, shape (30,).
-
-    Row order: the anchored-triangle tendon equations first, then the six
-    strut equations, then the remaining 21 tendon equations in tendon-index
-    order.
-    """
-    coords = np.asarray(coords, dtype=float)
+def _row_targets(tendon_lengths: np.ndarray, t: Topology) -> np.ndarray:
+    """The 30 row lengths: the checked tendon lengths on tendon rows, the strut
+    length on strut rows."""
     lengths = np.asarray(tendon_lengths, dtype=float)
     if lengths.shape != (len(t.tendons),):
         raise TopologyError(f"expected {len(t.tendons)} tendon lengths, got {lengths.shape}")
@@ -104,30 +99,54 @@ def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology) -> np
     m = t.members
     targets = lengths.take(m.row_tendon)
     targets[m.strut_rows] = t.strut_length
-    return row_norms(coords.take(m.i, 0) - coords.take(m.j, 0)) - targets
+    return targets
 
 
-def jacobian(coords: np.ndarray, t: Topology) -> np.ndarray:
+Edges = tuple[np.ndarray, np.ndarray]
+
+
+def _edge_pass(coords: np.ndarray, t: Topology) -> Edges:
+    """Member vectors e = Ni - Nj, shape (30, 3), and their lengths d = |e|."""
+    m = t.members
+    e = coords.take(m.i, 0) - coords.take(m.j, 0)
+    return e, row_norms(e)
+
+
+def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology,
+              targets: np.ndarray | None = None, edges: Edges | None = None) -> np.ndarray:
+    """Signed distance residuals |Ni - Nj| - target, shape (30,).
+
+    Row order: the anchored-triangle tendon equations first, then the six
+    strut equations, then the remaining 21 tendon equations in tendon-index
+    order.  ``solve`` passes the row targets it built once from
+    tendon_lengths and the point's ``(e, d)`` edge pass; without them both
+    are computed here, the lengths checked first.
+    """
+    if targets is None:
+        targets = _row_targets(tendon_lengths, t)
+    if edges is None:
+        edges = _edge_pass(np.asarray(coords, dtype=float), t)
+    return edges[1] - targets
+
+
+def jacobian(coords: np.ndarray, t: Topology, edges: Edges | None = None) -> np.ndarray:
     """Analytic residual Jacobian w.r.t. free-node coordinates, shape (30, 27).
 
     d|Ni - Nj|/dNi = (Ni - Nj)/|Ni - Nj|; anchored nodes contribute no
     columns.  Free-node columns are grouped by ascending node id, xyz within.
     The result is C-ordered: BLAS rounds products with a Fortran-ordered copy
-    differently.
+    differently.  ``solve`` passes the ``(e, d)`` edge pass its residuals
+    used at the same point; without it the pass is computed here.
     """
-    coords = np.asarray(coords, dtype=float)
     m = t.members
-    e = coords.take(m.i, 0) - coords.take(m.j, 0)
-    d = row_norms(e)
+    e, d = _edge_pass(np.asarray(coords, dtype=float), t) if edges is None else edges
     if d.min() < COINCIDENCE_LIMIT:
         n = np.flatnonzero(d < COINCIDENCE_LIMIT)[0]
         raise SingularGeometryError(
             f"nodes {m.i[n]} and {m.j[n]} coincide (distance {d[n]:.2e} m)")
-    u = (e / d[:, None]).reshape(-1)
+    u = e / d[:, None]
     jac = np.zeros((len(d), 3 * len(m.free)))
-    flat = jac.reshape(-1)
-    flat[m.jac_plus] = u[m.u_plus]
-    flat[m.jac_minus] = -u[m.u_minus]
+    jac.reshape(-1)[m.jac_at] = u.take(m.u_at) * m.u_sign
     return jac
 
 
@@ -152,16 +171,23 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
     and a small drop at a large gradient keeps iterating.  A stall or the
     iteration cap reports converged=False.  ``iterations`` counts the
     iterations that tried a step.
+    Each job is done once: the length check and the 30 row targets once per
+    solve, before any iteration; one edge pass ``(e, d)`` per evaluated
+    point, whose ``d`` gives that point's residuals and, once the point is
+    accepted, whose ``(e, d)`` gives its Jacobian and coincidence check.
+    ``residuals`` is called once per evaluated point and ``jacobian`` once
+    per iteration, through this module's attributes.
     Anchored coordinates are never touched.  A final state whose free-node
     centroid sits below the anchor plane is flagged mirrored (the structure
     lives above z = 0).
     """
     coords0 = np.asarray(initial.coords, dtype=float)
-    anchors = sorted(t.anchored)
-    if not np.array_equal(coords0[anchors], t.nominal_coords[anchors]):
+    m = t.members
+    if not np.array_equal(coords0[m.anchors], t.nominal_coords[m.anchors]):
         raise TopologyError("initial state does not satisfy anchor constraints")
+    targets = _row_targets(tendon_lengths, t)
 
-    free = t.members.free
+    free = m.free
     x = coords0[free].reshape(-1).copy()
     x_prior = x.copy()
     w2 = opts.prior_weight ** 2
@@ -174,7 +200,8 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
         return c
 
     coords = _assemble(coords0, free, x)
-    res = residuals(coords, tendon_lengths, t)
+    edges = _edge_pass(coords, t)
+    res = residuals(coords, tendon_lengths, t, targets, edges)
     if not np.isfinite(res).all():
         raise SingularGeometryError("non-finite residual at initial state")
     cost = cost_of(res, x)
@@ -186,7 +213,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
     iterations = 0
 
     for iterations in range(1, (0 if converged else opts.max_iterations) + 1):
-        jac_m = jacobian(coords, t)
+        jac_m = jacobian(coords, t, edges)
         grad = jac_m.T @ res
         normal = jac_m.T @ jac_m
         if w2 > 0.0:
@@ -209,11 +236,12 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                 break
             x_new = x + step
             coords_new = _assemble(coords0, free, x_new)
-            res_new = residuals(coords_new, tendon_lengths, t)
+            edges_new = _edge_pass(coords_new, t)
+            res_new = residuals(coords_new, tendon_lengths, t, targets, edges_new)
             cost_new = cost_of(res_new, x_new) if np.isfinite(res_new).all() else np.inf
             if cost_new < cost:
                 at_floor = cost - cost_new <= NOISE_FLOOR_RELATIVE_DROP * cost
-                x, coords, res, cost = x_new, coords_new, res_new, cost_new
+                x, coords, edges, res, cost = x_new, coords_new, edges_new, res_new, cost_new
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)
                 accepted = True

@@ -47,7 +47,7 @@ class Tendon:
 # index arrays of the member equations; see Topology.members
 MemberTable = namedtuple(
     "MemberTable",
-    "i j free tendon_i tendon_j row_tendon strut_rows jac_plus u_plus jac_minus u_minus")
+    "i j free anchors tendon_i tendon_j row_tendon strut_rows jac_at u_at u_sign")
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ class Topology:
         in tendon-index order; row n joins nodes i[n] and j[n] at length
         ``tendon_lengths[row_tendon[n]]``, or at the strut length on the
         ``strut_rows`` (where row_tendon is 0).  ``free`` holds the free nodes
-        ascending, ``tendon_i``/``tendon_j`` the tendon ends.  Flattened, the
-        rows x free-coordinate Jacobian holds ``u.flat[u_plus]`` at
-        ``jac_plus`` and ``-u.flat[u_minus]`` at ``jac_minus``, for the
-        (rows, 3) unit vectors ``u`` from j[n] to i[n].
+        ascending, ``anchors`` the anchored ones, ``tendon_i``/``tendon_j`` the
+        tendon ends.  Flattened, the rows x free-coordinate Jacobian holds
+        ``u.flat[u_at] * u_sign`` at ``jac_at``, for the (rows, 3) unit vectors
+        ``u`` from j[n] to i[n]: +u at each free i[n], then -u at each free j[n].
         """
         ends = [(td.i, td.j, k) for k, td in enumerate(self.tendons)]
         base = [row for row in ends if {row[0], row[1]} <= self.anchored]
@@ -108,8 +108,12 @@ class Topology:
             kept = np.repeat(col[end] >= 0, 3)
             return at.reshape(-1)[kept], np.flatnonzero(kept)
 
-        table = MemberTable(i, j, free, ti, tj, np.maximum(tendon, 0),
-                            np.flatnonzero(tendon < 0), *scatter(i), *scatter(j))
+        (plus_at, plus_u), (minus_at, minus_u) = scatter(i), scatter(j)
+        table = MemberTable(i, j, free, np.array(sorted(self.anchored), dtype=int), ti, tj,
+                            np.maximum(tendon, 0), np.flatnonzero(tendon < 0),
+                            np.concatenate([plus_at, minus_at]),
+                            np.concatenate([plus_u, minus_u]),
+                            np.repeat([1.0, -1.0], [len(plus_u), len(minus_u)]))
         for arr in table:  # shared by every caller, like nominal_coords
             arr.flags.writeable = False
         return table

@@ -319,9 +319,14 @@ def test_criterion_9_format_robustness(tmp_path):
         yield "empty cell", [",".join(["0", ""] + ["5.8e6"] * 23)]
         yield "garbage", ["%%%%"]
         yield "negative resistance", [",".join(["0", "-5.0"] + ["5.8e6"] * 23)]
+        # spellings that int() and float() accept but a CSV number is not
+        yield "underscore timestamp", [",".join(["1_0"] + ["5.8e6"] * 24)]
+        yield "underscore resistance", [",".join(["0", "5_800_000.0"] + ["5.8e6"] * 23)]
+        yield "arabic-indic digits", [",".join(["\u0661\u0660"] + ["5.8e6"] * 24)]
 
-    n_rejected = 0
+    n_cases = n_rejected = 0
     for label, rows in fuzz_rows():
+        n_cases += 1
         text = "\n".join([SENSOR_CSV_HEADER] + rows) + "\n"
         try:
             parse_sensor_csv(io.StringIO(text))
@@ -329,6 +334,7 @@ def test_criterion_9_format_robustness(tmp_path):
             assert exc.line is not None, f"{label}: rejection must name a line"
             n_rejected += 1
         # anything else escaping would crash pytest, which is the point
+    assert n_rejected == n_cases
 
     # model persistence: 100 random models round-trip bit-exactly
     worst = 0.0

@@ -131,7 +131,7 @@ def outcome(fn, *args):
     """Return value or (exception type, message) so failures compare too."""
     try:
         return fn(*args)
-    except (RelaxationError, SingularGeometryError) as exc:
+    except (RelaxationError, SingularGeometryError, TopologyError) as exc:
         return type(exc), str(exc)
 
 
@@ -241,22 +241,79 @@ def noisy_press_lengths(seed=3, n_frames=40):
     return frames
 
 
+def use_references(monkeypatch) -> list:
+    """Swap ref_residuals and ref_jacobian in for solve's kernels.  They drop
+    the row targets and edge pass that solve hands the fast kernels and
+    recompute everything from the coordinates.  Returns the list of points
+    ref_residuals is evaluated at."""
+    points = []
+
+    def residuals_at(coords, tendon_lengths, t, *_):
+        points.append(np.array(coords))
+        return ref_residuals(coords, tendon_lengths, t)
+
+    monkeypatch.setattr(reconstruction, "residuals", residuals_at)
+    monkeypatch.setattr(reconstruction, "jacobian", lambda coords, t, *_: ref_jacobian(coords, t))
+    return points
+
+
+def assert_same_solves(fast, slow):
+    for f, s in zip(fast, slow, strict=True):
+        assert np.array_equal(f.state.coords, s.state.coords)
+        assert f.iterations == s.iterations
+        assert f.cost_history == s.cost_history
+        assert f.converged == s.converged
+
+
 def test_tracked_noisy_solve_matches_reference(monkeypatch):
     frames = noisy_press_lengths()
     opts = SolveOptions(prior_weight=1.0)
     tracker = Tracker(TOPO, opts)
     fast = [tracker.process(ts, lengths) for ts, lengths in frames]
-    monkeypatch.setattr(reconstruction, "residuals", ref_residuals)
-    monkeypatch.setattr(reconstruction, "jacobian", ref_jacobian)
+    use_references(monkeypatch)
     tracker = Tracker(TOPO, opts)
     slow = [tracker.process(ts, lengths) for ts, lengths in frames]
     assert len(fast) == len(slow) == len(frames)
     assert sum(r.iterations for r in fast) > len(frames)  # real solves, not no-ops
-    for f, s in zip(fast, slow):
-        assert np.array_equal(f.state.coords, s.state.coords)
-        assert f.iterations == s.iterations
-        assert f.cost_history == s.cost_history
-        assert f.converged == s.converged
+    assert_same_solves(fast, slow)
+
+
+def cold_draw_lengths(n, seed=11, scale=0.045):
+    """Tendon lengths of n random deformations: every free node displaced by
+    at most scale, then projected back onto the strut lengths."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        disp = rng.uniform(-1.0, 1.0, size=(9, 3))
+        disp = disp / np.maximum(1.0, np.linalg.norm(disp, axis=1, keepdims=True)) * scale
+        out.append(edge_lengths(TOPO, deform(TOPO, dict(zip(FREE, disp)))))
+    return out
+
+
+def test_cold_solves_with_rejected_steps_match_reference(monkeypatch):
+    # cold solves from rest reject damping tries, which the tracked stream does not
+    draws = cold_draw_lengths(24)
+    start = StateFrame(0, TOPO.nominal_coords)
+    fast = [reconstruction.solve(start, lengths, TOPO) for lengths in draws]
+    points = use_references(monkeypatch)
+    slow = [reconstruction.solve(start, lengths, TOPO) for lengths in draws]
+    accepted = sum(len(r.cost_history) for r in slow)  # the start counts once per solve
+    assert len(points) > accepted  # some tried steps were rejected
+    assert sum(r.iterations for r in fast) > 3 * len(draws)
+    assert_same_solves(fast, slow)
+
+
+@pytest.mark.parametrize("lengths", [np.full(24, -1.0), np.full(24, np.nan), np.ones(23)],
+                         ids=["negative", "nan", "short"])
+def test_bad_lengths_fail_solve_before_any_kernel_call(lengths, monkeypatch):
+    expected = outcome(ref_residuals, TOPO.nominal_coords, lengths, TOPO)
+    calls = []
+    for name in ("residuals", "jacobian"):
+        monkeypatch.setattr(reconstruction, name, lambda *args: calls.append(args))
+    got = outcome(reconstruction.solve, StateFrame(0, TOPO.nominal_coords), lengths, TOPO)
+    assert expected[0] is TopologyError
+    assert got == expected
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)

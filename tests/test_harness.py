@@ -18,8 +18,9 @@ from tenserecon.harness import (
     write_length_series_csv,
     write_sensor_csv,
 )
-from tenserecon.reconstruction import StateFrame, nominal_state, solve
-from tenserecon.sensors import SensorFrame
+from tenserecon.reconstruction import SolveResult, StateFrame, Tracker, nominal_state, solve
+from tenserecon.sensors import BendCalibration, SensorFrame, default_stretch_table
+from tenserecon.simulator import generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths, tendon_triangles
 
 
@@ -237,7 +238,51 @@ class TestSeries:
         assert len(lines) == 4
 
 
+def ref_export_frames(results, path):
+    """The frames JSONL writer as a plain loop: one json.dumps per frame."""
+    rows = []
+    for r in results:
+        if isinstance(r, SolveResult):
+            rows.append({"t_ms": int(r.state.timestamp_ms), "converged": bool(r.converged),
+                         "iters": int(r.iterations), "residual_norm": float(r.residual_norm),
+                         "coords_m": r.state.coords.tolist()})
+        else:
+            rows.append({"t_ms": int(r.timestamp_ms), "converged": True, "iters": 0,
+                         "residual_norm": 0.0, "coords_m": r.coords.tolist()})
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if not rows:
+            fh.write("# no frames\n")
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+
+
+def press_truth(topo):
+    truth, _ = generate_session(press_scenario(topo), topo, BendCalibration(),
+                                default_stretch_table())
+    return truth
+
+
+def tracked_with_failed_frame(topo):
+    tracker = Tracker(topo)
+    lengths = edge_lengths(topo, press_truth(topo)[30])
+    return [tracker.process(0, lengths),
+            tracker.process(100, np.full(24, -1.0)),  # fails: re-emits the warm state
+            tracker.process(200, lengths * 1.001)]
+
+
 class TestExport:
+    @pytest.mark.parametrize("stream", [press_truth, tracked_with_failed_frame, lambda topo: []],
+                             ids=["press-truth-with-holds", "solve-results-with-failure", "empty"])
+    def test_matches_per_frame_reference_writer(self, topo, tmp_path, stream):
+        frames = stream(topo)
+        if stream is press_truth:  # held frames share their coordinates object
+            assert sum(a.coords is b.coords for a, b in zip(frames, frames[1:])) > 100
+        elif frames:
+            assert frames[1].error and frames[1].state.coords is frames[0].state.coords
+        export_frames(frames, tmp_path / "fast.jsonl")
+        ref_export_frames(frames, tmp_path / "ref.jsonl")
+        assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
     def test_round_trip_bit_exact(self, topo, tmp_path):
         results = []
         rng = np.random.default_rng(1)

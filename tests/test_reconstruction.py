@@ -218,7 +218,7 @@ class TestSolve:
         for lengths in targets:
             assert solve(nominal_state(topo), lengths, topo).converged
         exact = reconstruction.jacobian
-        monkeypatch.setattr(reconstruction, "jacobian", lambda c, t: -exact(c, t))
+        monkeypatch.setattr(reconstruction, "jacobian", lambda c, *args: -exact(c, *args))
         for lengths in targets:
             out = solve(nominal_state(topo), lengths, topo)
             assert not out.converged
