@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
-from .errors import TenseReconError, TopologyError, read_lines, write_json
+from .errors import DataFormatError, TenseReconError, TopologyError, write_json
 
 log = logging.getLogger("tenserecon")
 
@@ -95,23 +95,14 @@ def cmd_validate_topology(args) -> int:
 
 def cmd_fit_bend(args) -> int:
     samples = []
-    lines = read_lines(args.data)
-    header = next(lines, "").strip()
-    if header != "dr_ratio,strain":
-        raise harness.DataFormatError(
-            f"bad header {header!r}; expected 'dr_ratio,strain'", line=1)
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise harness.DataFormatError("expected 2 columns", line=lineno)
+    for lineno, cells in harness.read_csv_rows(args.data, "dr_ratio,strain"):
         try:
-            samples.append((float(cells[0]), float(cells[1])))
+            sample = [float(c) for c in cells]
         except ValueError as exc:
-            raise harness.DataFormatError(f"non-numeric cell: {exc}",
-                                          line=lineno) from exc
+            raise DataFormatError(f"non-numeric cell: {exc}", line=lineno) from exc
+        if not all(map(math.isfinite, sample)):
+            raise DataFormatError(f"non-finite cell in {','.join(cells)!r}", line=lineno)
+        samples.append(sample)
     cal, r2 = sensors.fit_bending_polynomial(samples)
     names = ["c5", "c4", "c3", "c2", "c1", "c0"]
     for name, c in zip(names, cal.coefficients):

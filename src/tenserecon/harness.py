@@ -35,35 +35,47 @@ SYSTEM_RMSE_DEFINITION = ("system RMSE: sqrt(mean over frames, free nodes and xy
                           "of squared coordinate error), mm")
 
 
-def parse_sensor_csv(source) -> list[SensorFrame]:
-    """Parse a sensor CSV stream or path into timestamped frames.
-
-    Rejections (wrong arity, non-numeric cells, a resistance SensorFrame
-    rejects, non-monotone timestamps, bad header) raise DataFormatError
-    naming the 1-based line.  So do the Python-only number spellings that
-    int() and float() accept: digit-group underscores and non-ASCII digits.
-    """
+def read_csv_rows(source, header: str):
+    """Yield (1-based line number, cells) for each non-blank row of a CSV stream
+    or path.  A first line other than ``header``, a cell count other than its,
+    and '_' or a non-ASCII character (number spellings only Python accepts) are
+    each a DataFormatError naming the line."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        return parse_sensor_csv(read_lines(source))
-
-    frames: list[SensorFrame] = []
-    header = None
+        source = read_lines(source)
+    width = header.count(",") + 1
+    lineno = 0
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
-        if header is None:
-            if line != SENSOR_CSV_HEADER:
-                raise DataFormatError(
-                    f"bad header; expected {SENSOR_CSV_HEADER!r}", line=lineno)
-            header = line
+        if lineno == 1:
+            if line != header:
+                raise DataFormatError(f"bad header {line!r}; expected {header!r}", line=1)
             continue
         if line == "":
-            continue  # tolerate trailing newline
+            continue
         if "_" in line or not line.isascii():
             raise DataFormatError("'_' or a non-ASCII character in a number", line=lineno)
         cells = line.split(",")
-        if len(cells) != N_SENSORS + 1:
-            raise DataFormatError(
-                f"expected {N_SENSORS + 1} columns, found {len(cells)}", line=lineno)
+        if len(cells) != width:
+            raise DataFormatError(f"expected {width} columns, found {len(cells)}", line=lineno)
+        yield lineno, cells
+    if lineno == 0:
+        raise DataFormatError("empty file: missing header", line=1)
+
+
+def write_csv_rows(path, header: str, rows) -> None:
+    """Write ``header``, then each row of Python numbers in full-precision repr."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def parse_sensor_csv(source) -> list[SensorFrame]:
+    """Parse a sensor CSV stream or path into timestamped frames; on top of
+    read_csv_rows' checks, a non-numeric cell, a resistance SensorFrame rejects
+    and a non-monotone timestamp are each a DataFormatError naming the line."""
+    frames: list[SensorFrame] = []
+    for lineno, cells in read_csv_rows(source, SENSOR_CSV_HEADER):
         try:
             frame = SensorFrame(timestamp_ms=int(cells[0]),
                                 resistances=np.array([float(c) for c in cells[1:]]))
@@ -73,16 +85,12 @@ def parse_sensor_csv(source) -> list[SensorFrame]:
             raise DataFormatError(f"timestamp {frame.timestamp_ms} not after previous "
                                   f"{frames[-1].timestamp_ms}", line=lineno)
         frames.append(frame)
-    if header is None:
-        raise DataFormatError("empty file: missing header", line=1)
     return frames
 
 
 def write_sensor_csv(frames, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SENSOR_CSV_HEADER + "\n")
-        for f in frames:
-            fh.write(",".join(map(repr, [int(f.timestamp_ms), *f.resistances.tolist()])) + "\n")
+    write_csv_rows(path, SENSOR_CSV_HEADER,
+                   ([int(f.timestamp_ms), *f.resistances.tolist()] for f in frames))
 
 
 def export_frames(results, path) -> None:
@@ -192,10 +200,8 @@ def tendon_length_series(states, t: Topology) -> tuple[np.ndarray, np.ndarray]:
 
 def write_length_series_csv(states, t: Topology, path) -> None:
     ts, series = tendon_length_series(states, t)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_ms," + ",".join(f"len{k:02d}" for k in range(series.shape[1])) + "\n")
-        for row_ts, row in zip(ts.tolist(), series.tolist()):
-            fh.write(",".join([str(row_ts)] + [repr(v) for v in row]) + "\n")
+    write_csv_rows(path, "t_ms," + ",".join(f"len{k:02d}" for k in range(series.shape[1])),
+                   ([row_ts, *row] for row_ts, row in zip(ts.tolist(), series.tolist())))
 
 
 @dataclass(frozen=True)

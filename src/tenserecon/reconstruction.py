@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OrderingError, SingularGeometryError, TopologyError
-from .topology import Topology, row_norms
+from .topology import Topology, edge_pass, length_jacobian
 
 COINCIDENCE_LIMIT = 1e-9  # connected nodes closer than this are corrupt input
 # A step-tolerance stop counts as converged only at a stationary point: a
@@ -102,14 +102,7 @@ def _row_targets(tendon_lengths: np.ndarray, t: Topology) -> np.ndarray:
     return targets
 
 
-Edges = tuple[np.ndarray, np.ndarray]
-
-
-def _edge_pass(coords: np.ndarray, t: Topology) -> Edges:
-    """Member vectors e = Ni - Nj, shape (30, 3), and their lengths d = |e|."""
-    m = t.members
-    e = coords.take(m.i, 0) - coords.take(m.j, 0)
-    return e, row_norms(e)
+Edges = tuple[np.ndarray, np.ndarray]  # topology.edge_pass's (e, d)
 
 
 def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology,
@@ -125,29 +118,24 @@ def residuals(coords: np.ndarray, tendon_lengths: np.ndarray, t: Topology,
     if targets is None:
         targets = _row_targets(tendon_lengths, t)
     if edges is None:
-        edges = _edge_pass(np.asarray(coords, dtype=float), t)
+        edges = edge_pass(t.members, np.asarray(coords, dtype=float))
     return edges[1] - targets
 
 
 def jacobian(coords: np.ndarray, t: Topology, edges: Edges | None = None) -> np.ndarray:
-    """Analytic residual Jacobian w.r.t. free-node coordinates, shape (30, 27).
+    """Analytic residual Jacobian w.r.t. free-node coordinates, shape (30, 27),
+    built by topology.length_jacobian once no two connected nodes coincide.
 
-    d|Ni - Nj|/dNi = (Ni - Nj)/|Ni - Nj|; anchored nodes contribute no
-    columns.  Free-node columns are grouped by ascending node id, xyz within.
-    The result is C-ordered: BLAS rounds products with a Fortran-ordered copy
-    differently.  ``solve`` passes the ``(e, d)`` edge pass its residuals
-    used at the same point; without it the pass is computed here.
+    ``solve`` passes the ``(e, d)`` edge pass its residuals used at the same
+    point; without it the pass is computed here.
     """
     m = t.members
-    e, d = _edge_pass(np.asarray(coords, dtype=float), t) if edges is None else edges
+    e, d = edge_pass(m, np.asarray(coords, dtype=float)) if edges is None else edges
     if d.min() < COINCIDENCE_LIMIT:
         n = np.flatnonzero(d < COINCIDENCE_LIMIT)[0]
         raise SingularGeometryError(
             f"nodes {m.i[n]} and {m.j[n]} coincide (distance {d[n]:.2e} m)")
-    u = e / d[:, None]
-    jac = np.zeros((len(d), 3 * len(m.free)))
-    jac.reshape(-1)[m.jac_at] = u.take(m.u_at) * m.u_sign
-    return jac
+    return length_jacobian(m, e, d)
 
 
 def _assemble(initial_coords: np.ndarray, free: np.ndarray, x: np.ndarray):
@@ -200,7 +188,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
         return c
 
     coords = _assemble(coords0, free, x)
-    edges = _edge_pass(coords, t)
+    edges = edge_pass(m, coords)
     res = residuals(coords, tendon_lengths, t, targets, edges)
     if not np.isfinite(res).all():
         raise SingularGeometryError("non-finite residual at initial state")
@@ -236,7 +224,7 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
                 break
             x_new = x + step
             coords_new = _assemble(coords0, free, x_new)
-            edges_new = _edge_pass(coords_new, t)
+            edges_new = edge_pass(m, coords_new)
             res_new = residuals(coords_new, tendon_lengths, t, targets, edges_new)
             cost_new = cost_of(res_new, x_new) if np.isfinite(res_new).all() else np.inf
             if cost_new < cost:

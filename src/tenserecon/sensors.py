@@ -69,6 +69,8 @@ class BendCalibration:
     def __post_init__(self):
         if len(self.coefficients) != 6:
             raise CalibrationError(f"expected 6 coefficients, got {len(self.coefficients)}")
+        if not np.isfinite(self.coefficients).all():
+            raise CalibrationError(f"coefficients must be finite, got {self.coefficients}")
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise CalibrationError(f"empty or invalid domain {self.domain}")
@@ -99,13 +101,16 @@ def fit_bending_polynomial(samples) -> tuple[BendCalibration, float]:
     """Least-squares degree-5 fit of (dR/R, strain) pairs.
 
     Returns the calibration (domain = sampled x range) and the coefficient
-    of determination R^2 = 1 - SS_res / SS_tot.
+    of determination R^2 = 1 - SS_res / SS_tot.  Every sample must be finite.
     """
     pts = [(float(x), float(y)) for x, y in samples]
     if len(pts) < 7:
         raise CalibrationError(f"need at least 7 samples, got {len(pts)}")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if len(bad):
+        raise CalibrationError(f"sample {bad[0]} is not finite: {pts[bad[0]]}")
     if len(np.unique(x)) < 6:
         raise CalibrationError(
             f"need at least 6 distinct dR/R values, got {len(np.unique(x))}")
@@ -211,6 +216,8 @@ class StretchTable:
         d = np.asarray(self.dr_ratio, dtype=float)
         if s.shape != d.shape or s.ndim != 1 or len(s) < 2:
             raise CalibrationError("stretch table needs two equal 1-D columns")
+        if not (np.isfinite(s).all() and np.isfinite(d).all()):
+            raise CalibrationError("stretch table values must be finite")
         if np.any(np.diff(s) <= 0) or np.any(np.diff(d) <= 0):
             raise CalibrationError("stretch table columns must increase strictly")
         s.flags.writeable = False

@@ -19,7 +19,7 @@ from .errors import (CalibrationError, RelaxationError, SensorDomainError, Topol
                      read_json, write_json)
 from .reconstruction import StateFrame
 from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
-from .topology import Topology, edge_lengths, row_norms, tendon_triangles, unit_jacobian
+from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
 DEFAULT_BASELINE_OHMS = 5.8e6
@@ -115,22 +115,19 @@ def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
     for n, vec in displacements.items():
         coords[n] = coords[n] + np.asarray(vec, dtype=float)
 
-    m = t.members
-    free, si, sj = m.free, m.i[m.strut_rows], m.j[m.strut_rows]
+    m = t.strut_members
     for _ in range(DEFORM_MAX_ITER):
-        e = coords[si] - coords[sj]
-        d = row_norms(e)
+        e, d = edge_pass(m, coords)
         gaps = d - t.strut_length
         if np.abs(gaps).max() < DEFORM_TOL:
             return coords
         if d.min() < 1e-9:
             n = np.flatnonzero(d < 1e-9)[0]
-            raise RelaxationError(f"strut {si[n]}-{sj[n]} collapsed during projection")
-        jac = unit_jacobian(e, d, si, sj, len(coords), free)
+            raise RelaxationError(f"strut {m.i[n]}-{m.j[n]} collapsed during projection")
+        jac = length_jacobian(m, e, d)
         # least-norm correction: move as little as possible to close the gaps
         step = jac.T @ np.linalg.solve(jac @ jac.T, gaps)
-        flat = coords[free].reshape(-1) - step
-        coords[free] = flat.reshape(-1, 3)
+        coords[m.free] -= step.reshape(-1, 3)
     raise RelaxationError(
         f"strut projection did not reach {DEFORM_TOL} m in {DEFORM_MAX_ITER} iterations")
 

@@ -92,8 +92,16 @@ class Topology:
         """
         ends = [(td.i, td.j, k) for k, td in enumerate(self.tendons)]
         base = [row for row in ends if {row[0], row[1]} <= self.anchored]
-        rows = (base + [(i, j, -1) for i, j in self.struts]
-                + [row for row in ends if row not in base])
+        return self._member_table(base + [(i, j, -1) for i, j in self.struts]
+                                  + [row for row in ends if row not in base])
+
+    @cached_property
+    def strut_members(self) -> MemberTable:
+        """The member table of the strut rows alone, in ``members``' order."""
+        return self._member_table([(i, j, -1) for i, j in self.struts])
+
+    def _member_table(self, rows) -> MemberTable:
+        """The table of ``rows``, (i, j, tendon index or -1 for a strut) each."""
         i, j, tendon = np.array(rows, dtype=int).reshape(-1, 3).T
         ti, tj = np.array([(td.i, td.j) for td in self.tendons], dtype=int).reshape(-1, 2).T
         free = np.array(self.free_nodes, dtype=int)
@@ -244,23 +252,20 @@ def edge_lengths(t: Topology, state) -> np.ndarray:
     return np.linalg.norm(coords[..., m.tendon_i, :] - coords[..., m.tendon_j, :], axis=-1)
 
 
-def row_norms(e: np.ndarray) -> np.ndarray:
-    """Length of each row of e, bit-identical to np.linalg.norm of that row."""
-    return np.sqrt(np.vecdot(e, e))
+def edge_pass(m: MemberTable, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Member vectors e = Ni - Nj of m's rows, shape (rows, 3), and their lengths
+    d = |e|, each bit-identical to np.linalg.norm of its row."""
+    e = coords.take(m.i, 0) - coords.take(m.j, 0)
+    return e, np.sqrt(np.vecdot(e, e))
 
 
-def unit_jacobian(e: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray,
-                  n_nodes: int, free: np.ndarray) -> np.ndarray:
-    """Rows of d|Ni - Nj| over the free-node coordinates, for e = Ni - Nj, d = |e|.
-
-    C-ordered on purpose: BLAS rounds products with a Fortran-ordered copy differently.
-    """
-    rows = np.arange(len(i))
-    full = np.zeros((len(i), n_nodes, 3))
-    u = e / d[:, None]
-    full[rows, i] = u
-    full[rows, j] = -u
-    return np.ascontiguousarray(full[:, free]).reshape(len(i), -1)
+def length_jacobian(m: MemberTable, e: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows of d|Ni - Nj| over the free-node coordinates (ascending node id, xyz
+    within) for m's rows and their edge pass (e, d).  C-ordered on purpose: BLAS
+    rounds products with a Fortran-ordered copy differently."""
+    jac = np.zeros((len(d), 3 * len(m.free)))
+    jac.reshape(-1)[m.jac_at] = (e / d[:, None]).take(m.u_at) * m.u_sign
+    return jac
 
 
 def tendon_triangles(t: Topology) -> list[tuple[int, int, int]]:

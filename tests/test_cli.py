@@ -107,10 +107,18 @@ def test_fit_bend_bad_file(tmp_path, capsys):
     ("dr,strain\n0.0,0.0\n", "line 1: bad header 'dr,strain'; expected 'dr_ratio,strain'"),
     ("dr_ratio,strain\n-0.5,0.1\n\n0.0,x\n", "line 4: non-numeric cell: "),
     ("dr_ratio,strain\n-0.5,0.1\n0.0,0.0,0.0\n", "line 3: expected 2 columns"),
-], ids=["bad-header", "after-blank-line", "three-columns"])
+    ("dr_ratio,strain\n-0.5,0.1\n0.0,nan\n", "line 3: non-finite cell in '0.0,nan'"),
+    ("dr_ratio,strain\ninf,0.1\n", "line 2: non-finite cell in 'inf,0.1'"),
+    ("dr_ratio,strain\n-1_0,0.1\n", "line 2: '_' or a non-ASCII character in a number"),
+    ("dr_ratio,strain\n-0.5,\u0661\n", "line 2: '_' or a non-ASCII character in a number"),
+    (" dr_ratio,strain\n-0.5,0.1\n",
+     "line 1: bad header ' dr_ratio,strain'; expected 'dr_ratio,strain'"),
+    ("dr_ratio,strain\n-0.5,0.1\n \n", "line 3: expected 2 columns, found 1"),
+], ids=["bad-header", "after-blank-line", "three-columns", "nan", "inf", "underscore",
+        "non-ascii-digit", "padded-header", "whitespace-line"])
 def test_fit_bend_error_names_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     assert cli.cli(["fit-bend", str(bad)]) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {message}")
 

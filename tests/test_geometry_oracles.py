@@ -2,9 +2,12 @@
 
 Each fast path in residuals, jacobian, deform and evaluate is checked bit
 for bit against a straightforward Python loop over the members (or faces),
-and a tracked noisy solve is run once with each implementation.
+and a tracked noisy solve is run once with each implementation.  The member
+Jacobian rows that jacobian and deform share are also checked against a dense
+builder that fills every node's columns and then keeps the free ones.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +31,8 @@ from tenserecon.simulator import deform, press_scenario
 from tenserecon.topology import (
     build_canonical,
     edge_lengths,
+    edge_pass,
+    length_jacobian,
     tendon_triangles,
 )
 
@@ -79,6 +84,17 @@ def ref_jacobian(coords, t):
         if j in col:
             jac[n, col[j]:col[j] + 3] = -u
     return jac
+
+
+def dense_length_rows(e, d, i, j, n_nodes, free):
+    """Rows of d|Ni - Nj| over the free-node coordinates for e = Ni - Nj, d = |e|:
+    every node's three columns filled, then the free nodes' kept, C-ordered."""
+    rows = np.arange(len(i))
+    full = np.zeros((len(i), n_nodes, 3))
+    u = e / d[:, None]
+    full[rows, i] = u
+    full[rows, j] = -u
+    return np.ascontiguousarray(full[:, free]).reshape(len(i), -1)
 
 
 def ref_deform(t, displacements, tol=1e-10, max_iter=100):
@@ -172,6 +188,42 @@ def test_jacobian_bit_identical(off):
     fast = jacobian(coords, TOPO)
     assert fast.flags.c_contiguous
     assert np.array_equal(fast, ref_jacobian(coords, TOPO))
+
+
+@settings(max_examples=200, deadline=None)
+@given(off=offsets)
+def test_length_jacobian_matches_dense_rows(off):
+    for t in (TOPO, relabeled(TOPO)):
+        coords = t.nominal_coords.copy()
+        coords[list(t.free_nodes)] += off
+        for m in (t.members, t.strut_members):
+            e, d = edge_pass(m, coords)
+            norms = [np.linalg.norm(coords[i] - coords[j]) for i, j in zip(m.i, m.j)]
+            assert d.tobytes() == np.array(norms).tobytes()
+            fast = length_jacobian(m, e, d)
+            assert fast.flags.c_contiguous
+            dense = dense_length_rows(e, d, m.i, m.j, len(coords), m.free)
+            assert fast.tobytes() == dense.tobytes()
+
+
+def test_strut_members_are_the_strut_rows():
+    m, s = TOPO.members, TOPO.strut_members
+    assert np.array_equal(s.i, m.i[m.strut_rows]) and np.array_equal(s.j, m.j[m.strut_rows])
+    assert np.array_equal(s.free, m.free)
+
+
+def test_deform_divides_by_no_tendon_length():
+    # free node 4 onto node 6: tendon 4-6 is 0 long at the first projection step
+    moves = {4: TOPO.nominal_coords[6] - TOPO.nominal_coords[4]}
+    k = next(k for k, td in enumerate(TOPO.tendons) if {td.i, td.j} == {4, 6})
+    start = TOPO.nominal_coords.copy()
+    start[4] += moves[4]
+    assert edge_lengths(TOPO, start)[k] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a 0/0 would warn
+        coords = deform(TOPO, moves)
+    assert coords.tobytes() == ref_deform(TOPO, moves).tobytes()
+    assert edge_lengths(TOPO, coords)[k] == 0.05814413464563083
 
 
 def relabeled(t, shift=5):

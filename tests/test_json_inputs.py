@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tenserecon import cli
 from tenserecon.errors import CalibrationError, ModelFormatError, TopologyError
 from tenserecon.lstm import init_model, load_model, save_model
 from tenserecon.sensors import (
@@ -62,3 +63,30 @@ def test_malformed_file_raises_format_error_naming_path(tmp_path, fmt, damage):
         load(path)
     expected = "malformed" if damage.endswith("list") else "unparseable"
     assert f"{expected} {path}" in str(err.value)
+
+
+# Python's json reads NaN and Infinity; the calibration models must not
+NON_FINITE = {
+    "calibration": ("coefficients", "coefficients must be finite"),
+    "stretch-table": ("strain", "stretch table values must be finite"),
+}
+
+
+@pytest.mark.parametrize("fmt", NON_FINITE)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_literal_is_calibration_error(tmp_path, capsys, fmt, value):
+    load, _, save, _ = FORMATS[fmt]
+    key, message = NON_FINITE[fmt]
+    path = tmp_path / f"{fmt}.json"
+    save(path)
+    doc = json.loads(path.read_text())
+    doc[key][-1] = value  # the last entry, which a strictly-increasing check passes
+    path.write_text(json.dumps(doc))
+    assert ("NaN" if value != value else "Infinity") in path.read_text()
+    with pytest.raises(CalibrationError, match=message):
+        load(path)
+    sensors, truth = tmp_path / "s.csv", tmp_path / "t.jsonl"
+    assert cli.cli(["simulate", f"--{fmt}", str(path), "--sensors-out", str(sensors),
+                    "--truth-out", str(truth)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not sensors.exists() and not truth.exists()

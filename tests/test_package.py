@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import tenserecon
 
@@ -15,3 +17,14 @@ def test_no_module_attribute_is_a_wrapper():
     wrapped = [f"{mod.__name__}.{k}" for mod in modules for k, v in vars(mod).items()
                if hasattr(v, "__wrapped__")]
     assert wrapped == []
+
+
+def test_readme_python_blocks_run():
+    # the README's library examples, in order and in one namespace as a reader runs them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["result"].converged

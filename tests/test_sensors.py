@@ -210,6 +210,15 @@ class TestFit:
         with pytest.raises(CalibrationError):
             fit_bending_polynomial([(0.0, 0.0)] * 6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column", [0, 1], ids=["dr_ratio", "strain"])
+    def test_non_finite_sample_rejected(self, bad, column):
+        samples = [[float(x), float(bending_strain(float(x)))]
+                   for x in np.linspace(-1.0, 0.0, 20)]
+        samples[5][column] = bad
+        with pytest.raises(CalibrationError, match="sample 5 is not finite"):
+            fit_bending_polynomial(samples)
+
     def test_too_few_distinct_x(self):
         pts = [(-0.1, 0.0)] * 4 + [(-0.2, 0.1)] * 4
         with pytest.raises(CalibrationError):
@@ -303,6 +312,24 @@ class TestStretchTable:
         with pytest.raises(CalibrationError):
             StretchTable(strain=np.array([0.0, 0.1, 0.05]),
                          dr_ratio=np.array([0.0, 0.1, 0.2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", ["strain", "dr_ratio"])
+    def test_non_finite_rejected(self, bad, column):
+        # NaN compares false, so the strictly-increasing check alone passes it
+        cols = {"strain": np.array([0.0, 0.1, 0.2]), "dr_ratio": np.array([0.0, 0.1, 0.2])}
+        cols[column][-1] = bad
+        with pytest.raises(CalibrationError, match="stretch table values must be finite"):
+            StretchTable(**cols)
+
+
+class TestBendCalibration:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        coeffs = list(BendCalibration().coefficients)
+        coeffs[2] = bad
+        with pytest.raises(CalibrationError, match="coefficients must be finite"):
+            BendCalibration(coefficients=tuple(coeffs))
 
 
 class TestStrainsFromFrame:
