@@ -67,7 +67,8 @@ class MetricsError(TenseReconError):
 def read_json(path, error, build):
     """Decode the JSON file at ``path`` and return ``build(doc)``; a syntax error or a
     conversion error in ``build`` becomes ``error`` naming the path.  A TenseReconError
-    from ``build`` (a version or shape check) passes through unchanged."""
+    from ``build`` (a version, shape or value check) keeps its class and is raised
+    again as ``<path>: <message>``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -75,6 +76,8 @@ def read_json(path, error, build):
             raise error(f"unparseable {path}: {exc}") from exc
     try:
         return build(doc)
+    except TenseReconError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     # AttributeError: .get and .items on a JSON list where an object belongs
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise error(f"malformed {path}: {exc}") from exc

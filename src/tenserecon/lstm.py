@@ -18,10 +18,18 @@ layout moved: each product keeps its form and operand layout (z @ w.T into
 a C-ordered (B, 4H), and da.T @ z and da @ w from a C-ordered da; a
 transposed product such as w @ z.T rounds differently), and each
 elementwise expression keeps its operation order.
+
+Inference runs in passes of FORWARD_BATCH windows.  predict_strain shares a
+longer block's passes between the calling thread and one helper thread:
+a pass spends nearly all its time in numpy's tanh and BLAS loops, which
+release the GIL, so the two run on two cores, and each pass holds the
+windows a serial loop's would, so the strains are the same bits.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +48,11 @@ STRETCH_HOLD_S = 4.0
 STRETCH_RATE_GAIN = 0.05  # dR/R gain per unit strain rate
 VAL_FRACTION = 0.3  # tail of each session held out for validation
 BATCH_SIZE = 32
+# Windows per inference pass of predict_strain: 16 frames of 24 sensors.  A
+# pass costs least per window at a few hundred windows, and a window's bits
+# depend on the batch it is in (OpenBLAS tail kernels), so another size
+# changes the session strains in the last bit.
+FORWARD_BATCH = 384
 
 _PARAM_NAMES = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out", "b_out")
 
@@ -294,6 +307,12 @@ def features_from_window(dr_window: np.ndarray) -> np.ndarray:
     return feats[0] if dr.ndim == 1 else feats
 
 
+def _check_window_shape(m: LstmModel, shape: tuple) -> None:
+    if len(shape) not in (2, 3) or shape[-2:] != (m.window, m.input_size):
+        raise ModelFormatError(
+            f"window shape {shape} does not match (T={m.window}, D={m.input_size})")
+
+
 def forward_sequence(window: np.ndarray, m: LstmModel):
     """Run raw feature windows through the cell and readout.
 
@@ -303,9 +322,7 @@ def forward_sequence(window: np.ndarray, m: LstmModel):
     gives n strains.
     """
     w = np.asarray(window, dtype=float)
-    if w.ndim not in (2, 3) or w.shape[-2:] != (m.window, m.input_size):
-        raise ModelFormatError(
-            f"window shape {w.shape} does not match (T={m.window}, D={m.input_size})")
+    _check_window_shape(m, w.shape)
     batch = w.reshape(-1, m.window, m.input_size)
     y = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, batch)))
     strains = y * m.norm.target_scale + m.norm.target_mean
@@ -316,9 +333,37 @@ def predict_strain(m: LstmModel, dr_window: np.ndarray):
     """Strain prediction from T raw dR/R samples.
 
     A (T,) window gives a float; a (T, n) block, one sensor per column,
-    gives the n strains from one batched forward pass.
+    gives the n strains, from one forward pass per FORWARD_BATCH columns in
+    column order.  Beyond one pass the blocks alternate between the calling
+    thread and one helper thread, which runs in a copy of the caller's
+    context (numpy's errstate is a context variable); an exception from
+    either is raised here once the helper has ended.  Only the caller
+    enters this function, so a trace of it sees one span per call.
     """
-    return forward_sequence(features_from_window(dr_window), m)
+    dr = np.asarray(dr_window, dtype=float)
+    if dr.ndim != 2 or dr.shape[1] <= FORWARD_BATCH:
+        return forward_sequence(features_from_window(dr), m)
+    n = dr.shape[1]
+    _check_window_shape(m, (n, len(dr), N_FEATURES))
+    out = np.empty(n)
+    failed = []
+
+    def run_blocks(first: int) -> None:
+        # features per block: at most one block's buffers per thread are live
+        try:
+            for s in range(first * FORWARD_BATCH, n, 2 * FORWARD_BATCH):
+                block = dr[:, s:s + FORWARD_BATCH]
+                out[s:s + FORWARD_BATCH] = forward_sequence(features_from_window(block), m)
+        except BaseException as exc:  # raised below, once the helper has ended
+            failed.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run_blocks, 1))
+    helper.start()
+    run_blocks(0)
+    helper.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):

@@ -5,7 +5,8 @@ per-sensor regime flags are chosen from the previously reconstructed shape,
 strains go through the bending polynomial or the sequence model, and the
 geometric solver tracks node positions frame to frame.  A regime is known
 only once the previous frame is solved, so the sequence model runs first,
-over all 24 channels of every frame, STRETCH_BLOCK_FRAMES frames per call.
+over all 24 channels of every frame, in one predict_strain call per session;
+lstm.predict_strain owns the batch size and the split of its passes.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .sensors import (
 )
 from .topology import Topology, edge_lengths
 
-# Frames per predict_strain call: a forward pass costs least per window at a
-# few hundred windows, and 8 to 16 frames of 24 measured alike.
-STRETCH_BLOCK_FRAMES = 16
-
 
 def _session_dr(frames: list[SensorFrame]) -> np.ndarray:
     """The session's (frames, 24) dR/R = (R - R0) / R0, R0 its first frame;
@@ -47,11 +44,9 @@ def _stretch_strains(dr: np.ndarray, model: LstmModel) -> np.ndarray:
     # (frames, 24, window); a name import would put numpy's dispatch
     # wrapper, which has a __wrapped__, on this module
     windows = np.lib.stride_tricks.sliding_window_view(padded, model.window, axis=0)
-    out = np.empty(dr.shape)
-    for s in range(0, len(dr), STRETCH_BLOCK_FRAMES):
-        block = windows[s:s + STRETCH_BLOCK_FRAMES].reshape(-1, model.window)
-        out[s:s + STRETCH_BLOCK_FRAMES] = predict_strain(model, block.T).reshape(-1, N_SENSORS)
-    return out
+    # still a view: a frame's row stride is its 24 channels' strides
+    block = windows.reshape(-1, model.window).T
+    return predict_strain(model, block).reshape(-1, N_SENSORS)
 
 
 def reconstruct_session(frames, t: Topology, cal: BendCalibration,

@@ -358,7 +358,7 @@ def test_bad_model_normalization_is_data_error(tmp_path, capsys, model_path, ses
     code = cli.cli(["reconstruct", session_files[0], "--model", str(path), "--clamp",
                     "--out", str(tmp_path / "f.jsonl")])
     assert code == cli.EXIT_DATA
-    assert message in capsys.readouterr().err
+    assert f"error: {path}: {message}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [path]
 
 

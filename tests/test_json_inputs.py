@@ -88,5 +88,43 @@ def test_non_finite_literal_is_calibration_error(tmp_path, capsys, fmt, value):
     sensors, truth = tmp_path / "s.csv", tmp_path / "t.jsonl"
     assert cli.cli(["simulate", f"--{fmt}", str(path), "--sensors-out", str(sensors),
                     "--truth-out", str(truth)]) == cli.EXIT_DATA
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not sensors.exists() and not truth.exists()
+
+
+def _reverse_strain(doc):
+    doc["strain"].reverse()
+
+
+def _zero_input_scale(doc):
+    doc["norm"]["input_scale"][0] = 0.0
+
+
+def _invert_noise_band(doc):
+    doc["noise"]["band"] = [0.1, -0.1]
+
+
+# an edit that only a check of the format's own constructor rejects, the class
+# that check raises, and its message
+CONSTRUCTOR_CHECKS = {
+    "stretch-table": (_reverse_strain, CalibrationError,
+                      "stretch table columns must increase strictly"),
+    "model": (_zero_input_scale, ModelFormatError, "input_scale must be > 0"),
+    "scenario": (_invert_noise_band, CalibrationError,
+                 "noise band must satisfy lo < hi, got (0.1, -0.1)"),
+}
+
+
+@pytest.mark.parametrize("fmt", CONSTRUCTOR_CHECKS)
+def test_constructor_check_names_path_and_keeps_class(tmp_path, fmt):
+    load, _, save, _ = FORMATS[fmt]
+    edit, error, message = CONSTRUCTOR_CHECKS[fmt]
+    path = tmp_path / f"{fmt}.json"
+    save(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as err:
+        load(path)
+    assert type(err.value) is error
+    assert str(err.value) == f"{path}: {message}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tenserecon import lstm
 from tenserecon.errors import DivergenceError, ModelFormatError
 from tenserecon.lstm import (
+    FORWARD_BATCH,
     Normalization,
     _backward_batch,
     _forward_batch,
@@ -186,6 +188,60 @@ class TestFusedPaths:
         assert feats.shape == (5, 7, 2)
         for k in range(5):
             assert np.array_equal(feats[k], features_from_window(block[:, k]))
+
+
+class TestPredictStrainPasses:
+    """predict_strain's passes of FORWARD_BATCH windows, shared between the
+    calling thread and one helper thread, against the serial loop."""
+
+    @staticmethod
+    def case(n, seed=0):
+        m = init_model(2, 8, 20, seed=seed)
+        return m, np.random.default_rng(seed).normal(scale=0.2, size=(20, n))
+
+    @pytest.mark.parametrize("n", [1, FORWARD_BATCH, FORWARD_BATCH + 1,
+                                   2 * FORWARD_BATCH + 5, 7200])
+    def test_bit_identical_to_serial_block_loop(self, n):
+        m, dr = self.case(n)
+        serial = np.concatenate([
+            forward_sequence(features_from_window(dr[:, s:s + FORWARD_BATCH]), m)
+            for s in range(0, n, FORWARD_BATCH)])
+        got = predict_strain(m, dr)
+        assert got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), serial.view(np.uint64))
+
+    @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
+    def test_block_error_raised_in_caller_after_join(self, monkeypatch, on_helper):
+        m, dr = self.case(7200)
+        caller = threading.current_thread()
+        exact = lstm.forward_sequence
+
+        def fail_on_one_side(window, model):
+            if (threading.current_thread() is not caller) == on_helper:
+                raise ValueError("block failed")
+            return exact(window, model)
+
+        monkeypatch.setattr(lstm, "forward_sequence", fail_on_one_side)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block failed"):
+            predict_strain(m, dr)
+        assert threading.active_count() == before
+
+    def test_helper_keeps_callers_errstate(self):
+        m, dr = self.case(2 * FORWARD_BATCH + 5)
+        # only the helper's block, the second, overflows in its first difference
+        dr[:, FORWARD_BATCH:2 * FORWARD_BATCH] = 1e308
+        dr[1::2, FORWARD_BATCH:2 * FORWARD_BATCH] = -1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            predict_strain(m, dr)
+
+    def test_shape_error_before_any_pass(self, monkeypatch):
+        m = init_model(2, 8, 20, seed=0)
+        passes = []
+        monkeypatch.setattr(lstm, "forward_sequence", lambda *args: passes.append(args))
+        with pytest.raises(ModelFormatError, match="does not match"):
+            predict_strain(m, np.zeros((19, 2 * FORWARD_BATCH)))
+        assert passes == []
 
 
 class TestLeanForwardMatchesReference:

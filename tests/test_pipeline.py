@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tenserecon import pipeline
+from tenserecon import lstm, pipeline
 from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconError
-from tenserecon.lstm import init_model, predict_strain
-from tenserecon.pipeline import STRETCH_BLOCK_FRAMES, reconstruct_session
+from tenserecon.lstm import FORWARD_BATCH, features_from_window, init_model, predict_strain
+from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions, Tracker
 from tenserecon.sensors import BendCalibration, Mode, SensorFrame, default_stretch_table
 from tenserecon.simulator import NoiseModel, generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths
+
+
+BLOCK_FRAMES = FORWARD_BATCH // 24  # frames whose windows fill one forward pass
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +127,10 @@ def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), n_frames=st.integers(1, 3 * STRETCH_BLOCK_FRAMES + 5),
+@given(seed=st.integers(0, 2**16), n_frames=st.integers(1, 3 * BLOCK_FRAMES + 5),
        window=st.integers(1, 24))
 @example(seed=0, n_frames=3, window=20)  # fewer frames than the window
-@example(seed=1, n_frames=STRETCH_BLOCK_FRAMES + 1, window=5)  # a one-frame last block
+@example(seed=1, n_frames=BLOCK_FRAMES + 1, window=5)  # a one-frame last block
 def test_session_model_strains_match_per_window_oracle(topo, seed, n_frames, window):
     # the model strains reconstruct_session hands strains_from_frame against
     # each frame's window, left-padded with the first sample, through
@@ -137,23 +140,40 @@ def test_session_model_strains_match_per_window_oracle(topo, seed, n_frames, win
     model = init_model(2, 8, window, seed=seed % 97)
     r = 5.8e6 * np.exp(rng.normal(scale=0.3, size=(n_frames, 24)))
     frames = [SensorFrame(100 * n, r[n]) for n in range(n_frames)]
-    seen, batches = [], []
+    seen, calls, batches = [], [], []
+    forward_batch = lstm._forward_batch
 
     def record(dr, cal, modes, stretch, *, clamp=False):
         seen.append((np.array(dr), np.array(stretch)))
         return np.zeros(24)
 
     def count(model, block):
-        batches.append(block.shape[1])
+        calls.append(block.shape)
         return predict_strain(model, block)
+
+    def record_batch(m, x):
+        batches.append(np.array(x))
+        return forward_batch(m, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "strains_from_frame", record)
         mp.setattr(pipeline, "predict_strain", count)
+        mp.setattr(lstm, "_forward_batch", record_batch)
         reconstruct_session(frames, topo, BendCalibration(), model)
     assert len(seen) == n_frames
-    assert batches == [24 * min(STRETCH_BLOCK_FRAMES, n_frames - s)
-                       for s in range(0, n_frames, STRETCH_BLOCK_FRAMES)]
+    assert calls == [(window, 24 * n_frames)]
+    # each forward pass holds the windows of BLOCK_FRAMES frames, frame by
+    # frame and channel by channel; init_model's statistics (mean 0, scale
+    # 1, no hull) leave the features as they are
+    dr_all = (r - r[0]) / r[0]
+    padded = np.concatenate([np.repeat(dr_all[:1], window - 1, axis=0), dr_all])
+    blocks = [features_from_window(np.concatenate(
+        [padded[f:f + window] for f in range(s, min(s + BLOCK_FRAMES, n_frames))], axis=1))
+        for s in range(0, n_frames, BLOCK_FRAMES)]
+    order = [next(j for j, b in enumerate(blocks) if np.array_equal(x, b)) for x in batches]
+    assert sorted(order) == list(range(len(blocks)))
+    assert [len(batches[order.index(j)]) for j in range(len(blocks))] == \
+        [24 * min(BLOCK_FRAMES, n_frames - s) for s in range(0, n_frames, BLOCK_FRAMES)]
     for n, (dr, stretch) in enumerate(seen):
         assert np.array_equal(dr, (r[n] - r[0]) / r[0])
         for k in range(24):
