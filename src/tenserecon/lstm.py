@@ -19,16 +19,17 @@ a C-ordered (B, 4H), and da.T @ z and da @ w from a C-ordered da; a
 transposed product such as w @ z.T rounds differently), and each
 elementwise expression keeps its operation order.
 
-Inference runs in passes of FORWARD_BATCH windows.  predict_strain shares a
-longer block's passes between the calling thread and one helper thread:
-a pass spends nearly all its time in numpy's tanh and BLAS loops, which
-release the GIL, so the two run on two cores, and each pass holds the
-windows a serial loop's would, so the strains are the same bits.
+Inference runs in passes of FORWARD_BATCH windows.  When BLAS runs on one
+thread of several CPUs, predict_strain shares a longer block's passes with
+one helper thread: a pass spends nearly all its time in numpy's tanh and
+BLAS loops, which release the GIL.  Each pass holds the windows a serial
+loop's would, so the strains are the same bits.
 """
 
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 from dataclasses import dataclass, replace
 
@@ -329,16 +330,34 @@ def forward_sequence(window: np.ndarray, m: LstmModel):
     return float(strains[0]) if w.ndim == 2 else strains
 
 
+def _share_passes(env, cpus: int) -> bool:
+    """Whether a helper thread of passes gets a CPU of its own: OpenBLAS,
+    which numpy's wheels ship, runs on one thread of several CPUs.  It takes
+    the first positive of these variables when it loads, else one thread per
+    CPU.  On a 2-vCPU x86-64 VM the helper cut a session's passes from 175
+    to 110 ms with BLAS on one thread, and raised them from 165 to 216 ms
+    with BLAS on its default two, whose worker takes the second CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        n = env.get(var, "").strip()
+        if n.isdigit() and int(n) > 0:
+            return int(n) == 1 and cpus > 1
+    return False
+
+
+_SHARE_PASSES = _share_passes(os.environ, os.cpu_count() or 1)
+
+
 def predict_strain(m: LstmModel, dr_window: np.ndarray):
     """Strain prediction from T raw dR/R samples.
 
     A (T,) window gives a float; a (T, n) block, one sensor per column,
     gives the n strains, from one forward pass per FORWARD_BATCH columns in
-    column order.  Beyond one pass the blocks alternate between the calling
-    thread and one helper thread, which runs in a copy of the caller's
-    context (numpy's errstate is a context variable); an exception from
-    either is raised here once the helper has ended.  Only the caller
-    enters this function, so a trace of it sees one span per call.
+    column order.  Beyond one pass, and when _SHARE_PASSES holds, the blocks
+    alternate between the calling thread and one helper thread, which runs
+    in a copy of the caller's context (numpy's errstate is a context
+    variable); the helper has ended before this returns or raises, and its
+    exception is raised here.  Only the caller enters this function, so a
+    trace of it sees one span per call.
     """
     dr = np.asarray(dr_window, dtype=float)
     if dr.ndim != 2 or dr.shape[1] <= FORWARD_BATCH:
@@ -346,21 +365,30 @@ def predict_strain(m: LstmModel, dr_window: np.ndarray):
     n = dr.shape[1]
     _check_window_shape(m, (n, len(dr), N_FEATURES))
     out = np.empty(n)
+
+    def run_blocks(first: int, step: int) -> None:
+        # features per block: at most one block's buffers per thread are live
+        for s in range(first * FORWARD_BATCH, n, step * FORWARD_BATCH):
+            block = dr[:, s:s + FORWARD_BATCH]
+            out[s:s + FORWARD_BATCH] = forward_sequence(features_from_window(block), m)
+
+    if not _SHARE_PASSES:
+        run_blocks(0, 1)
+        return out
     failed = []
 
-    def run_blocks(first: int) -> None:
-        # features per block: at most one block's buffers per thread are live
+    def helper_blocks() -> None:
         try:
-            for s in range(first * FORWARD_BATCH, n, 2 * FORWARD_BATCH):
-                block = dr[:, s:s + FORWARD_BATCH]
-                out[s:s + FORWARD_BATCH] = forward_sequence(features_from_window(block), m)
-        except BaseException as exc:  # raised below, once the helper has ended
+            run_blocks(1, 2)
+        except BaseException as exc:  # a thread's exception is otherwise lost
             failed.append(exc)
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(run_blocks, 1))
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_blocks,))
     helper.start()
-    run_blocks(0)
-    helper.join()
+    try:
+        run_blocks(0, 2)
+    finally:
+        helper.join()
     if failed:
         raise failed[0]
     return out

@@ -192,16 +192,24 @@ class TestFusedPaths:
 
 class TestPredictStrainPasses:
     """predict_strain's passes of FORWARD_BATCH windows, shared between the
-    calling thread and one helper thread, against the serial loop."""
+    calling thread and one helper thread, against the serial loop.  The
+    tests share the passes whatever BLAS this process loaded, unless they
+    say otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def share_passes(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_SHARE_PASSES", True)
 
     @staticmethod
     def case(n, seed=0):
         m = init_model(2, 8, 20, seed=seed)
         return m, np.random.default_rng(seed).normal(scale=0.2, size=(20, n))
 
+    @pytest.mark.parametrize("share", [True, False], ids=["shared", "caller-only"])
     @pytest.mark.parametrize("n", [1, FORWARD_BATCH, FORWARD_BATCH + 1,
                                    2 * FORWARD_BATCH + 5, 7200])
-    def test_bit_identical_to_serial_block_loop(self, n):
+    def test_bit_identical_to_serial_block_loop(self, monkeypatch, n, share):
+        monkeypatch.setattr(lstm, "_SHARE_PASSES", share)
         m, dr = self.case(n)
         serial = np.concatenate([
             forward_sequence(features_from_window(dr[:, s:s + FORWARD_BATCH]), m)
@@ -234,6 +242,34 @@ class TestPredictStrainPasses:
         dr[1::2, FORWARD_BATCH:2 * FORWARD_BATCH] = -1e308
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             predict_strain(m, dr)
+
+    def test_unshared_passes_run_in_order_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_SHARE_PASSES", False)
+        monkeypatch.setattr(threading, "Thread", None)  # starting one fails
+        m, dr = self.case(2 * FORWARD_BATCH + 5)
+        caller, exact, passes = threading.current_thread(), lstm.forward_sequence, []
+
+        def on_caller(window, model):
+            assert threading.current_thread() is caller
+            passes.append(len(window))
+            return exact(window, model)
+
+        monkeypatch.setattr(lstm, "forward_sequence", on_caller)
+        predict_strain(m, dr)
+        assert passes == [FORWARD_BATCH, FORWARD_BATCH, 5]
+
+    @pytest.mark.parametrize("env, cpus, share", [
+        ({}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 8, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": " 1 "}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": ""}, 2, False),
+    ])
+    def test_shares_only_when_openblas_runs_on_one_of_several_cpus(self, env, cpus, share):
+        assert lstm._share_passes(env, cpus) is share
 
     def test_shape_error_before_any_pass(self, monkeypatch):
         m = init_model(2, 8, 20, seed=0)
