@@ -16,6 +16,7 @@ Reported metrics (all millimeters, free nodes only, frame-averaged):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,29 +97,26 @@ def write_sensor_csv(frames, path) -> None:
 def export_frames(results, path) -> None:
     """Write SolveResults or StateFrames as JSON lines; bit-exact on re-load.
 
-    A StateFrame is ground truth and gets trivial solver fields.  Its
-    coordinates are JSON-encoded once per distinct coordinates object (held
-    frames share the object of the frame before them), and its line is
+    A StateFrame is ground truth and gets trivial solver fields.  Coordinates
+    are JSON-encoded once per distinct coordinates object (held truth frames
+    share the object of the frame before them), and each line is
     byte-identical to json.dumps of the whole record.
     """
     results = list(results)  # keeps each coordinates object, and so its id(), alive
     encoded: dict[int, str] = {}
     lines = []
     for r in results:
-        if isinstance(r, SolveResult):
-            lines.append(json.dumps({
-                "t_ms": int(r.state.timestamp_ms),
-                "converged": bool(r.converged),
-                "iters": int(r.iterations),
-                "residual_norm": float(r.residual_norm),
-                "coords_m": r.state.coords.tolist(),
-            }))
-            continue
-        coords = encoded.get(id(r.coords))
+        state, converged, iters, residual_norm = (
+            (r.state, r.converged, r.iterations, float(r.residual_norm))
+            if isinstance(r, SolveResult) else (r, True, 0, 0.0))
+        coords = encoded.get(id(state.coords))
         if coords is None:
-            coords = encoded[id(r.coords)] = json.dumps(r.coords.tolist())
-        lines.append(f'{{"t_ms": {int(r.timestamp_ms)}, "converged": true, "iters": 0, '
-                     f'"residual_norm": 0.0, "coords_m": {coords}}}')
+            coords = encoded[id(state.coords)] = json.dumps(state.coords.tolist())
+        # repr is json.dumps's text for a finite float, without a call's overhead
+        norm = repr(residual_norm) if math.isfinite(residual_norm) else json.dumps(residual_norm)
+        lines.append(f'{{"t_ms": {int(state.timestamp_ms)}, '
+                     f'"converged": {"true" if converged else "false"}, "iters": {int(iters)}, '
+                     f'"residual_norm": {norm}, "coords_m": {coords}}}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n" if lines else "# no frames\n")
 

@@ -705,14 +705,8 @@ def _model_from_json_dict(doc: dict) -> LstmModel:
         input_high=None if hi is None else np.array(hi, dtype=float),
     )
     m = LstmModel(
-        input_size=int(doc["D"]), hidden_size=int(doc["H"]),
-        window=int(doc["window"]),
-        w_f=np.array(w["w_f"], dtype=float), b_f=np.array(w["b_f"], dtype=float),
-        w_i=np.array(w["w_i"], dtype=float), b_i=np.array(w["b_i"], dtype=float),
-        w_h=np.array(w["w_h"], dtype=float),
-        w_o=np.array(w["w_o"], dtype=float), b_o=np.array(w["b_o"], dtype=float),
-        w_out=np.array(w["w_out"], dtype=float), b_out=float(w["b_out"]),
-        norm=norm,
-    )
+        input_size=int(doc["D"]), hidden_size=int(doc["H"]), window=int(doc["window"]),
+        norm=norm, **{name: float(w[name]) if name == "b_out" else np.array(w[name], dtype=float)
+                      for name in _PARAM_NAMES})
     m.validate_shapes()
     return m

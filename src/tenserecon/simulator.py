@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
                      read_json, write_json)
-from .reconstruction import StateFrame
+from .reconstruction import COINCIDENCE_LIMIT, StateFrame
 from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
 from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
 
@@ -121,8 +121,8 @@ def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
         gaps = d - t.strut_length
         if np.abs(gaps).max() < DEFORM_TOL:
             return coords
-        if d.min() < 1e-9:
-            n = np.flatnonzero(d < 1e-9)[0]
+        if d.min() < COINCIDENCE_LIMIT:
+            n = np.flatnonzero(d < COINCIDENCE_LIMIT)[0]
             raise RelaxationError(f"strut {m.i[n]}-{m.j[n]} collapsed during projection")
         jac = length_jacobian(m, e, d)
         # least-norm correction: move as little as possible to close the gaps

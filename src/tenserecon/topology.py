@@ -47,7 +47,7 @@ class Tendon:
 # index arrays of the member equations; see Topology.members
 MemberTable = namedtuple(
     "MemberTable",
-    "i j free anchors tendon_i tendon_j row_tendon strut_rows jac_at u_at u_sign")
+    "i j free anchors row_tendon strut_rows jac_at u_at u_sign")
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ class Topology:
         in tendon-index order; row n joins nodes i[n] and j[n] at length
         ``tendon_lengths[row_tendon[n]]``, or at the strut length on the
         ``strut_rows`` (where row_tendon is 0).  ``free`` holds the free nodes
-        ascending, ``anchors`` the anchored ones, ``tendon_i``/``tendon_j`` the
-        tendon ends.  Flattened, the rows x free-coordinate Jacobian holds
-        ``u.flat[u_at] * u_sign`` at ``jac_at``, for the (rows, 3) unit vectors
-        ``u`` from j[n] to i[n]: +u at each free i[n], then -u at each free j[n].
+        ascending, ``anchors`` the anchored ones.  Flattened, the rows x
+        free-coordinate Jacobian holds ``u.flat[u_at] * u_sign`` at ``jac_at``,
+        for the (rows, 3) unit vectors ``u`` from j[n] to i[n]: +u at each free
+        i[n], then -u at each free j[n].
         """
         ends = [(td.i, td.j, k) for k, td in enumerate(self.tendons)]
         base = [row for row in ends if {row[0], row[1]} <= self.anchored]
@@ -100,10 +100,14 @@ class Topology:
         """The member table of the strut rows alone, in ``members``' order."""
         return self._member_table([(i, j, -1) for i, j in self.struts])
 
+    @cached_property
+    def tendon_members(self) -> MemberTable:
+        """The member table of the tendon rows alone, in tendon-index order."""
+        return self._member_table([(td.i, td.j, k) for k, td in enumerate(self.tendons)])
+
     def _member_table(self, rows) -> MemberTable:
         """The table of ``rows``, (i, j, tendon index or -1 for a strut) each."""
         i, j, tendon = np.array(rows, dtype=int).reshape(-1, 3).T
-        ti, tj = np.array([(td.i, td.j) for td in self.tendons], dtype=int).reshape(-1, 2).T
         free = np.array(self.free_nodes, dtype=int)
 
         # column of each node's x in the free-coordinate Jacobian; -1 if anchored
@@ -117,7 +121,7 @@ class Topology:
             return at.reshape(-1)[kept], np.flatnonzero(kept)
 
         (plus_at, plus_u), (minus_at, minus_u) = scatter(i), scatter(j)
-        table = MemberTable(i, j, free, np.array(sorted(self.anchored), dtype=int), ti, tj,
+        table = MemberTable(i, j, free, np.array(sorted(self.anchored), dtype=int),
                             np.maximum(tendon, 0), np.flatnonzero(tendon < 0),
                             np.concatenate([plus_at, minus_at]),
                             np.concatenate([plus_u, minus_u]),
@@ -248,14 +252,14 @@ def edge_lengths(t: Topology, state) -> np.ndarray:
     coords = np.asarray(getattr(state, "coords", state), dtype=float)
     if coords.shape[-2:] != (len(t.nominal_coords), 3) or coords.ndim > 3:
         raise TopologyError(f"state must be {len(t.nominal_coords)}x3, got {coords.shape}")
-    m = t.members
-    return np.linalg.norm(coords[..., m.tendon_i, :] - coords[..., m.tendon_j, :], axis=-1)
+    return edge_pass(t.tendon_members, coords)[1]
 
 
 def edge_pass(m: MemberTable, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Member vectors e = Ni - Nj of m's rows, shape (rows, 3), and their lengths
-    d = |e|, each bit-identical to np.linalg.norm of its row."""
-    e = coords.take(m.i, 0) - coords.take(m.j, 0)
+    """Member vectors e = Ni - Nj of m's rows and their lengths d = |e| for
+    (..., nodes, 3) coords, one frame or a stack: e is (..., rows, 3), d is
+    (..., rows), each length bit-identical to np.linalg.norm of its row."""
+    e = coords.take(m.i, -2) - coords.take(m.j, -2)
     return e, np.sqrt(np.vecdot(e, e))
 
 

@@ -27,7 +27,8 @@ from tenserecon.reconstruction import (
     jacobian,
     residuals,
 )
-from tenserecon.simulator import deform, press_scenario
+from tenserecon.sensors import BendCalibration, default_stretch_table
+from tenserecon.simulator import deform, generate_session, press_scenario
 from tenserecon.topology import (
     build_canonical,
     edge_lengths,
@@ -196,7 +197,7 @@ def test_length_jacobian_matches_dense_rows(off):
     for t in (TOPO, relabeled(TOPO)):
         coords = t.nominal_coords.copy()
         coords[list(t.free_nodes)] += off
-        for m in (t.members, t.strut_members):
+        for m in (t.members, t.strut_members, t.tendon_members):
             e, d = edge_pass(m, coords)
             norms = [np.linalg.norm(coords[i] - coords[j]) for i, j in zip(m.i, m.j)]
             assert d.tobytes() == np.array(norms).tobytes()
@@ -204,6 +205,19 @@ def test_length_jacobian_matches_dense_rows(off):
             assert fast.flags.c_contiguous
             dense = dense_length_rows(e, d, m.i, m.j, len(coords), m.free)
             assert fast.tobytes() == dense.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(off=st.lists(offsets, min_size=1, max_size=4))
+def test_edge_pass_of_a_stack_is_its_frames(off):
+    stack = np.stack([perturbed(o) for o in off])
+    for m in (TOPO.members, TOPO.tendon_members):
+        e, d = edge_pass(m, stack)
+        frames = [edge_pass(m, coords) for coords in stack]
+        assert e.tobytes() == np.stack([f[0] for f in frames]).tobytes()
+        assert d.tobytes() == np.stack([f[1] for f in frames]).tobytes()
+    lengths = np.stack([edge_lengths(TOPO, coords) for coords in stack])
+    assert edge_lengths(TOPO, stack).tobytes() == lengths.tobytes()
 
 
 def test_strut_members_are_the_strut_rows():
@@ -330,16 +344,31 @@ def test_tracked_noisy_solve_matches_reference(monkeypatch):
     assert_same_solves(fast, slow)
 
 
-def cold_draw_lengths(n, seed=11, scale=0.045):
-    """Tendon lengths of n random deformations: every free node displaced by
-    at most scale, then projected back onto the strut lengths."""
+def cold_draw_displacements(n, seed=11, scale=0.045):
+    """n random free-node displacements, each node moved by at most scale."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         disp = rng.uniform(-1.0, 1.0, size=(9, 3))
-        disp = disp / np.maximum(1.0, np.linalg.norm(disp, axis=1, keepdims=True)) * scale
-        out.append(edge_lengths(TOPO, deform(TOPO, dict(zip(FREE, disp)))))
+        out.append(disp / np.maximum(1.0, np.linalg.norm(disp, axis=1, keepdims=True)) * scale)
     return out
+
+
+def cold_draw_lengths(n, seed=11, scale=0.045):
+    """Tendon lengths of n random deformations, projected back onto the strut lengths."""
+    return [edge_lengths(TOPO, deform(TOPO, dict(zip(FREE, disp))))
+            for disp in cold_draw_displacements(n, seed, scale)]
+
+
+def test_exact_lengths_leave_no_tendon_residual():
+    # the lengths the simulator hands solve come from the formula solve checks them with
+    truth, _ = generate_session(press_scenario(TOPO, seed=7), TOPO, BendCalibration(),
+                                default_stretch_table())
+    frames = [s.coords for s in truth]
+    frames += [deform(TOPO, dict(zip(FREE, disp))) for disp in cold_draw_displacements(200)]
+    tendon_res = [np.delete(residuals(c, edge_lengths(TOPO, c), TOPO), TOPO.members.strut_rows)
+                  for c in frames]
+    assert np.count_nonzero(tendon_res) == 0
 
 
 def test_cold_solves_with_rejected_steps_match_reference(monkeypatch):

@@ -270,14 +270,23 @@ def tracked_with_failed_frame(topo):
             tracker.process(200, lengths * 1.001)]
 
 
+def edge_residual_norms(topo):
+    """Results whose residual norms are spelled unlike a plain repr, or only just like one."""
+    return [SolveResult(state=nominal_state(topo, 100 * k), converged=False, iterations=k,
+                        residual_norm=norm, residuals=np.zeros(30))
+            for k, norm in enumerate((math.inf, 1e16, 5e-324, np.float64(0.1)))]
+
+
 class TestExport:
-    @pytest.mark.parametrize("stream", [press_truth, tracked_with_failed_frame, lambda topo: []],
-                             ids=["press-truth-with-holds", "solve-results-with-failure", "empty"])
+    @pytest.mark.parametrize("stream", [press_truth, tracked_with_failed_frame,
+                                        edge_residual_norms, lambda topo: []],
+                             ids=["press-truth-with-holds", "solve-results-with-failure",
+                                  "edge-residual-norms", "empty"])
     def test_matches_per_frame_reference_writer(self, topo, tmp_path, stream):
         frames = stream(topo)
         if stream is press_truth:  # held frames share their coordinates object
             assert sum(a.coords is b.coords for a, b in zip(frames, frames[1:])) > 100
-        elif frames:
+        elif stream is tracked_with_failed_frame:
             assert frames[1].error and frames[1].state.coords is frames[0].state.coords
         export_frames(frames, tmp_path / "fast.jsonl")
         ref_export_frames(frames, tmp_path / "ref.jsonl")

@@ -266,7 +266,8 @@ def test_member_table_cached_read_only_in_row_order():
     assert list(m.row_tendon) == [0, 1, 2] + [0] * 6 + list(range(3, 24))
     assert list(m.strut_rows) == list(range(3, 9))
     assert list(m.free) == list(t.free_nodes)
-    assert list(zip(m.tendon_i, m.tendon_j)) == [(td.i, td.j) for td in t.tendons]
-    for arr in m:
+    tm = t.tendon_members
+    assert list(zip(tm.i, tm.j)) == [(td.i, td.j) for td in t.tendons]
+    for arr in (*m, *tm):
         with pytest.raises(ValueError):
             arr[0] = 0
