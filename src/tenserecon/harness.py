@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -214,16 +214,8 @@ class MetricsReport:
     per_frame_node_height_mm: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "definitions": [NODE_RMSE_DEFINITION, FACE_RMSE_DEFINITION,
-                            SYSTEM_RMSE_DEFINITION],
-            "rmse_node_height_mm": self.rmse_node_height_mm,
-            "rmse_face_height_mm": self.rmse_face_height_mm,
-            "rmse_system_mm": self.rmse_system_mm,
-            "frames_evaluated": self.frames_evaluated,
-            "converged_fraction": self.converged_fraction,
-            "per_frame_node_height_mm": list(self.per_frame_node_height_mm),
-        }
+        return {"definitions": [NODE_RMSE_DEFINITION, FACE_RMSE_DEFINITION,
+                                SYSTEM_RMSE_DEFINITION], **asdict(self)}
 
 
 def evaluate(est_states, truth_states, t: Topology,

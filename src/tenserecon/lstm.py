@@ -19,11 +19,11 @@ a C-ordered (B, 4H), and da.T @ z and da @ w from a C-ordered da; a
 transposed product such as w @ z.T rounds differently), and each
 elementwise expression keeps its operation order.
 
-Inference runs in passes of FORWARD_BATCH windows.  When BLAS runs on one
-thread of several CPUs, predict_strain shares a longer block's passes with
-one helper thread: a pass spends nearly all its time in numpy's tanh and
-BLAS loops, which release the GIL.  Each pass holds the windows a serial
-loop's would, so the strains are the same bits.
+predict_strain takes a session's (frames, channels) dR/R series and runs its
+windows in passes of FORWARD_BATCH.  When BLAS runs on one thread of several
+CPUs, one helper thread shares the passes: a pass spends nearly all its time
+in numpy's tanh and BLAS loops, which release the GIL.  Each pass holds the
+windows a serial loop's would, so the strains are the same bits.
 """
 
 from __future__ import annotations
@@ -290,22 +290,26 @@ def _clip_to_hull(m: LstmModel, windows: np.ndarray) -> np.ndarray:
     return np.clip(windows, m.norm.input_low, m.norm.input_high)
 
 
-def features_from_window(dr_window: np.ndarray) -> np.ndarray:
-    """Raw features from T dR/R samples: value and first difference.
-
-    A (T,) window gives a (T, 2) feature matrix; a (T, n) block of n
-    windows side by side gives an (n, T, 2) batch.  The difference is
-    computed inside the window (first entry 0), so a window is
-    self-contained and needs no sample older than its own first entry.
-    """
-    dr = np.asarray(dr_window, dtype=float)
-    if dr.ndim not in (1, 2):
-        raise ModelFormatError(f"dr window must be 1-D or 2-D, got shape {dr.shape}")
-    cols = dr[None] if dr.ndim == 1 else dr.T
+def features_from_window(block: np.ndarray) -> np.ndarray:
+    """(T, n) block of n dR/R windows side by side -> (n, T, 2) raw features:
+    each sample and its in-window first difference (first entry 0), so a
+    window needs no sample older than its own first entry."""
+    dr = np.asarray(block, dtype=float)
+    if dr.ndim != 2:
+        raise ModelFormatError(f"dr windows must be a (T, n) block, got shape {dr.shape}")
+    cols = dr.T
     diff = np.zeros_like(cols)
     diff[:, 1:] = np.diff(cols, axis=1)
-    feats = np.stack([cols, diff], axis=2)
-    return feats[0] if dr.ndim == 1 else feats
+    return np.stack([cols, diff], axis=2)
+
+
+def _window_block(series: np.ndarray, window: int) -> np.ndarray:
+    """The read-only (window, n) view of every run of ``window`` rows of a
+    (frames, channels) series, column run * channels + channel; n = 0 if short."""
+    s = np.ascontiguousarray(series)
+    frames, channels = s.shape
+    return np.lib.stride_tricks.as_strided(s, (window, max(frames - window + 1, 0) * channels),
+                                           (channels * s.itemsize, s.itemsize), writeable=False)
 
 
 def _check_window_shape(m: LstmModel, shape: tuple) -> None:
@@ -347,51 +351,47 @@ def _share_passes(env, cpus: int) -> bool:
 _SHARE_PASSES = _share_passes(os.environ, os.cpu_count() or 1)
 
 
-def predict_strain(m: LstmModel, dr_window: np.ndarray):
-    """Strain prediction from T raw dR/R samples.
+def predict_strain(m: LstmModel, dr: np.ndarray) -> np.ndarray:
+    """Strains from a (frames, channels) dR/R series, (frames, channels).
 
-    A (T,) window gives a float; a (T, n) block, one sensor per column,
-    gives the n strains, from one forward pass per FORWARD_BATCH columns in
-    column order.  Beyond one pass, and when _SHARE_PASSES holds, the blocks
-    alternate between the calling thread and one helper thread, which runs
-    in a copy of the caller's context (numpy's errstate is a context
-    variable); the helper has ended before this returns or raises, and its
-    exception is raised here.  Only the caller enters this function, so a
-    trace of it sees one span per call.
+    A strain comes from its channel's m.window samples ending at its frame,
+    the series left-padded with its first row.  The windows, frame-major,
+    run through forward_sequence in passes of FORWARD_BATCH, which the
+    caller shares with one helper thread when _SHARE_PASSES holds and there
+    is more than one pass.  The helper runs in a copy of the caller's
+    context (numpy's errstate is a context variable) and ends before this
+    returns or raises; the caller's exception is raised, else the helper's.
+    Only the caller enters this function, so a trace sees one span per call.
     """
-    dr = np.asarray(dr_window, dtype=float)
-    if dr.ndim != 2 or dr.shape[1] <= FORWARD_BATCH:
-        return forward_sequence(features_from_window(dr), m)
-    n = dr.shape[1]
-    _check_window_shape(m, (n, len(dr), N_FEATURES))
-    out = np.empty(n)
+    dr = np.asarray(dr, dtype=float)
+    if dr.ndim != 2 or dr.size == 0:
+        raise ModelFormatError(f"dR/R series must be nonempty (frames, channels), got {dr.shape}")
+    block = _window_block(np.concatenate([np.repeat(dr[:1], m.window - 1, axis=0), dr]), m.window)
+    _check_window_shape(m, (dr.size, m.window, N_FEATURES))
+    starts = range(0, dr.size, FORWARD_BATCH)
+    sharing = 2 if _SHARE_PASSES and len(starts) > 1 else 1  # the caller and 0 or 1 helper
+    out = np.empty(dr.size)
+    failed = [None] * sharing
 
-    def run_blocks(first: int, step: int) -> None:
-        # features per block: at most one block's buffers per thread are live
-        for s in range(first * FORWARD_BATCH, n, step * FORWARD_BATCH):
-            block = dr[:, s:s + FORWARD_BATCH]
-            out[s:s + FORWARD_BATCH] = forward_sequence(features_from_window(block), m)
-
-    if not _SHARE_PASSES:
-        run_blocks(0, 1)
-        return out
-    failed = []
-
-    def helper_blocks() -> None:
+    def run_passes(k: int) -> None:
+        # features per pass: at most one pass's buffers per thread are live
         try:
-            run_blocks(1, 2)
+            for s in starts[k::sharing]:
+                out[s:s + FORWARD_BATCH] = forward_sequence(
+                    features_from_window(block[:, s:s + FORWARD_BATCH]), m)
         except BaseException as exc:  # a thread's exception is otherwise lost
-            failed.append(exc)
+            failed[k] = exc
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_blocks,))
-    helper.start()
-    try:
-        run_blocks(0, 2)
-    finally:
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run_passes, k))
+               for k in range(1, sharing)]
+    for helper in helpers:
+        helper.start()
+    run_passes(0)
+    for helper in helpers:
         helper.join()
-    if failed:
-        raise failed[0]
-    return out
+    if any(failed):
+        raise next(exc for exc in failed if exc)  # the caller's, else the helper's
+    return out.reshape(dr.shape)
 
 
 def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
@@ -550,7 +550,7 @@ def make_stretch_dataset(seed: int = 0, cycles: int = 2,
             dr = dr + rng.uniform(lo, hi, size=len(dr))
         n_val_start = int(np.floor(len(t) * (1.0 - VAL_FRACTION)))
         last = np.arange(window - 1, len(t))  # final sample of each window
-        windows.append(features_from_window(dr[last[:, None] + np.arange(1 - window, 1)].T))
+        windows.append(features_from_window(_window_block(dr[:, None], window)))
         targets.append(strain[last])
         is_val.append(last >= n_val_start)
     is_val = np.concatenate(is_val)

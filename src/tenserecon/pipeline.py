@@ -4,9 +4,9 @@ This is the software image of the live system: a resistance stream comes in,
 per-sensor regime flags are chosen from the previously reconstructed shape,
 strains go through the bending polynomial or the sequence model, and the
 geometric solver tracks node positions frame to frame.  A regime is known
-only once the previous frame is solved, so the sequence model runs first,
-over all 24 channels of every frame, in one predict_strain call per session;
-lstm.predict_strain owns the batch size and the split of its passes.
+only once the previous frame is solved, so the sequence model runs first:
+one predict_strain call turns the session's dR/R series into a model strain
+for every channel of every frame, and owns the windows and their passes.
 """
 
 from __future__ import annotations
@@ -36,19 +36,6 @@ def _session_dr(frames: list[SensorFrame]) -> np.ndarray:
     return (np.stack([f.resistances for f in frames]) - r0) / r0
 
 
-def _stretch_strains(dr: np.ndarray, model: LstmModel) -> np.ndarray:
-    """The model strain of every channel at every frame, (frames, 24), each
-    from the window of dR/R ending at that frame, left-padded with the
-    earliest sample until enough frames have arrived."""
-    padded = np.concatenate([np.repeat(dr[:1], model.window - 1, axis=0), dr])
-    # (frames, 24, window); a name import would put numpy's dispatch
-    # wrapper, which has a __wrapped__, on this module
-    windows = np.lib.stride_tricks.sliding_window_view(padded, model.window, axis=0)
-    # still a view: a frame's row stride is its 24 channels' strides
-    block = windows.reshape(-1, model.window).T
-    return predict_strain(model, block).reshape(-1, N_SENSORS)
-
-
 def reconstruct_session(frames, t: Topology, cal: BendCalibration,
                         model: LstmModel | None,
                         opts: SolveOptions = SolveOptions(), *,
@@ -58,8 +45,8 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     The session's first frame is the baseline (rest) frame for every dR/R.
     The first frame treats every sensor as stretching (the structure is
     pre-tensioned at rest); later frames pick each sensor's regime from the
-    previously reconstructed tendon length against its rest length.  Model
-    input windows are left-padded with the earliest sample until enough
+    previously reconstructed tendon length against its rest length.  The
+    model's windows are left-padded with the first frame's dR/R until enough
     history accumulates, so every frame yields a result.  A sensor error
     names its frame: ``t=<ms> ms: sensor <k>: ...``.
     """
@@ -70,7 +57,7 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
         raise TenseReconError("reconstruct_session needs a stretching model")
 
     dr = _session_dr(frames)
-    stretch = _stretch_strains(dr, model)
+    stretch = predict_strain(model, dr)
     rest = t.rest_lengths()
     tracker = Tracker(t, opts)
     results: list[SolveResult] = []

@@ -233,9 +233,9 @@ class StretchTable:
 
 
 def _table_lookup(x, xp: np.ndarray, fp: np.ndarray, name: str):
-    """np.interp of x on (xp, fp), elementwise; nothing outside [xp[0], xp[-1]]."""
+    """np.interp of x on (xp, fp), elementwise; nothing outside [xp[0], xp[-1]], nor NaN."""
     x = np.asarray(x, dtype=float)
-    _reject_first(x, (x < xp[0]) | (x > xp[-1]),
+    _reject_first(x, ~((x >= xp[0]) & (x <= xp[-1])),
                   lambda v: f"{name} {v} outside stretch table range [{xp[0]}, {xp[-1]}]")
     return np.interp(x, xp, fp)
 

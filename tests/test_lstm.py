@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tenserecon import lstm
@@ -37,6 +37,7 @@ from tenserecon.simulator import DEFAULT_NOISE_BAND
 from reference_lstm import ref_backward_batch, ref_forward_batch
 
 PARAM_ARRAYS = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out")
+BLOCK_FRAMES = FORWARD_BATCH // 24  # frames whose 24 channels fill one forward pass
 
 
 def zero_model(d=2, h=4, window=3):
@@ -175,88 +176,165 @@ class TestFusedPaths:
         assert np.array_equal(y_lean, y_kept)
         assert set(grads) == set(PARAM_ARRAYS) | {"b_out"}
 
-    def test_block_of_windows_matches_single_windows(self):
-        m = init_model(2, 6, 7, seed=2)
+    def test_block_features_are_each_windows_own(self):
         block = np.random.default_rng(2).normal(scale=0.3, size=(7, 5))
-        batched = predict_strain(m, block)
-        assert batched.shape == (5,)
-        for k in range(5):
-            single = predict_strain(m, block[:, k])
-            assert isinstance(single, float)
-            assert batched[k] == pytest.approx(single, abs=1e-12)
         feats = features_from_window(block)
         assert feats.shape == (5, 7, 2)
         for k in range(5):
-            assert np.array_equal(feats[k], features_from_window(block[:, k]))
+            assert np.array_equal(feats[k, :, 0], block[:, k])
+            assert feats[k, 0, 1] == 0.0
+            assert np.array_equal(feats[k, 1:, 1], np.diff(block[:, k]))
+        with pytest.raises(ModelFormatError, match="must be a"):
+            features_from_window(block[:, 0])
 
 
-class TestPredictStrainPasses:
-    """predict_strain's passes of FORWARD_BATCH windows, shared between the
-    calling thread and one helper thread, against the serial loop.  The
-    tests share the passes whatever BLAS this process loaded, unless they
-    say otherwise."""
+def serial_strains(m, dr):
+    """predict_strain's contract as a serial loop: each frame's windows, cut
+    from the series left-padded with its first row, frame by frame and a
+    frame's channels in order, in passes of FORWARD_BATCH on one thread."""
+    padded = np.concatenate([np.repeat(dr[:1], m.window - 1, axis=0), dr])
+    block = np.concatenate([padded[f:f + m.window] for f in range(len(dr))], axis=1)
+    return np.concatenate([
+        forward_sequence(features_from_window(block[:, s:s + FORWARD_BATCH]), m)
+        for s in range(0, block.shape[1], FORWARD_BATCH)]).reshape(dr.shape)
+
+
+class TestPredictStrainSeries:
+    """predict_strain takes a (frames, channels) dR/R series and gives each
+    frame and channel the strain of the window ending there.  Its passes of
+    FORWARD_BATCH windows, shared between the calling thread and one helper
+    thread, are checked against the serial loop.  The tests share the passes
+    whatever BLAS this process loaded, unless they say otherwise."""
 
     @pytest.fixture(autouse=True)
     def share_passes(self, monkeypatch):
         monkeypatch.setattr(lstm, "_SHARE_PASSES", True)
 
     @staticmethod
-    def case(n, seed=0):
+    def case(frames, seed=0):
         m = init_model(2, 8, 20, seed=seed)
-        return m, np.random.default_rng(seed).normal(scale=0.2, size=(20, n))
+        return m, np.random.default_rng(seed).normal(scale=0.2, size=(frames, 24))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), frames=st.integers(1, 3 * BLOCK_FRAMES + 5),
+           channels=st.integers(1, 24), window=st.integers(1, 24))
+    @example(seed=0, frames=3, channels=24, window=20)  # fewer frames than the window
+    @example(seed=1, frames=BLOCK_FRAMES + 1, channels=24, window=5)  # a one-frame last pass
+    def test_matches_per_window_oracle(self, seed, frames, channels, window):
+        # each frame's strains against its windows cut by index, left-padded
+        # with the first sample, in a batch of their own; and each forward
+        # pass holds FORWARD_BATCH of the windows frame by frame and channel
+        # by channel.  init_model's statistics (mean 0, scale 1, no hull)
+        # leave the features as they are
+        rng = np.random.default_rng(seed)
+        m = init_model(2, 8, window, seed=seed % 97)
+        dr = rng.normal(scale=0.3, size=(frames, channels))
+        batches = []
+        forward_batch = lstm._forward_batch
+
+        def record_batch(model, x):
+            batches.append(np.array(x))
+            return forward_batch(model, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lstm, "_forward_batch", record_batch)
+            got = predict_strain(m, dr)
+        assert got.shape == (frames, channels)
+        feats = []
+        for n in range(frames):
+            idx = [max(j, 0) for j in range(n - window + 1, n + 1)]
+            frame_windows = features_from_window(dr[idx])
+            feats.append(frame_windows)
+            assert got[n] == pytest.approx(forward_sequence(frame_windows, m), abs=1e-12)
+        feats = np.concatenate(feats)
+        blocks = [feats[s:s + FORWARD_BATCH] for s in range(0, len(feats), FORWARD_BATCH)]
+        order = [next(j for j, b in enumerate(blocks) if np.array_equal(x, b)) for x in batches]
+        assert sorted(order) == list(range(len(blocks)))
+
+    @pytest.mark.parametrize("window", [5, 20])
+    def test_pads_with_the_first_row(self, window):
+        # the padding is the series' first row, which is 0 only for a
+        # frame-0 baseline; padding with zeros instead would pass an oracle
+        # on such a series, so here the first row is not zero
+        rng = np.random.default_rng(window)
+        m = init_model(2, 8, window, seed=3)
+        dr = rng.uniform(-0.3, 0.3, size=(window + 3, 24))
+        assert np.all(dr[0] != 0.0)
+        got = predict_strain(m, dr)
+        for n in range(len(dr)):
+            padded = np.concatenate([np.repeat(dr[:1], window - 1, axis=0), dr[:n + 1]])
+            expected = forward_sequence(features_from_window(padded[-window:]), m)
+            assert got[n] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("series", [np.arange(60.0).reshape(10, 6)[::2, ::2],
+                                        np.asfortranarray(np.arange(15.0).reshape(5, 3))],
+                             ids=["strided", "fortran"])
+    def test_window_block_of_any_layout(self, series):
+        # the view's strides assume C order, so another layout is copied first
+        expected = np.concatenate([series[f:f + 2] for f in range(len(series) - 1)], axis=1)
+        assert np.array_equal(lstm._window_block(series, 2), expected)
 
     @pytest.mark.parametrize("share", [True, False], ids=["shared", "caller-only"])
-    @pytest.mark.parametrize("n", [1, FORWARD_BATCH, FORWARD_BATCH + 1,
-                                   2 * FORWARD_BATCH + 5, 7200])
-    def test_bit_identical_to_serial_block_loop(self, monkeypatch, n, share):
+    @pytest.mark.parametrize("frames", [1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
+                                        2 * BLOCK_FRAMES + 1, 300])
+    def test_bit_identical_to_serial_block_loop(self, monkeypatch, frames, share):
         monkeypatch.setattr(lstm, "_SHARE_PASSES", share)
-        m, dr = self.case(n)
-        serial = np.concatenate([
-            forward_sequence(features_from_window(dr[:, s:s + FORWARD_BATCH]), m)
-            for s in range(0, n, FORWARD_BATCH)])
+        m, dr = self.case(frames)
         got = predict_strain(m, dr)
-        assert got.shape == (n,)
-        assert np.array_equal(got.view(np.uint64), serial.view(np.uint64))
+        assert got.shape == (frames, 24)
+        assert np.array_equal(got.view(np.uint64), serial_strains(m, dr).view(np.uint64))
 
-    @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
-    def test_block_error_raised_in_caller_after_join(self, monkeypatch, on_helper):
-        m, dr = self.case(7200)
+    @pytest.mark.parametrize("failing", [{"helper"}, {"caller"}, {"caller", "helper"}],
+                             ids=["helper", "caller", "both"])
+    def test_pass_error_raised_after_join(self, monkeypatch, failing):
+        # the caller's error wins over the helper's
+        m, dr = self.case(300)
         caller = threading.current_thread()
         exact = lstm.forward_sequence
 
-        def fail_on_one_side(window, model):
-            if (threading.current_thread() is not caller) == on_helper:
-                raise ValueError("block failed")
+        def fail_on_a_side(window, model):
+            side = "caller" if threading.current_thread() is caller else "helper"
+            if side in failing:
+                raise ValueError(f"{side} pass failed")
             return exact(window, model)
 
-        monkeypatch.setattr(lstm, "forward_sequence", fail_on_one_side)
+        monkeypatch.setattr(lstm, "forward_sequence", fail_on_a_side)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="block failed"):
+        raised = "caller" if "caller" in failing else "helper"
+        with pytest.raises(ValueError, match=f"^{raised} pass failed$"):
             predict_strain(m, dr)
         assert threading.active_count() == before
 
     def test_helper_keeps_callers_errstate(self):
-        m, dr = self.case(2 * FORWARD_BATCH + 5)
-        # only the helper's block, the second, overflows in its first difference
-        dr[:, FORWARD_BATCH:2 * FORWARD_BATCH] = 1e308
-        dr[1::2, FORWARD_BATCH:2 * FORWARD_BATCH] = -1e308
+        m, dr = self.case(2 * BLOCK_FRAMES)
+        # only the helper's pass, the second, overflows in its first difference
+        dr[BLOCK_FRAMES::2] = 1e308
+        dr[BLOCK_FRAMES + 1::2] = -1e308
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             predict_strain(m, dr)
 
-    def test_unshared_passes_run_in_order_on_the_caller(self, monkeypatch):
-        monkeypatch.setattr(lstm, "_SHARE_PASSES", False)
+    @pytest.mark.parametrize("share, frames", [(False, 2 * BLOCK_FRAMES + 1),
+                                               (True, BLOCK_FRAMES)],
+                             ids=["unshared", "one-pass"])
+    def test_passes_run_in_order_on_the_caller(self, monkeypatch, share, frames):
+        # sharing needs _SHARE_PASSES and more than one pass
+        monkeypatch.setattr(lstm, "_SHARE_PASSES", share)
         monkeypatch.setattr(threading, "Thread", None)  # starting one fails
-        m, dr = self.case(2 * FORWARD_BATCH + 5)
+        m, dr = self.case(frames)
         caller, exact, passes = threading.current_thread(), lstm.forward_sequence, []
 
         def on_caller(window, model):
             assert threading.current_thread() is caller
-            passes.append(len(window))
+            passes.append(np.array(window))
             return exact(window, model)
 
         monkeypatch.setattr(lstm, "forward_sequence", on_caller)
         predict_strain(m, dr)
-        assert passes == [FORWARD_BATCH, FORWARD_BATCH, 5]
+        windows = np.concatenate(passes)
+        assert [len(p) for p in passes] == [min(FORWARD_BATCH, 24 * frames - s)
+                                            for s in range(0, 24 * frames, FORWARD_BATCH)]
+        # in frame order: the last window's newest sample is the last frame's
+        assert np.array_equal(windows[:, -1, 0], dr.reshape(-1))
 
     @pytest.mark.parametrize("env, cpus, share", [
         ({}, 2, False),
@@ -271,12 +349,19 @@ class TestPredictStrainPasses:
     def test_shares_only_when_openblas_runs_on_one_of_several_cpus(self, env, cpus, share):
         assert lstm._share_passes(env, cpus) is share
 
-    def test_shape_error_before_any_pass(self, monkeypatch):
-        m = init_model(2, 8, 20, seed=0)
+    @pytest.mark.parametrize("shape", [(), (24,), (0, 24), (5, 0), (5, 24, 1)])
+    def test_bad_series_rejected_before_any_pass(self, monkeypatch, shape):
+        passes = []
+        monkeypatch.setattr(lstm, "forward_sequence", lambda *args: passes.append(args))
+        with pytest.raises(ModelFormatError, match=r"^dR/R series must be nonempty \(frames"):
+            predict_strain(init_model(2, 8, 20, seed=0), np.zeros(shape))
+        assert passes == []
+
+    def test_model_shape_error_before_any_pass(self, monkeypatch):
         passes = []
         monkeypatch.setattr(lstm, "forward_sequence", lambda *args: passes.append(args))
         with pytest.raises(ModelFormatError, match="does not match"):
-            predict_strain(m, np.zeros((19, 2 * FORWARD_BATCH)))
+            predict_strain(init_model(3, 8, 20, seed=0), np.zeros((2 * BLOCK_FRAMES, 24)))
         assert passes == []
 
 
@@ -352,7 +437,7 @@ class TestForward:
         # learn y = 2x from windows of constant x
         rng = np.random.default_rng(0)
         xs = rng.uniform(0.1, 1.0, size=400)
-        windows = np.stack([features_from_window(np.full(5, x)) for x in xs])
+        windows = features_from_window(np.tile(xs, (5, 1)))
         targets = 2.0 * xs
         from tenserecon.lstm import SequenceDataset
         data = SequenceDataset(windows=windows, targets=targets,
@@ -360,9 +445,8 @@ class TestForward:
                                val_idx=np.arange(300, 400))
         model, _ = train(data, learning_rate=0.1, epochs=60, seed=1,
                          hidden_size=8)
-        for x in (0.2, 0.5, 0.9):
-            pred = forward_sequence(features_from_window(np.full(5, x)), model)
-            assert pred == pytest.approx(2.0 * x, rel=0.05)
+        preds = forward_sequence(features_from_window(np.full((5, 3), [0.2, 0.5, 0.9])), model)
+        assert preds == pytest.approx([0.4, 1.0, 1.8], rel=0.05)
 
 
 class TestBackward:
@@ -465,6 +549,21 @@ class TestTrain:
         with pytest.raises(ModelFormatError):
             learning_rate_sweep(data, [])
 
+    def test_dataset_windows_slide_one_sample_per_session(self):
+        # each window of a pull session starts one sample after the one
+        # before; the joins between the sessions are the only breaks
+        w = make_stretch_dataset(seed=0).windows
+        assert w.shape[1:] == (20, 2)
+        assert np.all(w[:, 0, 1] == 0.0)
+        slides = np.all(w[1:, :-1, 0] == w[:-1, 1:, 0], axis=1)
+        assert np.count_nonzero(~slides) == len(lstm.STRETCH_RATES) - 1
+
+    def test_window_longer_than_the_sessions_gives_no_windows(self):
+        data = make_stretch_dataset(window=1000)
+        assert data.windows.shape == (0, 1000, 2) and data.targets.shape == (0,)
+        with pytest.raises(ModelFormatError, match="nonempty train and validation"):
+            train(data, epochs=1)
+
     def test_held_out_error_mean_near_zero(self, clean_model_and_report):
         model, report = clean_model_and_report
         data = make_stretch_dataset(seed=0, noise_band=None)
@@ -519,10 +618,8 @@ class TestSerialization:
         path = tmp_path / "m.json"
         save_model(clean_model, path)
         m2 = load_model(path)
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            window = rng.uniform(-0.5, 1.5, size=clean_model.window)
-            assert predict_strain(m2, window) == predict_strain(clean_model, window)
+        series = np.random.default_rng(4).uniform(-0.5, 1.5, size=(40, 20))
+        assert np.array_equal(predict_strain(m2, series), predict_strain(clean_model, series))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

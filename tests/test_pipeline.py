@@ -1,21 +1,17 @@
-"""End-to-end composition details: baselines, padding, mode dispatch."""
+"""End-to-end composition: baselines, mode dispatch, the exact loop."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from tenserecon import lstm, pipeline
+from tenserecon import pipeline
 from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconError
-from tenserecon.lstm import FORWARD_BATCH, features_from_window, init_model, predict_strain
+from tenserecon.lstm import init_model
 from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions, Tracker
-from tenserecon.sensors import BendCalibration, Mode, SensorFrame, default_stretch_table
-from tenserecon.simulator import NoiseModel, generate_session, press_scenario
+from tenserecon.sensors import (BendCalibration, Mode, SensorFrame, default_stretch_table,
+                                lengths_from_strain, strains_from_frame)
+from tenserecon.simulator import NoiseModel, Scenario, generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths
-
-
-BLOCK_FRAMES = FORWARD_BATCH // 24  # frames whose windows fill one forward pass
 
 
 @pytest.fixture(scope="module")
@@ -126,77 +122,86 @@ def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
     assert err < 0.005  # at rest, within model-bias tolerance of nominal
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), n_frames=st.integers(1, 3 * BLOCK_FRAMES + 5),
-       window=st.integers(1, 24))
-@example(seed=0, n_frames=3, window=20)  # fewer frames than the window
-@example(seed=1, n_frames=BLOCK_FRAMES + 1, window=5)  # a one-frame last block
-def test_session_model_strains_match_per_window_oracle(topo, seed, n_frames, window):
-    # the model strains reconstruct_session hands strains_from_frame against
-    # each frame's window, left-padded with the first sample, through
-    # predict_strain one channel at a time; the frames solve at rest, so any
-    # resistances will do
-    rng = np.random.default_rng(seed)
-    model = init_model(2, 8, window, seed=seed % 97)
-    r = 5.8e6 * np.exp(rng.normal(scale=0.3, size=(n_frames, 24)))
-    frames = [SensorFrame(100 * n, r[n]) for n in range(n_frames)]
-    seen, calls, batches = [], [], []
-    forward_batch = lstm._forward_batch
+def test_model_strains_come_from_the_session_series(topo, monkeypatch):
+    # one predict_strain call takes the session's (frames, 24) dR/R, and
+    # frame n hands strains_from_frame its dR/R row and row n of the model
+    # strains; the frames solve at rest, so any resistances will do
+    rng = np.random.default_rng(5)
+    r = 5.8e6 * np.exp(rng.normal(scale=0.3, size=(6, 24)))
+    frames = [SensorFrame(100 * n, r[n]) for n in range(6)]
+    stretch = rng.normal(size=(6, 24))
+    calls, seen = [], []
 
-    def record(dr, cal, modes, stretch, *, clamp=False):
-        seen.append((np.array(dr), np.array(stretch)))
+    def record(dr, cal, modes, stretch_row, *, clamp=False):
+        seen.append((np.array(dr), np.array(stretch_row)))
         return np.zeros(24)
 
-    def count(model, block):
-        calls.append(block.shape)
-        return predict_strain(model, block)
-
-    def record_batch(m, x):
-        batches.append(np.array(x))
-        return forward_batch(m, x)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "strains_from_frame", record)
-        mp.setattr(pipeline, "predict_strain", count)
-        mp.setattr(lstm, "_forward_batch", record_batch)
-        reconstruct_session(frames, topo, BendCalibration(), model)
-    assert len(seen) == n_frames
-    assert calls == [(window, 24 * n_frames)]
-    # each forward pass holds the windows of BLOCK_FRAMES frames, frame by
-    # frame and channel by channel; init_model's statistics (mean 0, scale
-    # 1, no hull) leave the features as they are
-    dr_all = (r - r[0]) / r[0]
-    padded = np.concatenate([np.repeat(dr_all[:1], window - 1, axis=0), dr_all])
-    blocks = [features_from_window(np.concatenate(
-        [padded[f:f + window] for f in range(s, min(s + BLOCK_FRAMES, n_frames))], axis=1))
-        for s in range(0, n_frames, BLOCK_FRAMES)]
-    order = [next(j for j, b in enumerate(blocks) if np.array_equal(x, b)) for x in batches]
-    assert sorted(order) == list(range(len(blocks)))
-    assert [len(batches[order.index(j)]) for j in range(len(blocks))] == \
-        [24 * min(BLOCK_FRAMES, n_frames - s) for s in range(0, n_frames, BLOCK_FRAMES)]
-    for n, (dr, stretch) in enumerate(seen):
-        assert np.array_equal(dr, (r[n] - r[0]) / r[0])
-        for k in range(24):
-            idx = [max(m, 0) for m in range(n - window + 1, n + 1)]
-            expected = predict_strain(model, (r[idx, k] - r[0, k]) / r[0, k])
-            assert stretch[k] == pytest.approx(expected, abs=1e-12)
+    monkeypatch.setattr(pipeline, "predict_strain", lambda m, dr: calls.append((m, dr)) or stretch)
+    monkeypatch.setattr(pipeline, "strains_from_frame", record)
+    model = init_model(2, 4, 3, seed=0)
+    reconstruct_session(frames, topo, BendCalibration(), model)
+    [(called_with, dr)] = calls
+    assert called_with is model
+    assert np.array_equal(dr, (r - r[0]) / r[0])
+    assert len(seen) == len(frames)
+    for n, (dr_row, stretch_row) in enumerate(seen):
+        assert np.array_equal(dr_row, dr[n])
+        assert np.array_equal(stretch_row, stretch[n])
 
 
-@pytest.mark.parametrize("window", [5, 20])
-def test_stretch_windows_pad_with_the_first_row(window):
-    # the padding is the session's first dR/R row, which is 0 only for a
-    # frame-0 baseline; padding with zeros instead would pass the oracle
-    # above, so here the first row is not zero
-    rng = np.random.default_rng(window)
-    model = init_model(2, 8, window, seed=3)
-    dr = rng.uniform(-0.3, 0.3, size=(window + 3, 24))
-    assert np.all(dr[0] != 0.0)
-    got = pipeline._stretch_strains(dr, model)
-    for n in range(len(dr)):
-        padded = np.concatenate([np.repeat(dr[:1], window - 1, axis=0), dr[:n + 1]])
-        win = padded[-window:]
-        for k in range(24):
-            assert got[n, k] == pytest.approx(predict_strain(model, win[:, k]), abs=1e-12)
+NO_NOISE = NoiseModel(kind="none")
+LATERAL_PUSH = {8: (0.020, 0.0, 0.0)}
+
+
+def exact_loop_rmse_mm(topo, sc):
+    """Node-height RMSE of the public stages composed on a noise-free session
+    with every approximation off: the regimes from the truth's strains (the
+    generator's dead band), the stretch table's exact inverse in place of
+    the model, and the tracker with neither a prior nor a residual stop."""
+    cal, table = BendCalibration(), default_stretch_table()
+    truth, sensed = generate_session(sc, topo, cal, table)
+    rest = topo.rest_lengths()
+    tracker = Tracker(topo, SolveOptions(residual_tolerance=0.0))
+    results = []
+    for state, dr in zip(truth, pipeline._session_dr(sensed)):
+        bending = edge_lengths(topo, state.coords) / rest - 1.0 < -1e-12
+        stretch = np.zeros(24)
+        stretch[~bending] = table.strain_from_dr(dr[~bending])
+        modes = [Mode.BENDING if b else Mode.STRETCHING for b in bending]
+        lengths = lengths_from_strain(strains_from_frame(dr, cal, modes, stretch), topo)
+        results.append(tracker.process(state.timestamp_ms, lengths))
+    return pipeline.evaluate_session(results, truth, topo).rmse_node_height_mm
+
+
+# a noise-free session does not depend on its seed, so the scenarios vary
+@pytest.mark.parametrize("scenario", [
+    pytest.param(lambda t: press_scenario(t, depth=0.010, noise=NO_NOISE), id="press-10mm"),
+    pytest.param(lambda t: press_scenario(t, depth=0.020, noise=NO_NOISE), id="press-20mm"),
+    pytest.param(lambda t: press_scenario(t, depth=0.040, noise=NO_NOISE), id="press-40mm"),
+    pytest.param(lambda t: Scenario(((0, {}), (5000, LATERAL_PUSH), (30000, LATERAL_PUSH)),
+                                    noise=NO_NOISE), id="lateral-push-held"),
+])
+def test_exact_stages_return_the_truth(topo, scenario):
+    # resistance -> strain -> length -> position is exact when every stage
+    # is; a change that breaks that anywhere in the chain fails here
+    assert exact_loop_rmse_mm(topo, scenario(topo)) <= 1e-5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Back at the flexible rest shape (see test_reconstruction's "
+           "test_null_space_is_internal_flex) the first rest frame after a "
+           "40 mm sideways push stops on the step tolerance: the damping "
+           "(1e-6 at the stop) dwarfs the flex direction's curvature, so the "
+           "damped step is 1.9e-13 m and solve reports a stationary point at "
+           "a residual norm of 2.5e-13 m, where the other frames reach about "
+           "1e-16 m.  Nodes stay up to 2.3e-4 mm off for the rest of the "
+           "session, 6.5e-5 mm node-height RMSE.")
+def test_exact_stages_return_the_truth_after_a_sideways_release(topo):
+    push = {8: (0.040, 0.0, 0.0)}
+    sc = Scenario(((0, {}), (5000, push), (15000, push), (20000, {}), (30000, {})),
+                  noise=NO_NOISE)
+    assert exact_loop_rmse_mm(topo, sc) <= 1e-5
 
 
 def test_model_error_is_raised_before_frame_0(topo, clean_session, monkeypatch):

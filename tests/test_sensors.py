@@ -188,9 +188,13 @@ class TestArraysMatchScalarReference:
         with pytest.raises(SensorDomainError) as err:
             bending_strain(np.array([-0.5, np.nan]), cal, clamp=True)
         assert err.value.sensor == 1
-        with pytest.raises(SensorDomainError) as err:
-            default_stretch_table().strain_from_dr(np.array([0.1, 0.2, 5.0]))
-        assert err.value.sensor == 2
+        table = default_stretch_table()
+        for bad in (5.0, -0.1, np.nan, np.inf, -np.inf):
+            for lookup in (table.strain_from_dr, table.dr_from_strain):
+                with pytest.raises(SensorDomainError,
+                                   match=rf"^sensor 2: (dR/R|strain) {bad} outside") as err:
+                    lookup(np.array([0.1, 0.2, bad]))
+                assert err.value.sensor == 2
         with pytest.raises(SensorDomainError) as err:
             bend_inverse(-0.99, cal)  # a scalar carries no index
         assert err.value.sensor is None
@@ -343,7 +347,7 @@ class TestStrainsFromFrame:
 
     def test_weight_sharing_constant_history(self, clean_model):
         modes = [Mode.STRETCHING] * 24
-        stretch = predict_strain(clean_model, np.zeros((clean_model.window, 24)))
+        stretch = predict_strain(clean_model, np.zeros((1, 24)))[0]
         out = strains_from_frame(np.zeros(24), BendCalibration(), modes, stretch)
         assert np.all(out == out[0])
 
