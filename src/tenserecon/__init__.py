@@ -12,7 +12,7 @@ Submodules:
 
 from .errors import TenseReconError
 from .reconstruction import SolveOptions, SolveResult, StateFrame, solve
-from .sensors import BendCalibration, Mode, SensorFrame
+from .sensors import BendCalibration, Mode, SensorSession
 from .topology import Topology, build_canonical, edge_lengths, validate
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TenseReconError",
     "SolveOptions", "SolveResult", "StateFrame", "solve",
-    "BendCalibration", "Mode", "SensorFrame",
+    "BendCalibration", "Mode", "SensorSession",
     "Topology", "build_canonical", "edge_lengths", "validate",
     "__version__",
 ]

@@ -14,13 +14,14 @@ class TopologyError(TenseReconError):
 
 
 class SensorDomainError(TenseReconError):
-    """A sensor value left the valid domain of its calibration model; the message
-    is tagged ``t=<ms> ms: sensor <k>: `` with whichever of the two are known."""
+    """A sensor value left its calibration domain, or a frame its session's order; the
+    message is tagged ``t=<ms> ms: sensor <k>: `` with what is known, ``frame`` its index."""
 
-    def __init__(self, message: str, sensor: int | None = None, t_ms: int | None = None):
+    def __init__(self, message: str, sensor: int | None = None, t_ms: int | None = None,
+                 frame: int | None = None):
         tagged = message if sensor is None else f"sensor {sensor}: {message}"
         super().__init__(tagged if t_ms is None else f"t={t_ms} ms: {tagged}")
-        self.sensor = sensor
+        self.sensor, self.frame = sensor, frame
         self.detail = message  # untagged: a caller that passed a subset re-tags it
 
 

@@ -1,6 +1,6 @@
 """Frame ingestion, RMSE metrics, and export formats.
 
-Sensor CSV:   header ``t_ms,r00,...,r23``, one resistance frame per row,
+Sensor CSV:   header ``t_ms,r00,...,r23``, one SensorSession frame per row,
               UTF-8, LF or CRLF, floats in full round-trip precision.
 Frame JSONL:  one JSON object per line:
               {"t_ms", "converged", "iters", "residual_norm", "coords_m"}.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError, read_lines
 from .reconstruction import SolveResult, StateFrame
-from .sensors import N_SENSORS, SensorFrame
+from .sensors import N_SENSORS, SensorSession
 from .topology import Topology, edge_lengths, tendon_triangles
 
 SENSOR_CSV_HEADER = "t_ms," + ",".join(f"r{k:02d}" for k in range(N_SENSORS))
@@ -71,27 +71,36 @@ def write_csv_rows(path, header: str, rows) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def parse_sensor_csv(source) -> list[SensorFrame]:
-    """Parse a sensor CSV stream or path into timestamped frames; on top of
-    read_csv_rows' checks, a non-numeric cell, a resistance SensorFrame rejects
-    and a non-monotone timestamp are each a DataFormatError naming the line."""
-    frames: list[SensorFrame] = []
-    for lineno, cells in read_csv_rows(source, SENSOR_CSV_HEADER):
-        try:
-            frame = SensorFrame(timestamp_ms=int(cells[0]),
-                                resistances=np.array([float(c) for c in cells[1:]]))
-        except (ValueError, SensorDomainError) as exc:
-            raise DataFormatError(str(exc), line=lineno) from exc
-        if frames and frame.timestamp_ms <= frames[-1].timestamp_ms:
-            raise DataFormatError(f"timestamp {frame.timestamp_ms} not after previous "
-                                  f"{frames[-1].timestamp_ms}", line=lineno)
-        frames.append(frame)
-    return frames
+def parse_sensor_csv(source) -> SensorSession:
+    """A sensor CSV stream or path as its SensorSession; beyond read_csv_rows' checks, a bad
+    number or a frame the session rejects is a DataFormatError naming the first such line."""
+    lines, stamps, rows, fault = [], [], [], None
+    try:
+        for lineno, cells in read_csv_rows(source, SENSOR_CSV_HEADER):
+            try:
+                t_ms, row = int(cells[0]), [float(c) for c in cells[1:]]
+                if not -2**63 <= t_ms < 2**63:
+                    raise ValueError(f"timestamp {t_ms} outside the int64 range")
+            except ValueError as exc:
+                raise DataFormatError(str(exc), line=lineno) from exc
+            lines.append(lineno)
+            stamps.append(t_ms)
+            rows.append(row)
+    except DataFormatError as exc:
+        fault = exc
+    try:
+        session = SensorSession(stamps, np.reshape(rows, (len(rows), N_SENSORS)))
+    except SensorDomainError as exc:
+        raise DataFormatError(str(SensorDomainError(exc.detail, exc.sensor)),
+                              line=lines[exc.frame]) from exc
+    if fault is not None:
+        raise fault
+    return session
 
 
-def write_sensor_csv(frames, path) -> None:
-    write_csv_rows(path, SENSOR_CSV_HEADER,
-                   ([int(f.timestamp_ms), *f.resistances.tolist()] for f in frames))
+def write_sensor_csv(session: SensorSession, path) -> None:
+    rows = zip(session.timestamps_ms.tolist(), session.resistances.tolist())
+    write_csv_rows(path, SENSOR_CSV_HEADER, ([t_ms, *r] for t_ms, r in rows))
 
 
 def export_frames(results, path) -> None:

@@ -636,26 +636,6 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
     return best[2], report
 
 
-def learning_rate_sweep(data: SequenceDataset, rates, epochs: int = 40,
-                        seed: int = 0, **train_kw) -> list[tuple[float, float]]:
-    """Train a fresh seeded model per learning rate; return (rate, best val loss).
-
-    A diverging rate is recorded as +inf rather than aborting the sweep.
-    """
-    rates = list(rates)
-    if not rates:
-        raise ModelFormatError("learning-rate sweep needs at least one rate")
-    table = []
-    for rate in rates:
-        try:
-            _, report = train(data, learning_rate=rate, epochs=epochs,
-                              seed=seed, **train_kw)
-            table.append((rate, min(report.val_losses)))
-        except DivergenceError:
-            table.append((rate, float("inf")))
-    return table
-
-
 def save_model(m: LstmModel, path) -> None:
     m.validate_shapes()
     write_json({

@@ -1,7 +1,7 @@
-"""End-to-end composition: sensor frames -> strains -> lengths -> tracked states.
+"""End-to-end composition: sensor session -> strains -> lengths -> tracked states.
 
-This is the software image of the live system: a resistance stream comes in,
-per-sensor regime flags are chosen from the previously reconstructed shape,
+This is the software image of the live system: a session's (frames, 24)
+resistances come in, per-sensor regime flags are chosen from the last solved shape,
 strains go through the bending polynomial or the sequence model, and the
 geometric solver tracks node positions frame to frame.  A regime is known
 only once the previous frame is solved, so the sequence model runs first:
@@ -21,7 +21,7 @@ from .sensors import (
     BendCalibration,
     Mode,
     N_SENSORS,
-    SensorFrame,
+    SensorSession,
     lengths_from_strain,
     select_mode,
     strains_from_frame,
@@ -29,18 +29,17 @@ from .sensors import (
 from .topology import Topology, edge_lengths
 
 
-def _session_dr(frames: list[SensorFrame]) -> np.ndarray:
-    """The session's (frames, 24) dR/R = (R - R0) / R0, R0 its first frame;
-    no other code forms dR/R, so the baseline rule lives here alone."""
-    r0 = frames[0].resistances
-    return (np.stack([f.resistances for f in frames]) - r0) / r0
+def _session_dr(r: np.ndarray) -> np.ndarray:
+    """The session's (frames, 24) dR/R = (R - R0) / R0, R0 its first frame's
+    resistances; no other code forms dR/R, so the baseline rule lives here alone."""
+    return (r - r[0]) / r[0]
 
 
-def reconstruct_session(frames, t: Topology, cal: BendCalibration,
+def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibration,
                         model: LstmModel | None,
                         opts: SolveOptions = SolveOptions(), *,
                         clamp: bool = False) -> list[SolveResult]:
-    """Track node positions through a sensor-frame stream.
+    """Track node positions through a session's sensor frames.
 
     The session's first frame is the baseline (rest) frame for every dR/R.
     The first frame treats every sensor as stretching (the structure is
@@ -50,26 +49,25 @@ def reconstruct_session(frames, t: Topology, cal: BendCalibration,
     history accumulates, so every frame yields a result.  A sensor error
     names its frame: ``t=<ms> ms: sensor <k>: ...``.
     """
-    frames = list(frames)
-    if not frames:
+    if not len(session):
         return []
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 
-    dr = _session_dr(frames)
+    dr = _session_dr(session.resistances)
     stretch = predict_strain(model, dr)
     rest = t.rest_lengths()
     tracker = Tracker(t, opts)
     results: list[SolveResult] = []
     modes = [Mode.STRETCHING] * N_SENSORS
 
-    for frame, dr_row, stretch_row in zip(frames, dr, stretch):
+    for t_ms, dr_row, stretch_row in zip(session.timestamps_ms.tolist(), dr, stretch):
         try:
             strains = strains_from_frame(dr_row, cal, modes, stretch_row, clamp=clamp)
             lengths = lengths_from_strain(strains, t)
         except SensorDomainError as exc:
-            raise SensorDomainError(exc.detail, exc.sensor, frame.timestamp_ms) from exc
-        result = tracker.process(frame.timestamp_ms, lengths)
+            raise SensorDomainError(exc.detail, exc.sensor, t_ms) from exc
+        result = tracker.process(t_ms, lengths)
         results.append(result)
         prev = edge_lengths(t, result.state)
         modes = [select_mode(prev[k], rest[k]) for k in range(N_SENSORS)]

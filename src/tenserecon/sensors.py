@@ -4,7 +4,7 @@ Each tendon doubles as a conductive-rubber strain sensor with two regimes:
 a bending (compressive) regime described by a degree-5 polynomial in the
 normalized resistance change, and a stretching (tensile) regime handled by
 the learned sequence model in :mod:`tenserecon.lstm`.  This module owns the
-pure per-sensor math and the dispatch between the two regimes.
+per-sensor math, the regime dispatch, and a session's (frames, 24) readings.
 """
 
 from __future__ import annotations
@@ -42,21 +42,35 @@ def _reject_first(x: np.ndarray, bad: np.ndarray, describe) -> None:
         raise SensorDomainError(describe(x.flat[k]), sensor=k if x.ndim else None)
 
 
-@dataclass(frozen=True)
-class SensorFrame:
-    """One timestamped reading of all 24 sensor resistances, in ohms."""
+@dataclass(frozen=True, eq=False)  # array fields: a session equals only itself
+class SensorSession:
+    """A session's (frames,) int64 timestamps in ms, strictly increasing, and (frames, 24)
+    resistances in ohms, finite and > 0, as read-only copies; errors carry the frame."""
 
-    timestamp_ms: int
+    timestamps_ms: np.ndarray
     resistances: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.resistances, dtype=float)
-        if r.shape != (N_SENSORS,):
-            raise SensorDomainError(f"expected {N_SENSORS} resistances, got shape {r.shape}")
-        _reject_first(r, ~(np.isfinite(r) & (r > 0)),
-                      lambda v: f"resistance must be finite and > 0, got {v}")
-        r.flags.writeable = False
+        ts = np.array(self.timestamps_ms, dtype=np.int64)
+        r = np.array(self.resistances, dtype=float)
+        if ts.ndim != 1 or r.shape != (len(ts), N_SENSORS):
+            raise SensorDomainError(f"shapes {ts.shape}, {r.shape} are not (n,), (n, {N_SENSORS})")
+        bad_r = ~(np.isfinite(r) & (r > 0))
+        bad = bad_r.any(axis=1) | np.r_[False, ts[1:] <= ts[:-1]]
+        if bad.any():  # the first bad frame, and in it a bad resistance before its order
+            f = int(np.argmax(bad))
+            if bad_r[f].any():
+                k = int(np.argmax(bad_r[f]))
+                raise SensorDomainError(f"resistance must be finite and > 0, got {r[f, k]}",
+                                        k, int(ts[f]), frame=f)
+            raise SensorDomainError(f"timestamp {ts[f]} not after previous {ts[f - 1]}",
+                                    t_ms=int(ts[f]), frame=f)
+        ts.flags.writeable = r.flags.writeable = False
+        object.__setattr__(self, "timestamps_ms", ts)
         object.__setattr__(self, "resistances", r)
+
+    def __len__(self) -> int:
+        return len(self.timestamps_ms)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Replaces the physical rig: ground-truth shapes come from kinematic
 constraint projection (struts stay rigid, anchors stay put, tendons follow),
-and sensor resistances come from inverting the strain models over the whole
-session and adding banded dR/R noise.  A session takes one timeline pass, one
-projection per run of identical frames, one length pass and one sensor pass.
-Everything is deterministic for a fixed seed.
+and a session's (frames, 24) resistances come from inverting the strain models
+and adding banded dR/R noise.  A session takes one timeline pass, one projection
+per run of identical frames, one length pass and one sensor pass.  Everything
+is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
                      read_json, write_json)
 from .reconstruction import COINCIDENCE_LIMIT, StateFrame
-from .sensors import BendCalibration, SensorFrame, StretchTable, bend_inverse
+from .sensors import BendCalibration, SensorSession, StretchTable, bend_inverse
 from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
@@ -134,10 +134,10 @@ def deform(t: Topology, displacements: dict[int, np.ndarray]) -> np.ndarray:
 
 def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
                      stretch_inverse: StretchTable
-                     ) -> tuple[list[StateFrame], list[SensorFrame]]:
+                     ) -> tuple[list[StateFrame], SensorSession]:
     """Sample the scenario timeline into paired truth and sensor streams.
 
-    Returns (ground-truth StateFrames, SensorFrames), timestamp-aligned,
+    Returns (ground-truth StateFrames, their SensorSession), timestamp-aligned,
     sampled at scenario.sample_rate_hz over [0, last keyframe), every sensor
     resting at DEFAULT_BASELINE_OHMS.  Output is bit-reproducible per scenario.
     The timeline is evaluated at all frame times at once.  deform projects only
@@ -176,9 +176,7 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     dr = dr + scenario.noise.sample(rng, dr.shape)
     # noise can push dR/R through -1; floor keeps the frame physical
     resist = np.maximum(DEFAULT_BASELINE_OHMS * (1.0 + dr), 1.0)
-    sensed = [SensorFrame(timestamp_ms=s.timestamp_ms, resistances=r)
-              for s, r in zip(truth, resist)]
-    return truth, sensed
+    return truth, SensorSession(stamps, resist)
 
 
 def _invert(inverse, strains: np.ndarray, mask: np.ndarray, truth) -> np.ndarray:

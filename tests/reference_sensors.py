@@ -14,7 +14,7 @@ import numpy as np
 
 from tenserecon.errors import RelaxationError, SensorDomainError
 from tenserecon.reconstruction import StateFrame
-from tenserecon.sensors import BEND_INVERSE_TOLERANCE, SensorFrame
+from tenserecon.sensors import BEND_INVERSE_TOLERANCE, SensorSession
 from tenserecon.simulator import DEFAULT_BASELINE_OHMS, deform
 from tenserecon.topology import edge_lengths
 
@@ -88,8 +88,8 @@ def ref_dr_from_strain(table, e):
     return float(np.interp(e, table.strain, table.dr_ratio))
 
 
-def ref_resistances_from_state(coords, t, cal, table, noise, rng, timestamp_ms):
-    """Exact geometry -> noisy resistances of one frame, one tendon at a time."""
+def ref_resistances_from_state(coords, t, cal, table, noise, rng):
+    """Exact geometry -> the (24,) noisy resistances of one frame, one tendon at a time."""
     strains = edge_lengths(t, coords) / t.rest_lengths() - 1.0
     dr = np.empty(len(strains))
     for k, eps in enumerate(strains):
@@ -102,7 +102,7 @@ def ref_resistances_from_state(coords, t, cal, table, noise, rng, timestamp_ms):
             raise SensorDomainError(str(exc), sensor=k) from exc
     dr = dr + noise.sample(rng, len(dr))
     resist = np.full(len(t.tendons), DEFAULT_BASELINE_OHMS) * (1.0 + dr)
-    return SensorFrame(timestamp_ms=timestamp_ms, resistances=np.maximum(resist, 1.0))
+    return np.maximum(resist, 1.0)
 
 
 def ref_displacements_at(scenario, t_ms):
@@ -121,15 +121,14 @@ def ref_generate_session(scenario, t, cal, table):
     """Frame by frame: interpolate, deform, then convert that frame's strains alone."""
     rng = np.random.default_rng(scenario.noise.seed)
     n_frames = int(round(scenario.keyframes[-1][0] / 1000.0 * scenario.sample_rate_hz))
-    truth, sensed = [], []
+    truth, rows = [], []
     for k in range(n_frames):
         t_ms = int(round(k * 1000.0 / scenario.sample_rate_hz))
         try:
             coords = deform(t, ref_displacements_at(scenario, t_ms))
-            frame = ref_resistances_from_state(coords, t, cal, table, scenario.noise,
-                                               rng, t_ms)
+            row = ref_resistances_from_state(coords, t, cal, table, scenario.noise, rng)
         except (RelaxationError, SensorDomainError) as exc:
             raise type(exc)(f"t={t_ms} ms: {exc}") from exc
         truth.append(StateFrame(timestamp_ms=t_ms, coords=coords))
-        sensed.append(frame)
-    return truth, sensed
+        rows.append(row)
+    return truth, SensorSession([s.timestamp_ms for s in truth], np.reshape(rows, (-1, 24)))

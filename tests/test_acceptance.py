@@ -21,14 +21,13 @@ import numpy as np
 import pytest
 
 from tenserecon import cli
-from tenserecon.errors import DataFormatError
+from tenserecon.errors import DataFormatError, DivergenceError
 from tenserecon.harness import SENSOR_CSV_HEADER, parse_sensor_csv
 from tenserecon.lstm import (
     _normalize_windows,
     backward,
     forward_sequence,
     init_model,
-    learning_rate_sweep,
     lstm_step,
     load_model,
     make_stretch_dataset,
@@ -269,9 +268,15 @@ def test_criterion_7_lstm_correctness():
                if v <= 0.1 * rep.val_losses[0]]
     assert reached and reached[0] <= 200
 
-    # large learning rates hurt
-    sweep = dict(learning_rate_sweep(data, [0.001, 0.01, 0.1, 1.0],
-                                     epochs=12, seed=0))
+    # large learning rates hurt: a fresh seeded model's best validation loss
+    # per rate, +inf if the rate diverges
+    def best_val_loss(rate):
+        try:
+            return min(train(data, learning_rate=rate, epochs=12, seed=0)[1].val_losses)
+        except DivergenceError:
+            return float("inf")
+
+    sweep = {rate: best_val_loss(rate) for rate in (0.1, 1.0)}
     assert sweep[1.0] > sweep[0.1]
 
     # held-out error distribution centered near zero

@@ -266,6 +266,18 @@ def test_run_all_with_model_reproduces_trained_run(tmp_path, capsys):
         assert (reused / name).read_bytes() == (trained / name).read_bytes(), name
 
 
+def test_reconstruct_of_run_all_sensors_writes_its_frames(tmp_path):
+    # the session parsed from sensors.csv reconstructs to the same bytes as
+    # the one generate_session handed run-all in memory
+    outdir, out = tmp_path / "run", tmp_path / "frames.jsonl"
+    code = cli.cli(["run-all", "--seed", "7", "--epochs", "3", "--outdir", str(outdir)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
+    assert cli.cli(["reconstruct", str(outdir / "sensors.csv"), "--model",
+                    str(outdir / "lstm.json"), "--prior-weight", "1", "--clamp",
+                    "--out", str(out)]) == code
+    assert out.read_bytes() == (outdir / "frames.jsonl").read_bytes()
+
+
 def test_scenario_flag_drives_simulate(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({

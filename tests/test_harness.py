@@ -19,7 +19,7 @@ from tenserecon.harness import (
     write_sensor_csv,
 )
 from tenserecon.reconstruction import SolveResult, StateFrame, Tracker, nominal_state, solve
-from tenserecon.sensors import BendCalibration, SensorFrame, default_stretch_table
+from tenserecon.sensors import BendCalibration, SensorSession, default_stretch_table
 from tenserecon.simulator import generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths, tendon_triangles
 
@@ -48,8 +48,8 @@ class TestParse:
             row(100, np.full(24, 5.9e6)),
         ]))
         assert len(frames) == 2
-        assert frames[0].timestamp_ms == 0
-        assert frames[1].resistances[0] == 5.9e6
+        assert frames.timestamps_ms.tolist() == [0, 100]
+        assert frames.resistances[1, 0] == 5.9e6
 
     def test_wrong_arity_names_line(self):
         with pytest.raises(DataFormatError) as err:
@@ -60,7 +60,7 @@ class TestParse:
         frames = parse_sensor_csv(csv_stream([
             ",".join(["0"] + ["5.8e6"] * 24),
         ]))
-        assert np.all(frames[0].resistances == 5.8e6)
+        assert np.all(frames.resistances == 5.8e6)
 
     def test_crlf_and_trailing_newline(self):
         text = SENSOR_CSV_HEADER + "\r\n" + row(0, np.full(24, 1e6)) + "\r\n\r\n"
@@ -111,19 +111,61 @@ class TestParse:
         with pytest.raises(DataFormatError) as err:
             parse_sensor_csv(csv_stream([
                 row(100, np.full(24, 1e6)), row(100, np.full(24, 1e6))]))
+        assert str(err.value) == "line 3: timestamp 100 not after previous 100"
         assert err.value.line == 3
+
+    def test_bad_frame_line_skips_blank_lines(self):
+        values = ["1000000.0"] * 24
+        values[6] = "-2.0"
+        with pytest.raises(DataFormatError) as err:
+            parse_sensor_csv(csv_stream([row(0, np.full(24, 1e6)), "", "",
+                                         ",".join(["100"] + values)]))
+        assert str(err.value) == \
+            "line 5: sensor 6: resistance must be finite and > 0, got -2.0"
+
+    @pytest.mark.parametrize("later", [
+        ",".join(["400"] + ["1000000.0"] * 23 + ["banana"]),
+        ",".join(["4.5"] + ["1000000.0"] * 24),
+        ",".join(["400"] + ["1000000.0"] * 23),
+        ",".join([str(2**63)] + ["1000000.0"] * 24),
+    ], ids=["non-numeric-cell", "non-integer-timestamp", "short-row", "int64-overflow"])
+    def test_first_bad_line_in_file_order_is_named(self, later):
+        # the session check of the rows parsed so far runs before a later
+        # line's own fault is reported
+        values = ["1000000.0"] * 24
+        values[2] = "nan"
+        rows = [row(0, np.full(24, 1e6)), ",".join(["100"] + values),
+                row(200, np.full(24, 1e6)), later]
+        with pytest.raises(DataFormatError) as err:
+            parse_sensor_csv(csv_stream(rows))
+        assert str(err.value) == "line 3: sensor 2: resistance must be finite and > 0, got nan"
+        rows[1] = row(100, np.full(24, 1e6))
+        with pytest.raises(DataFormatError) as err:
+            parse_sensor_csv(csv_stream(rows))
+        assert err.value.line == 5
+
+    def test_timestamp_outside_int64_names_line(self):
+        for t_ms in (2**63, -2**63 - 1):
+            with pytest.raises(DataFormatError) as err:
+                parse_sensor_csv(csv_stream([row(t_ms, np.full(24, 1e6))]))
+            assert str(err.value) == f"line 2: timestamp {t_ms} outside the int64 range"
+        frames = parse_sensor_csv(csv_stream([row(-2**63, np.full(24, 1e6)),
+                                              row(2**63 - 1, np.full(24, 1e6))]))
+        assert frames.timestamps_ms.tolist() == [-2**63, 2**63 - 1]
+
+    def test_header_only_is_an_empty_session(self):
+        frames = parse_sensor_csv(csv_stream([]))
+        assert len(frames) == 0
+        assert frames.resistances.shape == (0, 24)
 
     def test_write_parse_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(8)
-        frames = [SensorFrame(timestamp_ms=i * 100,
-                              resistances=rng.uniform(1e5, 9e6, size=24))
-                  for i in range(10)]
+        session = SensorSession(np.arange(10) * 100, rng.uniform(1e5, 9e6, size=(10, 24)))
         path = tmp_path / "sensors.csv"
-        write_sensor_csv(frames, path)
+        write_sensor_csv(session, path)
         back = parse_sensor_csv(path)
-        for a, b in zip(frames, back):
-            assert a.timestamp_ms == b.timestamp_ms
-            assert np.array_equal(a.resistances, b.resistances)
+        assert np.array_equal(back.timestamps_ms, session.timestamps_ms)
+        assert np.array_equal(back.resistances, session.resistances)
 
 
 class TestRmse:

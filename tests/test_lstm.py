@@ -23,7 +23,6 @@ from tenserecon.lstm import (
     features_from_window,
     forward_sequence,
     init_model,
-    learning_rate_sweep,
     lstm_step,
     load_model,
     make_stretch_dataset,
@@ -533,22 +532,6 @@ class TestTrain:
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
 
-    def test_sweep_shape_and_determinism(self):
-        # default dataset and width: large rates overshoot, 0.1 learns
-        data = make_stretch_dataset(seed=1, noise_band=None)
-        table = learning_rate_sweep(data, [0.1, 1.0], epochs=25, seed=3)
-        losses = dict(table)
-        assert losses[1.0] > losses[0.1]
-        small = make_stretch_dataset(seed=1, noise_band=None, cycles=1)
-        twice = learning_rate_sweep(small, [0.05, 0.05], epochs=3, seed=0,
-                                    hidden_size=8)
-        assert twice[0][1] == twice[1][1]
-
-    def test_sweep_empty_rates(self):
-        data = make_stretch_dataset(seed=1, noise_band=None, cycles=1)
-        with pytest.raises(ModelFormatError):
-            learning_rate_sweep(data, [])
-
     def test_dataset_windows_slide_one_sample_per_session(self):
         # each window of a pull session starts one sample after the one
         # before; the joins between the sessions are the only breaks
@@ -631,9 +614,3 @@ class TestDivergence:
                   clip=0.0)
         assert err.value.epoch is not None
 
-    def test_sweep_records_divergence_as_inf(self):
-        data = make_stretch_dataset(seed=3, noise_band=None, cycles=1)
-        table = dict(learning_rate_sweep(data, [0.05, 1e9], epochs=3, seed=0,
-                                         hidden_size=8, clip=0.0))
-        assert np.isfinite(table[0.05])
-        assert table[1e9] == float("inf")

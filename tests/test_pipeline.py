@@ -8,7 +8,7 @@ from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconErr
 from tenserecon.lstm import init_model
 from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions, Tracker
-from tenserecon.sensors import (BendCalibration, Mode, SensorFrame, default_stretch_table,
+from tenserecon.sensors import (BendCalibration, Mode, SensorSession, default_stretch_table,
                                 lengths_from_strain, strains_from_frame)
 from tenserecon.simulator import NoiseModel, Scenario, generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths
@@ -25,13 +25,17 @@ def clean_session(topo):
     return generate_session(sc, topo, BendCalibration(), default_stretch_table())
 
 
+def head(session, n):
+    """The session's first n frames."""
+    return SensorSession(session.timestamps_ms[:n], session.resistances[:n])
+
+
 def test_every_frame_yields_a_result(topo, clean_session, clean_model):
     truth, sensed = clean_session
     results = reconstruct_session(sensed, topo, BendCalibration(), clean_model,
                                   SolveOptions(prior_weight=0.5), clamp=True)
     assert len(results) == len(sensed)
-    assert [r.state.timestamp_ms for r in results] == \
-        [f.timestamp_ms for f in sensed]
+    assert [r.state.timestamp_ms for r in results] == sensed.timestamps_ms.tolist()
 
 
 def test_sensor_error_names_its_frame(topo, clean_session, clean_model, monkeypatch):
@@ -47,7 +51,7 @@ def test_sensor_error_names_its_frame(topo, clean_session, clean_model, monkeypa
 
     monkeypatch.setattr(pipeline, "strains_from_frame", fail_fourth)
     with pytest.raises(SensorDomainError) as err:
-        reconstruct_session(sensed[:10], topo, BendCalibration(), clean_model)
+        reconstruct_session(head(sensed, 10), topo, BendCalibration(), clean_model)
     assert str(err.value) == "t=300 ms: sensor 5: dR/R = 0.01 outside calibration domain"
     assert err.value.sensor == 5
     assert err.value.detail == "dR/R = 0.01 outside calibration domain"
@@ -68,7 +72,7 @@ def test_strain_error_names_its_frame(topo, clean_session, clean_model, monkeypa
 
     monkeypatch.setattr(pipeline, "strains_from_frame", degenerate_third)
     with pytest.raises(SensorDomainError) as err:
-        reconstruct_session(sensed[:10], topo, BendCalibration(), clean_model)
+        reconstruct_session(head(sensed, 10), topo, BendCalibration(), clean_model)
     assert str(err.value) == "t=200 ms: sensor 7: strain must be finite and > -1, got -1.0"
     assert err.value.sensor == 7
 
@@ -107,12 +111,13 @@ def test_missing_model_rejected(topo, clean_session):
 
 
 def test_empty_stream_gives_empty_results(topo, clean_model):
-    assert reconstruct_session([], topo, BendCalibration(), clean_model) == []
+    empty = SensorSession([], np.empty((0, 24)))
+    assert reconstruct_session(empty, topo, BendCalibration(), clean_model) == []
 
 
 def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
     _, sensed = clean_session
-    results = reconstruct_session(sensed[:1], topo, BendCalibration(),
+    results = reconstruct_session(head(sensed, 1), topo, BendCalibration(),
                                   clean_model, SolveOptions(prior_weight=0.5),
                                   clamp=True)
     free = list(topo.free_nodes)
@@ -128,7 +133,7 @@ def test_model_strains_come_from_the_session_series(topo, monkeypatch):
     # strains; the frames solve at rest, so any resistances will do
     rng = np.random.default_rng(5)
     r = 5.8e6 * np.exp(rng.normal(scale=0.3, size=(6, 24)))
-    frames = [SensorFrame(100 * n, r[n]) for n in range(6)]
+    session = SensorSession(100 * np.arange(6), r)
     stretch = rng.normal(size=(6, 24))
     calls, seen = [], []
 
@@ -139,11 +144,11 @@ def test_model_strains_come_from_the_session_series(topo, monkeypatch):
     monkeypatch.setattr(pipeline, "predict_strain", lambda m, dr: calls.append((m, dr)) or stretch)
     monkeypatch.setattr(pipeline, "strains_from_frame", record)
     model = init_model(2, 4, 3, seed=0)
-    reconstruct_session(frames, topo, BendCalibration(), model)
+    reconstruct_session(session, topo, BendCalibration(), model)
     [(called_with, dr)] = calls
     assert called_with is model
     assert np.array_equal(dr, (r - r[0]) / r[0])
-    assert len(seen) == len(frames)
+    assert len(seen) == len(session)
     for n, (dr_row, stretch_row) in enumerate(seen):
         assert np.array_equal(dr_row, dr[n])
         assert np.array_equal(stretch_row, stretch[n])
@@ -163,7 +168,7 @@ def exact_loop_rmse_mm(topo, sc):
     rest = topo.rest_lengths()
     tracker = Tracker(topo, SolveOptions(residual_tolerance=0.0))
     results = []
-    for state, dr in zip(truth, pipeline._session_dr(sensed)):
+    for state, dr in zip(truth, pipeline._session_dr(sensed.resistances)):
         bending = edge_lengths(topo, state.coords) / rest - 1.0 < -1e-12
         stretch = np.zeros(24)
         stretch[~bending] = table.strain_from_dr(dr[~bending])
@@ -211,7 +216,7 @@ def test_model_error_is_raised_before_frame_0(topo, clean_session, monkeypatch):
     solved = []
     monkeypatch.setattr(Tracker, "process", lambda *args: solved.append(args))
     with pytest.raises(ModelFormatError) as err:
-        reconstruct_session(sensed[:5], topo, BendCalibration(), init_model(3, 4, 5, seed=0))
+        reconstruct_session(head(sensed, 5), topo, BendCalibration(), init_model(3, 4, 5, seed=0))
     assert not isinstance(err.value, SensorDomainError)
     assert solved == []
 
@@ -223,4 +228,4 @@ def test_programming_error_in_model_propagates(topo, clean_session, clean_model,
 
     monkeypatch.setattr(pipeline, "predict_strain", broken)
     with pytest.raises(TypeError, match="broken model"):
-        reconstruct_session(clean_session[1][:5], topo, BendCalibration(), clean_model)
+        reconstruct_session(head(clean_session[1], 5), topo, BendCalibration(), clean_model)

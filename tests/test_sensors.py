@@ -13,7 +13,7 @@ from tenserecon.lstm import predict_strain
 from tenserecon.sensors import (
     BendCalibration,
     Mode,
-    SensorFrame,
+    SensorSession,
     StretchTable,
     bend_inverse,
     _bend_peak,
@@ -336,10 +336,72 @@ class TestBendCalibration:
             BendCalibration(coefficients=tuple(coeffs))
 
 
-class TestStrainsFromFrame:
-    def _frame(self, resistances, ts=0):
-        return SensorFrame(timestamp_ms=ts, resistances=np.asarray(resistances, float))
+class TestSensorSession:
+    def test_arrays_are_read_only_copies(self):
+        stamps, r = [0, 100, 250], np.full((3, 24), 5.8e6)
+        session = SensorSession(stamps, r)
+        assert len(session) == 3
+        assert session.timestamps_ms.dtype == np.int64
+        assert session.timestamps_ms.tolist() == stamps
+        assert not session.timestamps_ms.flags.writeable
+        assert not session.resistances.flags.writeable
+        r[0, 0] = 1.0  # the caller's array stays its own
+        assert r.flags.writeable and session.resistances[0, 0] == 5.8e6
+        with pytest.raises(ValueError):
+            session.resistances[1, 1] = 1.0
 
+    def test_compares_by_identity(self):
+        # dataclass equality over array fields would raise on == and on hash()
+        a, b = (SensorSession([0, 100], np.full((2, 24), 5.8e6)) for _ in range(2))
+        assert a == a and a != b and len({a, b}) == 2
+
+    def test_empty_session(self):
+        session = SensorSession([], np.empty((0, 24)))
+        assert len(session) == 0
+        assert session.resistances.shape == (0, 24)
+
+    @pytest.mark.parametrize("stamps, shape", [
+        ([0, 100], (2, 23)), ([0, 100], (3, 24)), ([0, 100], (48,)), ([[0, 100]], (2, 24))])
+    def test_wrong_shape_rejected(self, stamps, shape):
+        with pytest.raises(SensorDomainError,
+                           match=r"^shapes .* are not \(n,\), \(n, 24\)$") as err:
+            SensorSession(stamps, np.full(shape, 5.8e6))
+        assert err.value.frame is None
+
+    def test_duplicate_timestamp_names_the_second_frame(self):
+        with pytest.raises(SensorDomainError) as err:
+            SensorSession([0, 100, 100, 50], np.full((4, 24), 5.8e6))
+        assert str(err.value) == "t=100 ms: timestamp 100 not after previous 100"
+        assert err.value.frame == 2 and err.value.sensor is None
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_resistance_names_frame_and_sensor(self, bad):
+        values = np.full((3, 24), 5.8e6)
+        values[1, 17] = bad
+        values[2, 3] = -1.0
+        with pytest.raises(SensorDomainError) as err:
+            SensorSession([0, 100, 200], values)
+        assert str(err.value) == \
+            f"t=100 ms: sensor 17: resistance must be finite and > 0, got {bad}"
+        assert (err.value.frame, err.value.sensor) == (1, 17)
+
+    def test_first_bad_frame_wins_and_its_resistance_before_its_timestamp(self):
+        values = np.full((4, 24), 5.8e6)
+        values[2, 5] = 0.0
+        with pytest.raises(SensorDomainError) as err:
+            SensorSession([0, 100, 100, 0], values)
+        assert (err.value.frame, err.value.sensor) == (2, 5)
+        with pytest.raises(SensorDomainError) as err:
+            SensorSession([0, 100, 90, 300], values)
+        assert (err.value.frame, err.value.sensor) == (2, 5)
+        values[2, 5] = 5.8e6
+        values[3, 0] = -1.0
+        with pytest.raises(SensorDomainError) as err:
+            SensorSession([0, 100, 90, 300], values)
+        assert (err.value.frame, err.value.sensor) == (2, None)
+
+
+class TestStrainsFromFrame:
     def test_baseline_frame_bending_gives_constant_term(self):
         modes = [Mode.BENDING] * 24
         out = strains_from_frame(np.zeros(24), BendCalibration(), modes, np.full(24, 0.3))
@@ -352,10 +414,10 @@ class TestStrainsFromFrame:
         assert np.all(out == out[0])
 
     def test_nonpositive_resistance_tagged_with_index(self):
-        values = np.full(24, 5.8e6)
-        values[17] = -1.0
+        values = np.full((1, 24), 5.8e6)
+        values[0, 17] = -1.0
         with pytest.raises(SensorDomainError) as err:
-            self._frame(values)
+            SensorSession([0], values)
         assert err.value.sensor == 17
 
     def test_out_of_domain_bending_tagged(self):

@@ -105,7 +105,7 @@ class TestResistances:
         _, sensed = generate_session(sc, topo, BendCalibration(), default_stretch_table())
         # at rest every strain is zero (to rounding), which routes to the
         # stretch table and gives dR/R = 0
-        r = np.stack([f.resistances for f in sensed])
+        r = sensed.resistances
         assert np.max(np.abs(r - DEFAULT_BASELINE_OHMS) / DEFAULT_BASELINE_OHMS) < 1e-12
 
     def test_inverse_composition_round_trip(self, topo):
@@ -116,7 +116,7 @@ class TestResistances:
         sc = dataclasses.replace(BOTH_REGIMES, noise=NoiseModel(kind="none"))
         truth, sensed = generate_session(sc, topo, cal, table)
         eps_true = np.stack([edge_lengths(topo, s) for s in truth]) / topo.rest_lengths() - 1.0
-        dr = np.stack([f.resistances for f in sensed]) / DEFAULT_BASELINE_OHMS - 1.0
+        dr = sensed.resistances / DEFAULT_BASELINE_OHMS - 1.0
         compressed = eps_true < -1e-12  # the dead band routes rest-level strains to stretch
         assert compressed.any() and (~compressed).any()
         assert bending_strain(dr[compressed], cal) == pytest.approx(
@@ -127,8 +127,8 @@ class TestResistances:
     def test_fixed_seed_reproducible(self, topo):
         sc = Scenario(keyframes=STILL, noise=NoiseModel(seed=99))
         args = (sc, topo, BendCalibration(), default_stretch_table())
-        a = np.stack([f.resistances for f in generate_session(*args)[1]])
-        b = np.stack([f.resistances for f in generate_session(*args)[1]])
+        a = generate_session(*args)[1].resistances
+        b = generate_session(*args)[1].resistances
         assert np.array_equal(a, b)
         assert not np.array_equal(a[0], a[1])  # each frame draws its own noise
 
@@ -236,8 +236,8 @@ class TestSessionMatchesScalarReference:
     """The one-pass session conversion against the parent's per-tendon loop."""
 
     @staticmethod
-    def csv_bytes(frames, path):
-        write_sensor_csv(frames, path)
+    def csv_bytes(session, path):
+        write_sensor_csv(session, path)
         return path.read_bytes()
 
     @pytest.mark.parametrize("scenario", [
@@ -298,8 +298,9 @@ class TestSessionMatchesScalarReference:
 
     def test_empty_session(self, topo):
         sc = Scenario(keyframes=((0, {}),))
-        assert generate_session(sc, topo, BendCalibration(), default_stretch_table()) == \
-            ([], [])
+        truth, sensed = generate_session(sc, topo, BendCalibration(), default_stretch_table())
+        assert truth == [] and len(sensed) == 0
+        assert sensed.resistances.shape == (0, 24)
 
 
 class TestNoiseModel:
@@ -322,7 +323,7 @@ class TestSession:
         assert len(truth) == 300 and len(sensed) == 300
         assert truth[0].timestamp_ms == 0
         assert truth[-1].timestamp_ms == 29900
-        assert [a.timestamp_ms for a in truth] == [b.timestamp_ms for b in sensed]
+        assert [a.timestamp_ms for a in truth] == sensed.timestamps_ms.tolist()
 
     def test_press_traces_rise_and_fall(self, topo):
         sc = press_scenario(topo, seed=1, noise=NoiseModel(kind="none"))
@@ -356,8 +357,8 @@ class TestSession:
         sc = press_scenario(topo, seed=7)
         t1, s1 = generate_session(sc, topo, BendCalibration(), default_stretch_table())
         t2, s2 = generate_session(sc, topo, BendCalibration(), default_stretch_table())
-        for a, b in zip(s1, s2):
-            assert np.array_equal(a.resistances, b.resistances)
+        assert np.array_equal(s1.timestamps_ms, s2.timestamps_ms)
+        assert np.array_equal(s1.resistances, s2.resistances)
         for a, b in zip(t1, t2):
             assert np.array_equal(a.coords, b.coords)
 
