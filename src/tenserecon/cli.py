@@ -2,36 +2,24 @@
 reconstruct, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver non-convergence
-(frames are still written).  Set TENSERECON_LOG=DEBUG|INFO|WARNING to change
-log verbosity.
+(frames are still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import harness, lstm, pipeline, reconstruction, sensors, simulator, topology
 from .errors import DataFormatError, TenseReconError, TopologyError, write_json
 
-log = logging.getLogger("tenserecon")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NOCONV = 3
-
-
-def _setup_logging():
-    level = os.environ.get("TENSERECON_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
 
 
 def _resolve_topology(args) -> topology.Topology:
@@ -189,7 +177,6 @@ def cmd_run_all(args) -> int:
     truth, sensed = simulator.generate_session(sc, topo, cal, table)
     harness.write_sensor_csv(sensed, outdir / "sensors.csv")
     harness.export_frames(truth, outdir / "truth.jsonl")
-    log.info("simulated %d frames", len(sensed))
 
     noisy = sc.noise.kind != "none"
     model_path = outdir / "lstm.json"
@@ -331,7 +318,6 @@ _COMMANDS = {
 
 def cli(argv=None) -> int:
     """Parse argv and run; returns the process exit code."""
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

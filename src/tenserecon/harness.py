@@ -107,20 +107,20 @@ def export_frames(results, path) -> None:
     """Write SolveResults or StateFrames as JSON lines; bit-exact on re-load.
 
     A StateFrame is ground truth and gets trivial solver fields.  Coordinates
-    are JSON-encoded once per distinct coordinates object (held truth frames
-    share the object of the frame before them), and each line is
-    byte-identical to json.dumps of the whole record.
+    are JSON-encoded once per distinct bit pattern (held truth frames repeat
+    the frame before them), and each line is byte-identical to json.dumps of
+    the whole record.
     """
-    results = list(results)  # keeps each coordinates object, and so its id(), alive
-    encoded: dict[int, str] = {}
+    encoded: dict[bytes, str] = {}
     lines = []
     for r in results:
         state, converged, iters, residual_norm = (
             (r.state, r.converged, r.iterations, float(r.residual_norm))
             if isinstance(r, SolveResult) else (r, True, 0, 0.0))
-        coords = encoded.get(id(state.coords))
+        key = state.coords.tobytes()
+        coords = encoded.get(key)
         if coords is None:
-            coords = encoded[id(state.coords)] = json.dumps(state.coords.tolist())
+            coords = encoded[key] = json.dumps(state.coords.tolist())
         # repr is json.dumps's text for a finite float, without a call's overhead
         norm = repr(residual_norm) if math.isfinite(residual_norm) else json.dumps(residual_norm)
         lines.append(f'{{"t_ms": {int(state.timestamp_ms)}, '
@@ -196,19 +196,14 @@ def _face_dz(a: np.ndarray, b: np.ndarray, t: Topology) -> np.ndarray:
     return np.ascontiguousarray((a[:, tris, 2].mean(axis=2) - b[:, tris, 2].mean(axis=2)).T)
 
 
-def tendon_length_series(states, t: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tendon length series: (timestamps_ms, lengths (n_frames, 24))."""
+def write_length_series_csv(states, t: Topology, path) -> None:
+    """Write each state's timestamp and its 24 tendon lengths, one row per state."""
     states = list(states)
     if not states:
         raise MetricsError("no states to tabulate")
-    ts = np.array([int(s.timestamp_ms) for s in states])
-    return ts, edge_lengths(t, np.stack([s.coords for s in states]))
-
-
-def write_length_series_csv(states, t: Topology, path) -> None:
-    ts, series = tendon_length_series(states, t)
+    series = edge_lengths(t, np.stack([s.coords for s in states]))
     write_csv_rows(path, "t_ms," + ",".join(f"len{k:02d}" for k in range(series.shape[1])),
-                   ([row_ts, *row] for row_ts, row in zip(ts.tolist(), series.tolist())))
+                   ([int(s.timestamp_ms), *row] for s, row in zip(states, series.tolist())))
 
 
 @dataclass(frozen=True)
@@ -227,18 +222,15 @@ class MetricsReport:
                                 SYSTEM_RMSE_DEFINITION], **asdict(self)}
 
 
-def evaluate(est_states, truth_states, t: Topology,
-             converged_flags=None) -> MetricsReport:
-    """Compute the full metrics report over aligned estimate/truth streams."""
+def evaluate(est_states, truth_states, t: Topology, converged_flags) -> MetricsReport:
+    """Compute the full metrics report over aligned estimate/truth streams and
+    the estimates' converged flags."""
     a, b = _aligned(est_states, truth_states, len(t.nominal_coords))
     d = (a - b)[:, list(t.free_nodes)]
     dz = d[:, :, 2]
     per_frame = tuple(float(v) for v in np.sqrt(np.mean(dz ** 2, axis=1)) * 1000.0)
-    if converged_flags is None:
-        conv = 1.0
-    else:
-        flags = list(converged_flags)
-        conv = float(sum(bool(f) for f in flags) / len(flags)) if flags else 0.0
+    flags = list(converged_flags)
+    conv = float(sum(bool(f) for f in flags) / len(flags)) if flags else 0.0
     return MetricsReport(
         rmse_node_height_mm=_rms_mm(dz),
         rmse_face_height_mm=_rms_mm(_face_dz(a, b, t)),

@@ -313,25 +313,23 @@ def _window_block(series: np.ndarray, window: int) -> np.ndarray:
 
 
 def _check_window_shape(m: LstmModel, shape: tuple) -> None:
-    if len(shape) not in (2, 3) or shape[-2:] != (m.window, m.input_size):
+    if len(shape) != 3 or shape[1:] != (m.window, m.input_size):
         raise ModelFormatError(
-            f"window shape {shape} does not match (T={m.window}, D={m.input_size})")
+            f"window shape {shape} does not match (n, T={m.window}, D={m.input_size})")
 
 
-def forward_sequence(window: np.ndarray, m: LstmModel):
-    """Run raw feature windows through the cell and readout.
+def forward_sequence(windows: np.ndarray, m: LstmModel) -> np.ndarray:
+    """Run an (n, T, D) batch of raw feature windows through the cell and
+    readout, giving n strains.
 
     Windows are normalized with the model statistics, iterated from zero
     initial states, and the readout on the final hidden state is mapped back
-    to physical strain.  A (T, D) window gives a float; an (n, T, D) batch
-    gives n strains.
+    to physical strain.
     """
-    w = np.asarray(window, dtype=float)
+    w = np.asarray(windows, dtype=float)
     _check_window_shape(m, w.shape)
-    batch = w.reshape(-1, m.window, m.input_size)
-    y = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, batch)))
-    strains = y * m.norm.target_scale + m.norm.target_mean
-    return float(strains[0]) if w.ndim == 2 else strains
+    y = _forward_batch(m, _normalize_windows(m, _clip_to_hull(m, w)))
+    return y * m.norm.target_scale + m.norm.target_mean
 
 
 def _share_passes(env, cpus: int) -> bool:
@@ -467,21 +465,6 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
              "w_o": g_w[2 * hs:3 * hs], "b_o": g_b[2 * hs:3 * hs], "w_h": g_w[3 * hs:],
              "w_out": h.T @ dy, "b_out": float(dy.sum())}
     return y, grads
-
-
-def backward(window: np.ndarray, target: float, m: LstmModel) -> dict:
-    """Full backprop-through-time gradients of the squared error on one window.
-
-    The window is a raw feature matrix (T, D); loss and gradients live in
-    normalized target space, matching what the trainer optimizes.
-    """
-    w = np.asarray(window, dtype=float)
-    if w.shape != (m.window, m.input_size):
-        raise ModelFormatError(
-            f"window shape {w.shape} does not match (T={m.window}, D={m.input_size})")
-    t_norm = (float(target) - m.norm.target_mean) / m.norm.target_scale
-    _, grads = _backward_batch(m, _normalize_windows(m, w)[None], np.array([t_norm]))
-    return grads
 
 
 def sequence_loss(m: LstmModel, windows_norm: np.ndarray, targets_norm: np.ndarray) -> float:

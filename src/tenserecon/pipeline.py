@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SensorDomainError, TenseReconError
+from .errors import SensorDomainError, TenseReconError, TopologyError
 from .harness import MetricsReport, evaluate
 from .lstm import LstmModel, predict_strain
 from .reconstruction import SolveOptions, SolveResult, Tracker
@@ -23,10 +23,12 @@ from .sensors import (
     N_SENSORS,
     SensorSession,
     lengths_from_strain,
-    select_mode,
     strains_from_frame,
 )
 from .topology import Topology, edge_lengths
+
+
+_REGIME = {False: Mode.STRETCHING, True: Mode.BENDING}  # keyed on "shorter than rest"
 
 
 def _session_dr(r: np.ndarray) -> np.ndarray:
@@ -44,19 +46,25 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
     The session's first frame is the baseline (rest) frame for every dR/R.
     The first frame treats every sensor as stretching (the structure is
     pre-tensioned at rest); later frames pick each sensor's regime from the
-    previously reconstructed tendon length against its rest length.  The
-    model's windows are left-padded with the first frame's dR/R until enough
-    history accumulates, so every frame yields a result.  A sensor error
-    names its frame: ``t=<ms> ms: sensor <k>: ...``.
+    previously reconstructed tendon length against its rest length.  A rest
+    length that is not finite and > 0 is a TopologyError naming the tendon,
+    raised before any frame.  The model's windows are left-padded with the
+    first frame's dR/R until enough history accumulates, so every frame
+    yields a result.  A sensor error names its frame:
+    ``t=<ms> ms: sensor <k>: ...``.
     """
     if not len(session):
         return []
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 
+    rest = t.rest_lengths()
+    bad = np.flatnonzero(~(np.isfinite(rest) & (rest > 0)))
+    if len(bad):
+        k = int(bad[0])
+        raise TopologyError(f"tendon {k}: rest length must be finite and > 0, got {rest[k]}")
     dr = _session_dr(session.resistances)
     stretch = predict_strain(model, dr)
-    rest = t.rest_lengths()
     tracker = Tracker(t, opts)
     results: list[SolveResult] = []
     modes = [Mode.STRETCHING] * N_SENSORS
@@ -69,8 +77,8 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
             raise SensorDomainError(exc.detail, exc.sensor, t_ms) from exc
         result = tracker.process(t_ms, lengths)
         results.append(result)
-        prev = edge_lengths(t, result.state)
-        modes = [select_mode(prev[k], rest[k]) for k in range(N_SENSORS)]
+        shorter = edge_lengths(t, result.state.coords) < rest  # a tie stretches
+        modes = [_REGIME[b] for b in shorter.tolist()]
     return results
 
 

@@ -186,17 +186,11 @@ def bend_inverse(strain, cal: BendCalibration = BendCalibration()):
         out = np.where(np.isnan(out) & (b - a < BEND_INVERSE_TOLERANCE), m, out)
         if not np.isnan(out).any():
             break
-        raise_a = (bending_strain(m, cal) > s) == decreasing
+        # m stays inside [lo, hi], so the polynomial needs no domain check here
+        raise_a = (np.polyval(cal.coefficients, m) > s) == decreasing
         a = np.where(raise_a, m, a)
         b = np.where(raise_a, b, m)
     return np.where(np.isnan(out), 0.5 * (a + b), out)[()]
-
-
-def select_mode(estimated_length: float, rest_length: float) -> Mode:
-    """Compressive (shorter than rest) -> bending; ties -> stretching."""
-    if rest_length <= 0:
-        raise SensorDomainError(f"rest length must be > 0, got {rest_length}")
-    return Mode.BENDING if estimated_length < rest_length else Mode.STRETCHING
 
 
 def lengths_from_strain(strains: np.ndarray, topology) -> np.ndarray:
@@ -213,7 +207,7 @@ def lengths_from_strain(strains: np.ndarray, topology) -> np.ndarray:
     return (1.0 + e) * rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: a table equals only itself
 class StretchTable:
     """Monotone lookup between tensile strain and dR/R.
 

@@ -243,13 +243,10 @@ def validate(t: Topology) -> list[str]:
     return out
 
 
-def edge_lengths(t: Topology, state) -> np.ndarray:
-    """Euclidean tendon lengths in tendon-index order.
-
-    Accepts a 12x3 coordinate array or any object with a .coords attribute,
-    or a (frames, 12, 3) stack, which gives (frames, 24) lengths.
-    """
-    coords = np.asarray(getattr(state, "coords", state), dtype=float)
+def edge_lengths(t: Topology, coords) -> np.ndarray:
+    """Euclidean tendon lengths in tendon-index order of 12x3 coordinates,
+    or of a (frames, 12, 3) stack, which gives (frames, 24) lengths."""
+    coords = np.asarray(coords, dtype=float)
     if coords.shape[-2:] != (len(t.nominal_coords), 3) or coords.ndim > 3:
         raise TopologyError(f"state must be {len(t.nominal_coords)}x3, got {coords.shape}")
     return edge_pass(t.tendon_members, coords)[1]

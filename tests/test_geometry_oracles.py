@@ -411,7 +411,7 @@ def test_evaluate_matches_face_loop(seed, n_frames, scale):
         est.append(StateFrame(100 * k, e))
         truth.append(StateFrame(100 * k, g))
     est = [est[i] for i in rng.permutation(n_frames)]
-    report = evaluate(est, truth, TOPO)
+    report = evaluate(est, truth, TOPO, [True] * n_frames)
     node, face, system, per_frame = ref_rmses(est, truth, TOPO)
     assert report.rmse_node_height_mm == node
     assert report.rmse_face_height_mm == face

@@ -14,7 +14,6 @@ from tenserecon.harness import (
     export_frames,
     load_frames,
     parse_sensor_csv,
-    tendon_length_series,
     write_length_series_csv,
     write_sensor_csv,
 )
@@ -171,7 +170,7 @@ class TestParse:
 class TestRmse:
     def test_identical_streams_are_zero(self, topo):
         frames = [state(i * 100, topo.nominal_coords) for i in range(3)]
-        report = evaluate(frames, frames, topo)
+        report = evaluate(frames, frames, topo, [True] * 3)
         assert report.rmse_node_height_mm == 0.0
         assert report.rmse_face_height_mm == 0.0
         assert report.rmse_system_mm == 0.0
@@ -182,7 +181,7 @@ class TestRmse:
         est[5, 2] += 0.009
         a = [state(0, est)]
         b = [state(0, topo.nominal_coords)]
-        assert evaluate(a, b, topo).rmse_node_height_mm == pytest.approx(3.0, rel=1e-12)
+        assert evaluate(a, b, topo, [True]).rmse_node_height_mm == pytest.approx(3.0, rel=1e-12)
 
     def test_face_rmse_uniform_lift(self, topo):
         # oracle: recompute from the face composition directly
@@ -197,7 +196,8 @@ class TestRmse:
         expected = math.sqrt(sum(v ** 2 for v in per_face) / len(per_face))
         a = [state(0, est)]
         b = [state(0, topo.nominal_coords)]
-        assert evaluate(a, b, topo).rmse_face_height_mm == pytest.approx(expected, rel=1e-12)
+        face = evaluate(a, b, topo, [True]).rmse_face_height_mm
+        assert face == pytest.approx(expected, rel=1e-12)
         # the anchored face contributes zero
         anchored_face = [v for tri, v in zip(tris, per_face)
                          if set(tri) == topo.anchored]
@@ -209,7 +209,7 @@ class TestRmse:
         est[7] += np.array([0.003, 0.0, 0.004])
         a = [state(0, est)]
         b = [state(0, topo.nominal_coords)]
-        assert evaluate(a, b, topo).rmse_system_mm == pytest.approx(
+        assert evaluate(a, b, topo, [True]).rmse_system_mm == pytest.approx(
             math.sqrt(25.0 / 27.0), rel=1e-12)
 
     def test_system_rmse_matches_brute_force(self, topo):
@@ -231,7 +231,8 @@ class TestRmse:
                     total += (a.coords[n, ax] - b.coords[n, ax]) ** 2
                     count += 1
         expected = math.sqrt(total / count) * 1000.0
-        assert evaluate(est, truth, topo).rmse_system_mm == pytest.approx(expected, rel=1e-12)
+        system = evaluate(est, truth, topo, [True] * 5).rmse_system_mm
+        assert system == pytest.approx(expected, rel=1e-12)
 
     def test_reorder_invariance(self, topo):
         rng = np.random.default_rng(5)
@@ -243,8 +244,9 @@ class TestRmse:
             est.append(state(i * 100, e))
             truth.append(state(i * 100, topo.nominal_coords))
         perm = [3, 0, 5, 1, 4, 2]
-        base = evaluate(est, truth, topo)
-        shuffled = evaluate([est[i] for i in perm], [truth[i] for i in perm], topo)
+        base = evaluate(est, truth, topo, [True] * 6)
+        shuffled = evaluate([est[i] for i in perm], [truth[i] for i in perm], topo,
+                            [True] * 6)
         for field in ("rmse_node_height_mm", "rmse_face_height_mm", "rmse_system_mm"):
             assert getattr(shuffled, field) == pytest.approx(getattr(base, field), rel=1e-15)
 
@@ -252,24 +254,36 @@ class TestRmse:
         est = [state(i * 100, topo.nominal_coords) for i in range(5)]
         truth = [state(i * 100, topo.nominal_coords) for i in range(3)]
         with pytest.raises(MetricsError) as err:
-            evaluate(est, truth, topo)
+            evaluate(est, truth, topo, [True] * 5)
         assert "common timestamp range" in str(err.value)
 
     def test_empty_streams_rejected(self, topo):
         with pytest.raises(MetricsError):
-            evaluate([], [], topo)
+            evaluate([], [], topo, [])
+
+
+def length_series(states, topo, path):
+    """write_length_series_csv's file read back: (timestamps, (frames, 24) lengths)."""
+    write_length_series_csv(states, topo, path)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, 0], table[:, 1:]
 
 
 class TestSeries:
-    def test_constant_stream_flat(self, topo):
+    def test_constant_stream_flat(self, topo, tmp_path):
         frames = [state(i * 100, topo.nominal_coords) for i in range(4)]
-        ts, series = tendon_length_series(frames, topo)
+        ts, series = length_series(frames, topo, tmp_path / "series.csv")
+        assert ts.tolist() == [0, 100, 200, 300]
         assert series.shape == (4, 24)
         assert np.all(series == series[0])
 
-    def test_nominal_values(self, topo):
-        _, series = tendon_length_series([state(0, topo.nominal_coords)], topo)
+    def test_nominal_values(self, topo, tmp_path):
+        _, series = length_series([state(0, topo.nominal_coords)], topo, tmp_path / "series.csv")
         assert np.max(np.abs(series - 0.30 * math.sqrt(6.0) / 4.0)) < 1e-12
+
+    def test_empty_stream_rejected(self, topo, tmp_path):
+        with pytest.raises(MetricsError, match="no states"):
+            write_length_series_csv([], topo, tmp_path / "series.csv")
 
     def test_csv_written(self, topo, tmp_path):
         frames = [state(i * 100, topo.nominal_coords) for i in range(3)]
@@ -306,7 +320,7 @@ def press_truth(topo):
 
 def tracked_with_failed_frame(topo):
     tracker = Tracker(topo)
-    lengths = edge_lengths(topo, press_truth(topo)[30])
+    lengths = edge_lengths(topo, press_truth(topo)[30].coords)
     return [tracker.process(0, lengths),
             tracker.process(100, np.full(24, -1.0)),  # fails: re-emits the warm state
             tracker.process(200, lengths * 1.001)]
@@ -333,6 +347,26 @@ class TestExport:
         export_frames(frames, tmp_path / "fast.jsonl")
         ref_export_frames(frames, tmp_path / "ref.jsonl")
         assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_lines_follow_coordinate_bits_not_objects(self, topo, tmp_path):
+        zero, neg = topo.nominal_coords.copy(), topo.nominal_coords.copy()
+        zero[5, 0], neg[5, 0] = 0.0, -0.0
+        frames = [state(0, zero), state(0, zero.copy()), state(0, neg)]
+        path = tmp_path / "f.jsonl"
+        export_frames(frames, path)
+        ref_export_frames(frames, tmp_path / "ref.jsonl")
+        lines = path.read_text().splitlines()
+        assert path.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        assert lines[0] == lines[1] and lines[1] != lines[2] and "[-0.0, " in lines[2]
+
+    def test_generator_writes_its_list_bytes(self, topo, tmp_path):
+        # each fresh copy is dropped once the writer moves on, so an object
+        # identity could be reused by the next frame's coordinates
+        frames = press_truth(topo)
+        export_frames(frames, tmp_path / "list.jsonl")
+        export_frames((state(s.timestamp_ms, s.coords.copy()) for s in frames),
+                      tmp_path / "gen.jsonl")
+        assert (tmp_path / "gen.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
 
     def test_round_trip_bit_exact(self, topo, tmp_path):
         results = []

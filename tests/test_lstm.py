@@ -19,7 +19,6 @@ from tenserecon.lstm import (
     _forward_batch,
     _normalize_windows,
     _sigmoid,
-    backward,
     features_from_window,
     forward_sequence,
     init_model,
@@ -422,15 +421,21 @@ class TestForward:
             m, b_out=0.25,
             norm=Normalization(input_mean=np.zeros(2), input_scale=np.ones(2),
                                target_mean=0.1, target_scale=2.0))
-        out = forward_sequence(np.zeros((3, 2)), m)
-        assert out == pytest.approx(0.25 * 2.0 + 0.1, rel=1e-15)
+        out = forward_sequence(np.zeros((1, 3, 2)), m)
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(0.25 * 2.0 + 0.1, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 3, 3), (1, 4, 2), (1, 1, 3, 2)])
+    def test_takes_only_batches_of_the_model_window(self, shape):
+        with pytest.raises(ModelFormatError, match=r"does not match \(n, T=3, D=2\)"):
+            forward_sequence(np.zeros(shape), zero_model())
 
     def test_window_of_one_equals_explicit_step(self):
         m = init_model(2, 5, 1, seed=2)
         x = np.array([0.4, -0.2])
         h, _ = lstm_step(x, np.zeros(5), np.zeros(5), m)
         manual = float(h @ m.w_out + m.b_out)
-        assert forward_sequence(x[None], m) == pytest.approx(manual, rel=1e-14)
+        assert forward_sequence(x[None, None], m)[0] == pytest.approx(manual, rel=1e-14)
 
     def test_trained_toy_linear_map(self):
         # learn y = 2x from windows of constant x
@@ -459,9 +464,9 @@ class TestBackward:
             m = init_model(2, 4, 5, seed=100 + trial)
             window = rng.normal(size=(5, 2))
             target = float(rng.normal())
-            grads = backward(window, target, m)
             xn = _normalize_windows(m, window)[None]
             tn = np.array([(target - m.norm.target_mean) / m.norm.target_scale])
+            grads = _backward_batch(m, xn, tn)[1]
 
             def loss(model):
                 return sequence_loss(model, xn, tn)
@@ -492,7 +497,7 @@ class TestBackward:
         m = init_model(2, 4, 3, seed=0)
         m = dataclasses.replace(m, w_out=np.zeros(4), b_out=0.0)
         # prediction is b_out = 0 (normalized); target chosen to match
-        grads = backward(np.zeros((3, 2)), m.norm.target_mean, m)
+        _, grads = _backward_batch(m, _normalize_windows(m, np.zeros((1, 3, 2))), np.zeros(1))
         assert grads["b_out"] == pytest.approx(0.0, abs=1e-15)
 
     def test_batch_gradient_is_mean_of_singles(self):
@@ -550,10 +555,7 @@ class TestTrain:
     def test_held_out_error_mean_near_zero(self, clean_model_and_report):
         model, report = clean_model_and_report
         data = make_stretch_dataset(seed=0, noise_band=None)
-        errs = []
-        for idx in data.val_idx:
-            pred = forward_sequence(data.windows[idx], model)
-            errs.append(pred - data.targets[idx])
+        errs = forward_sequence(data.windows[data.val_idx], model) - data.targets[data.val_idx]
         assert abs(float(np.mean(errs))) < 0.02
 
 
@@ -565,8 +567,8 @@ class TestSerialization:
             path = tmp_path / f"m{trial}.json"
             save_model(m, path)
             m2 = load_model(path)
-            window = rng.normal(size=(4, 2))
-            assert forward_sequence(window, m2) == forward_sequence(window, m)
+            windows = rng.normal(size=(1, 4, 2))
+            assert np.array_equal(forward_sequence(windows, m2), forward_sequence(windows, m))
 
     def test_truncated_file_rejected(self, tmp_path):
         m = init_model(2, 4, 3, seed=0)

@@ -1,10 +1,12 @@
 """End-to-end composition: baselines, mode dispatch, the exact loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tenserecon import pipeline
-from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconError
+from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconError, TopologyError
 from tenserecon.lstm import init_model
 from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions, Tracker
@@ -97,7 +99,7 @@ def test_regime_follows_previous_solved_lengths(topo, clean_session, clean_model
     rest = topo.rest_lengths()
     ties = bending = 0
     for modes, prev in zip(seen[1:], results):
-        solved = edge_lengths(topo, prev.state)
+        solved = edge_lengths(topo, prev.state.coords)
         assert [m is Mode.BENDING for m in modes] == (solved < rest).tolist()
         ties += int(np.sum(solved == rest))
         bending += int(np.sum(solved < rest))
@@ -218,6 +220,21 @@ def test_model_error_is_raised_before_frame_0(topo, clean_session, monkeypatch):
     with pytest.raises(ModelFormatError) as err:
         reconstruct_session(head(sensed, 5), topo, BendCalibration(), init_model(3, 4, 5, seed=0))
     assert not isinstance(err.value, SensorDomainError)
+    assert solved == []
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+def test_bad_rest_length_is_raised_before_frame_0(topo, clean_session, clean_model,
+                                                  monkeypatch, bad):
+    # a regime needs every rest length; a bad one would otherwise fail every frame
+    tendons = list(topo.tendons)
+    tendons[7] = dataclasses.replace(tendons[7], rest_length=bad)
+    broken = dataclasses.replace(topo, tendons=tuple(tendons))
+    solved = []
+    monkeypatch.setattr(Tracker, "process", lambda *args: solved.append(args))
+    with pytest.raises(TopologyError) as err:
+        reconstruct_session(head(clean_session[1], 5), broken, BendCalibration(), clean_model)
+    assert str(err.value) == f"tendon 7: rest length must be finite and > 0, got {bad}"
     assert solved == []
 
 

@@ -23,7 +23,6 @@ from tenserecon.sensors import (
     lengths_from_strain,
     load_calibration,
     save_calibration,
-    select_mode,
     strains_from_frame,
 )
 from tenserecon.topology import build_canonical
@@ -142,7 +141,7 @@ class TestBendInverseFastPath:
             peaks[0] = calls[0] = 0
             bend_inverse(float(strain), cal)
             assert peaks[0] == 0
-            assert 2 < calls[0] <= 300  # the bisection steps, each one bending_strain call
+            assert calls[0] == 1  # the domain ends; the bisection evaluates the polynomial
 
 
 class TestArraysMatchScalarReference:
@@ -255,19 +254,6 @@ class TestFit:
 
 
 class TestModeAndLengths:
-    def test_compressive_selects_bending(self):
-        assert select_mode(0.9 * 0.18, 0.18) is Mode.BENDING
-
-    def test_tensile_selects_stretching(self):
-        assert select_mode(1.2 * 0.18, 0.18) is Mode.STRETCHING
-
-    def test_tie_goes_to_stretching(self):
-        assert select_mode(0.18, 0.18) is Mode.STRETCHING
-
-    def test_bad_rest_length(self):
-        with pytest.raises(SensorDomainError):
-            select_mode(0.1, 0.0)
-
     def test_zero_strain_gives_rest_lengths(self):
         t = build_canonical(0.30)
         out = lengths_from_strain(np.zeros(24), t)
@@ -325,6 +311,11 @@ class TestStretchTable:
         cols[column][-1] = bad
         with pytest.raises(CalibrationError, match="stretch table values must be finite"):
             StretchTable(**cols)
+
+    def test_compares_by_identity(self):
+        # dataclass equality over array fields would raise on == and on hash()
+        t, u = default_stretch_table(), default_stretch_table()
+        assert t == t and t != default_stretch_table() and len({t, u}) == 2
 
 
 class TestBendCalibration:

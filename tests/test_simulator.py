@@ -115,7 +115,8 @@ class TestResistances:
         table = default_stretch_table()
         sc = dataclasses.replace(BOTH_REGIMES, noise=NoiseModel(kind="none"))
         truth, sensed = generate_session(sc, topo, cal, table)
-        eps_true = np.stack([edge_lengths(topo, s) for s in truth]) / topo.rest_lengths() - 1.0
+        lengths = np.stack([edge_lengths(topo, s.coords) for s in truth])
+        eps_true = lengths / topo.rest_lengths() - 1.0
         dr = sensed.resistances / DEFAULT_BASELINE_OHMS - 1.0
         compressed = eps_true < -1e-12  # the dead band routes rest-level strains to stretch
         assert compressed.any() and (~compressed).any()
@@ -146,7 +147,7 @@ class TestResistances:
         # table's strain range [0, 1] only after some frames
         truth, _ = generate_session(press_scenario(topo, noise=NoiseModel(kind="none")),
                                     topo, BendCalibration(), default_stretch_table())
-        lengths = np.stack([edge_lengths(topo, s) for s in truth])
+        lengths = np.stack([edge_lengths(topo, s.coords) for s in truth])
         k = int(np.argmax(lengths.max(axis=0) / lengths[0]))
         t2 = with_rest_length(topo, k, float(lengths[0, k]) / 1.99)
         first = int(np.argmax(lengths[:, k] / t2.rest_lengths()[k] - 1.0 > 1.0))
@@ -329,7 +330,7 @@ class TestSession:
         sc = press_scenario(topo, seed=1, noise=NoiseModel(kind="none"))
         truth, _ = generate_session(sc, topo, BendCalibration(),
                                     default_stretch_table())
-        lengths = np.stack([edge_lengths(topo, s) for s in truth])
+        lengths = np.stack([edge_lengths(topo, s.coords) for s in truth])
         rest = topo.rest_lengths()
         dev = np.abs(lengths - rest)
         # anchored-triangle tendons (indices 0..2) stay at rest
@@ -404,7 +405,7 @@ class TestZeroNoiseEndToEnd:
         sc = press_scenario(topo, seed=3, noise=NoiseModel(kind="none"))
         truth, _ = generate_session(sc, topo, BendCalibration(),
                                     default_stretch_table())
-        frames = [(s.timestamp_ms, edge_lengths(topo, s)) for s in truth]
+        frames = [(s.timestamp_ms, edge_lengths(topo, s.coords)) for s in truth]
         tracker = Tracker(topo, SolveOptions(residual_tolerance=0.0))
         results = [tracker.process(ts, lengths) for ts, lengths in frames]
         free = list(topo.free_nodes)
