@@ -46,7 +46,12 @@ class SingularGeometryError(TenseReconError):
 
 
 class RelaxationError(TenseReconError):
-    """Constraint projection failed to restore strut lengths."""
+    """Constraint projection failed to restore strut lengths; ``frame`` is the failing
+    frame's index in a stack or a session, None for a lone frame."""
+
+    def __init__(self, message: str, frame: int | None = None):
+        super().__init__(message)
+        self.frame = frame
 
 
 class OrderingError(TenseReconError):

@@ -25,7 +25,7 @@ from .sensors import (
     lengths_from_strain,
     strains_from_frame,
 )
-from .topology import Topology, edge_lengths
+from .topology import Topology, edge_lengths, rest_length_problems
 
 
 _REGIME = {False: Mode.STRETCHING, True: Mode.BENDING}  # keyed on "shorter than rest"
@@ -58,11 +58,10 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 
+    bad = rest_length_problems(t)
+    if bad:
+        raise TopologyError(bad[0])
     rest = t.rest_lengths()
-    bad = np.flatnonzero(~(np.isfinite(rest) & (rest > 0)))
-    if len(bad):
-        k = int(bad[0])
-        raise TopologyError(f"tendon {k}: rest length must be finite and > 0, got {rest[k]}")
     dr = _session_dr(session.resistances)
     stretch = predict_strain(model, dr)
     tracker = Tracker(t, opts)

@@ -46,7 +46,7 @@ class StateFrame:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 2 or c.shape[1] != 3:
             raise TopologyError(f"coords must be Nx3, got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise TopologyError("coords contain non-finite values")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)

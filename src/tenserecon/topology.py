@@ -218,8 +218,7 @@ def validate(t: Topology) -> list[str]:
         if pair in tendon_set:
             out.append(f"duplicate tendon pair {pair}")
         tendon_set.add(pair)
-        if not np.isfinite(td.rest_length) or td.rest_length <= 0:
-            out.append(f"tendon {k} rest length must be > 0, got {td.rest_length}")
+    out.extend(rest_length_problems(t))
 
     degree = {i: 0 for i in known}
     for td in t.tendons:
@@ -243,6 +242,13 @@ def validate(t: Topology) -> list[str]:
     return out
 
 
+def rest_length_problems(t: Topology) -> list[str]:
+    """One message per tendon whose rest length is not finite and > 0, in tendon order."""
+    rest = t.rest_lengths()
+    return [f"tendon {k}: rest length must be finite and > 0, got {rest[k]}"
+            for k in np.flatnonzero(~(np.isfinite(rest) & (rest > 0)))]
+
+
 def edge_lengths(t: Topology, coords) -> np.ndarray:
     """Euclidean tendon lengths in tendon-index order of 12x3 coordinates,
     or of a (frames, 12, 3) stack, which gives (frames, 24) lengths."""
@@ -262,10 +268,16 @@ def edge_pass(m: MemberTable, coords: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def length_jacobian(m: MemberTable, e: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Rows of d|Ni - Nj| over the free-node coordinates (ascending node id, xyz
-    within) for m's rows and their edge pass (e, d).  C-ordered on purpose: BLAS
-    rounds products with a Fortran-ordered copy differently."""
-    jac = np.zeros((len(d), 3 * len(m.free)))
-    jac.reshape(-1)[m.jac_at] = (e / d[:, None]).take(m.u_at) * m.u_sign
+    within) for m's rows and their edge pass (e, d), or (frames, rows, columns)
+    for the edge pass of a stack.  C-ordered on purpose: BLAS rounds products
+    with a Fortran-ordered copy differently."""
+    if d.ndim == 1:
+        jac = np.zeros((len(d), 3 * len(m.free)))
+        jac.reshape(-1)[m.jac_at] = (e / d[:, None]).take(m.u_at) * m.u_sign
+        return jac
+    u = (e / d[..., None]).reshape(len(d), -1)
+    jac = np.zeros((len(d), d.shape[1], 3 * len(m.free)))
+    jac.reshape(len(d), -1)[:, m.jac_at] = u[:, m.u_at] * m.u_sign
     return jac
 
 

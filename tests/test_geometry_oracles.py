@@ -9,6 +9,7 @@ builder that fills every node's columns and then keeps the free ones.
 
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tenserecon import reconstruction
+from tenserecon import reconstruction, simulator
 from tenserecon.errors import RelaxationError, SingularGeometryError, TopologyError
 from tenserecon.harness import evaluate
 from tenserecon.reconstruction import (
@@ -216,6 +217,9 @@ def test_edge_pass_of_a_stack_is_its_frames(off):
         frames = [edge_pass(m, coords) for coords in stack]
         assert e.tobytes() == np.stack([f[0] for f in frames]).tobytes()
         assert d.tobytes() == np.stack([f[1] for f in frames]).tobytes()
+        jac = length_jacobian(m, e, d)
+        assert jac.flags.c_contiguous
+        assert jac.tobytes() == np.stack([length_jacobian(m, *f) for f in frames]).tobytes()
     lengths = np.stack([edge_lengths(TOPO, coords) for coords in stack])
     assert edge_lengths(TOPO, stack).tobytes() == lengths.tobytes()
 
@@ -293,6 +297,77 @@ def test_collapsed_strut_named(i, j):
     with pytest.raises(RelaxationError, match=f"strut {i}-{j} collapsed") as err:
         deform(TOPO, moves)
     assert outcome(ref_deform, TOPO, moves) == (RelaxationError, str(err.value))
+    assert err.value.frame is None
+
+
+REST = {n: (0.0, 0.0, 0.0) for n in FREE}
+PRESS = {**REST, 4: (0.0, 0.0, -0.030), 8: (0.0, 0.0, -0.030), 11: (0.0, 0.0, -0.030)}
+COLLAPSE = {**REST, 3: tuple(TOPO.nominal_coords[0] - TOPO.nominal_coords[3])}
+
+
+def stacked(rows):
+    """Per-frame displacement dicts over the free nodes as one stacked dict."""
+    return {n: np.array([row.get(n, (0.0, 0.0, 0.0)) for row in rows],
+                        dtype=float).reshape(-1, 3) for n in FREE}
+
+
+def projection_steps(moves):
+    """The Newton steps of a one-frame deform call."""
+    with mock.patch.object(simulator, "length_jacobian", wraps=length_jacobian) as steps:
+        deform(TOPO, moves)
+    return steps.call_count
+
+
+def far_strut(seed, scale=1e7):
+    """Strut 4-5 carried about ``scale`` m away.  Its length is then measured on a
+    grid of about scale * 1e-16 m, so the projection needs several steps to get
+    within DEFORM_TOL (seeds 1, 4, 5, 6, 11) or never gets there (seeds 0, 2)."""
+    rng = np.random.default_rng(seed)
+    move, tilt = rng.uniform(-1.0, 1.0, (2, 3))
+    return {**REST, 4: move * scale, 5: move * scale + tilt * 0.05}
+
+
+def test_stacked_deform_is_its_frames_bit_for_bit():
+    rows = [REST, {n: (-0.0, 0.0, -0.0) for n in FREE}, PRESS, far_strut(5), far_strut(4),
+            dict(zip(FREE, cold_draw_displacements(1)[0]))]
+    assert [projection_steps(row) for row in rows] == [0, 0, 1, 3, 6, 1]
+    got = deform(TOPO, stacked(rows))
+    assert got.shape == (len(rows), 12, 3)
+    assert got.tobytes() == np.stack([ref_deform(TOPO, row) for row in rows]).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(small_moves, max_size=5))
+def test_stacked_deform_bit_identical(rows):
+    got = deform(TOPO, stacked(rows))
+    want = [ref_deform(TOPO, {**REST, **row}) for row in rows]
+    assert got.tobytes() == np.reshape(want, (-1, 12, 3)).tobytes()
+
+
+def test_stacked_failure_is_the_earliest_failing_frame():
+    # row 1 runs out of steps long after the collapse in row 3 has been hit
+    with pytest.raises(RelaxationError) as err:
+        deform(TOPO, stacked([REST, far_strut(0), far_strut(4), COLLAPSE]))
+    assert err.value.frame == 1
+    assert outcome(ref_deform, TOPO, far_strut(0)) == (RelaxationError, str(err.value))
+    assert "did not reach" in str(err.value)
+
+
+def test_stacked_collapses_name_the_earlier_frame():
+    with pytest.raises(RelaxationError) as err:
+        deform(TOPO, stacked([PRESS, REST, {**COLLAPSE, 4: (0.0, 0.0, 0.01)}, COLLAPSE]))
+    assert err.value.frame == 2
+    assert outcome(ref_deform, TOPO, COLLAPSE) == (RelaxationError, str(err.value))
+
+
+@pytest.mark.parametrize("moves", [
+    {4: np.zeros((2, 3)), 8: np.zeros(3)},
+    {4: np.zeros((2, 3)), 8: np.zeros((3, 3))},
+    {4: np.zeros((2, 2))},
+])
+def test_stack_of_mismatched_shapes_rejected(moves):
+    with pytest.raises(TopologyError, match="stacked displacements"):
+        deform(TOPO, moves)
 
 
 def noisy_press_lengths(seed=3, n_frames=40):

@@ -156,37 +156,51 @@ class TestResistances:
             generate_session(press_scenario(t2, noise=NoiseModel(kind="none")),
                              t2, BendCalibration(), default_stretch_table())
         assert str(err.value).startswith(f"t={truth[first].timestamp_ms} ms: sensor {k}: ")
-        assert err.value.sensor == k
+        assert err.value.sensor == k and err.value.frame == first
         assert str(err.value).endswith(err.value.detail)
         assert not err.value.detail.startswith(("t=", "sensor"))
 
 
     @staticmethod
-    def press_failing_at_projection(topo, monkeypatch, failing_call):
+    def press_collapsing_strut_0_3(topo, monkeypatch, rows):
+        """The press, with free node 3 put onto anchor 0 in the given rows of its
+        stacked projection, so the real deform fails there."""
         exact = simulator.deform
-        calls = []
 
-        def fail_once(t, displacements):
-            calls.append(displacements)
-            if len(calls) == failing_call:
-                raise RelaxationError("strut 0-3 collapsed during projection")
-            return exact(t, displacements)
+        def collapse(t, displacements):
+            onto_0 = np.zeros((len(next(iter(displacements.values()))), 3))
+            onto_0[rows] = t.nominal_coords[0] - t.nominal_coords[3]
+            return exact(t, {**displacements, 3: onto_0})
 
-        monkeypatch.setattr(simulator, "deform", fail_once)
+        monkeypatch.setattr(simulator, "deform", collapse)
         generate_session(press_scenario(topo), topo, BendCalibration(),
                          default_stretch_table())
 
     def test_relaxation_error_names_its_frame(self, topo, monkeypatch):
+        # the ramp moves every frame, so row 2 of the stack is frame 2
         with pytest.raises(RelaxationError,
-                           match=r"^t=200 ms: strut 0-3 collapsed during projection$"):
-            self.press_failing_at_projection(topo, monkeypatch, 3)
+                           match=r"^t=200 ms: strut 0-3 collapsed during projection$") as err:
+            self.press_collapsing_strut_0_3(topo, monkeypatch, [2])
+        assert err.value.frame == 2
 
     def test_relaxation_error_after_a_hold_names_its_frame(self, topo, monkeypatch):
         # the press projects t=0 and the 50 ramp frames to 5000 ms, then keeps
-        # that shape through the hold, so its 52nd projection is at 15100 ms
+        # that shape through the hold, so row 51 of its stack is at 15100 ms
         with pytest.raises(RelaxationError,
-                           match=r"^t=15100 ms: strut 0-3 collapsed during projection$"):
-            self.press_failing_at_projection(topo, monkeypatch, 52)
+                           match=r"^t=15100 ms: strut 0-3 collapsed during projection$") as err:
+            self.press_collapsing_strut_0_3(topo, monkeypatch, [51])
+        assert err.value.frame == 151
+
+    def test_two_failing_rows_name_the_earlier_frame(self, topo, monkeypatch):
+        with pytest.raises(RelaxationError, match=r"^t=15100 ms: ") as err:
+            self.press_collapsing_strut_0_3(topo, monkeypatch, [70, 51])
+        assert err.value.frame == 151
+
+
+def stack_rows(projections):
+    """The rows of the one deform call a session made; a call naming no node is one frame."""
+    (_, displacements), = [c.args for c in projections.call_args_list]
+    return len(next(iter(displacements.values()))) if displacements else 1
 
 
 def bits(displacements):
@@ -275,9 +289,9 @@ class TestSessionMatchesScalarReference:
         rows = [ref_displacements_at(sc, t_ms) for t_ms in stamps]
         for t_ms, row, ref in zip(stamps, disp, rows):
             assert bits(dict(zip(nodes, row))) == bits(ref)
-        # one projection per run of bit-identical frames
+        # one projection, its stack one row per run of bit-identical frames
         if stamps:
-            assert projections.call_count == 1 + sum(
+            assert stack_rows(projections) == 1 + sum(
                 bits(a) != bits(b) for a, b in zip(rows, rows[1:]))
 
     def test_press_projects_each_distinct_shape_once(self, topo):
@@ -285,7 +299,7 @@ class TestSessionMatchesScalarReference:
             truth, _ = generate_session(press_scenario(topo), topo, BendCalibration(),
                                         default_stretch_table())
         # t=0, the 50 ramp frames and the 50 release frames; holds and rest reuse
-        assert projections.call_count == 101
+        assert stack_rows(projections) == 101
         assert truth[51].coords is truth[50].coords and truth[250].coords is truth[200].coords
         assert not truth[50].coords.flags.writeable
 
@@ -295,13 +309,31 @@ class TestSessionMatchesScalarReference:
                                  (300, {4: (-0.0, 0.0, 0.0)})))
         with mock.patch.object(simulator, "deform", wraps=deform) as projections:
             generate_session(sc, topo, BendCalibration(), default_stretch_table())
-        assert projections.call_count == 3
+        assert stack_rows(projections) == 3
+
+    def test_scenario_naming_no_node_is_one_rest_shape(self, topo):
+        sc = Scenario(keyframes=STILL, noise=NoiseModel(kind="none"))
+        with mock.patch.object(simulator, "deform", wraps=deform) as projections:
+            truth, sensed = generate_session(sc, topo, BendCalibration(),
+                                             default_stretch_table())
+        assert stack_rows(projections) == 1 and len(truth) == len(sensed) == 10
+        assert all(s.coords is truth[0].coords for s in truth)
+        assert np.array_equal(truth[0].coords, topo.nominal_coords)
 
     def test_empty_session(self, topo):
         sc = Scenario(keyframes=((0, {}),))
         truth, sensed = generate_session(sc, topo, BendCalibration(), default_stretch_table())
         assert truth == [] and len(sensed) == 0
         assert sensed.resistances.shape == (0, 24)
+
+    def test_empty_session_naming_a_node(self, topo):
+        # deform gets a stack of no frames
+        sc = Scenario(keyframes=((0, {4: (0.0, 0.0, -0.01)}),))
+        with mock.patch.object(simulator, "deform", wraps=deform) as projections:
+            truth, sensed = generate_session(sc, topo, BendCalibration(),
+                                             default_stretch_table())
+        assert stack_rows(projections) == 0
+        assert truth == [] and sensed.resistances.shape == (0, 24)
 
 
 class TestNoiseModel:

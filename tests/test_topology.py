@@ -128,6 +128,17 @@ def test_validate_duplicate_and_strut_shadow_tendons():
     assert "tendon 23 duplicates strut pair (0, 3)" in validate(t3)
 
 
+def test_validate_names_each_bad_rest_length():
+    # the message reconstruct_session raises for the first of them
+    t = build_canonical(0.30)
+    tendons = list(t.tendons)
+    tendons[7] = dataclasses.replace(tendons[7], rest_length=0.0)
+    tendons[9] = dataclasses.replace(tendons[9], rest_length=math.nan)
+    problems = validate(dataclasses.replace(t, tendons=tuple(tendons)))
+    assert problems == ["tendon 7: rest length must be finite and > 0, got 0.0",
+                        "tendon 9: rest length must be finite and > 0, got nan"]
+
+
 def test_edge_lengths_nominal():
     t = build_canonical(0.30)
     lengths = edge_lengths(t, t.nominal_coords)
