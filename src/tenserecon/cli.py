@@ -143,20 +143,15 @@ def cmd_reconstruct(args) -> int:
     results = pipeline.reconstruct_session(frames, topo, cal, model, opts,
                                            clamp=args.clamp)
     harness.export_frames(results, args.out)
-    n_conv = sum(r.converged for r in results)
+    n_conv = int(results.converged.sum())
     print(f"wrote {args.out} ({len(results)} frames, {n_conv} converged)")
-    if results and n_conv < len(results):
-        return EXIT_NOCONV
-    return EXIT_OK
+    return EXIT_NOCONV if n_conv < len(results) else EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     topo = _resolve_topology(args)
-    est = harness.load_frames(args.est)
-    truth = harness.load_frames(args.truth)
-    report = harness.evaluate([d["state"] for d in est],
-                              [d["state"] for d in truth], topo,
-                              converged_flags=[d["converged"] for d in est])
+    report = harness.evaluate(harness.load_frames(args.est),
+                              harness.load_frames(args.truth), topo)
     _report_metrics(report, args.out, announce=True)
     return EXIT_OK
 
@@ -193,8 +188,7 @@ def cmd_run_all(args) -> int:
     results = pipeline.reconstruct_session(sensed, topo, cal, model, opts,
                                            clamp=True)
     harness.export_frames(results, outdir / "frames.jsonl")
-    harness.write_length_series_csv([r.state for r in results], topo,
-                                    outdir / "tendon_lengths.csv")
+    harness.write_length_series_csv(results, topo, outdir / "tendon_lengths.csv")
 
     report = pipeline.evaluate_session(results, truth, topo)
     _report_metrics(report, outdir / "metrics.json", announce=False)

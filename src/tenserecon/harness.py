@@ -2,10 +2,10 @@
 
 Sensor CSV:   header ``t_ms,r00,...,r23``, one SensorSession frame per row,
               UTF-8, LF or CRLF, floats in full round-trip precision.
-Frame JSONL:  one JSON object per line:
+Frame JSONL:  one JSON object per row of a ``reconstruction.frame_table``:
               {"t_ms", "converged", "iters", "residual_norm", "coords_m"}.
-              Ground-truth files carry the same shape with trivial solver
-              fields.  An empty stream exports as a single comment line.
+              Ground-truth tables carry trivial solver fields.  An empty
+              table exports as a single comment line.
 
 Reported metrics (all millimeters, free nodes only, frame-averaged):
   node height RMSE   z-axis error per free node
@@ -22,10 +22,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError, read_lines
-from .reconstruction import SolveResult, StateFrame
+from .reconstruction import StateFrame, frame_table
 from .sensors import N_SENSORS, SensorSession
 from .topology import Topology, edge_lengths, tendon_triangles
 
+_INT64 = range(-2**63, 2**63)
 SENSOR_CSV_HEADER = "t_ms," + ",".join(f"r{k:02d}" for k in range(N_SENSORS))
 
 NODE_RMSE_DEFINITION = ("node height RMSE: sqrt(mean over frames and free nodes of "
@@ -79,7 +80,7 @@ def parse_sensor_csv(source) -> SensorSession:
         for lineno, cells in read_csv_rows(source, SENSOR_CSV_HEADER):
             try:
                 t_ms, row = int(cells[0]), [float(c) for c in cells[1:]]
-                if not -2**63 <= t_ms < 2**63:
+                if t_ms not in _INT64:
                     raise ValueError(f"timestamp {t_ms} outside the int64 range")
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=lineno) from exc
@@ -103,85 +104,86 @@ def write_sensor_csv(session: SensorSession, path) -> None:
     write_csv_rows(path, SENSOR_CSV_HEADER, ([t_ms, *r] for t_ms, r in rows))
 
 
-def export_frames(results, path) -> None:
-    """Write SolveResults or StateFrames as JSON lines; bit-exact on re-load.
+def export_frames(frames: np.recarray, path) -> None:
+    """Write a frame table as JSON lines; bit-exact on re-load.
 
-    A StateFrame is ground truth and gets trivial solver fields.  Coordinates
-    are JSON-encoded once per distinct bit pattern (held truth frames repeat
-    the frame before them), and each line is byte-identical to json.dumps of
-    the whole record.
+    Coordinates are JSON-encoded once per distinct bit pattern (held and
+    returning truth frames repeat earlier shapes), and each line is
+    byte-identical to json.dumps of the whole record.
     """
     encoded: dict[bytes, str] = {}
     lines = []
-    for r in results:
-        state, converged, iters, residual_norm = (
-            (r.state, r.converged, r.iterations, float(r.residual_norm))
-            if isinstance(r, SolveResult) else (r, True, 0, 0.0))
-        key = state.coords.tobytes()
+    for (t_ms, converged, iters, residual_norm), xyz in zip(
+            frames[["t_ms", "converged", "iters", "residual_norm"]].tolist(), frames.coords):
+        key = xyz.tobytes()
         coords = encoded.get(key)
         if coords is None:
-            coords = encoded[key] = json.dumps(state.coords.tolist())
+            coords = encoded[key] = json.dumps(xyz.tolist())
         # repr is json.dumps's text for a finite float, without a call's overhead
         norm = repr(residual_norm) if math.isfinite(residual_norm) else json.dumps(residual_norm)
-        lines.append(f'{{"t_ms": {int(state.timestamp_ms)}, '
-                     f'"converged": {"true" if converged else "false"}, "iters": {int(iters)}, '
-                     f'"residual_norm": {norm}, "coords_m": {coords}}}')
+        lines.append(f'{{"t_ms": {t_ms}, "converged": {"true" if converged else "false"}, '
+                     f'"iters": {iters}, "residual_norm": {norm}, "coords_m": {coords}}}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n" if lines else "# no frames\n")
 
 
-def load_frames(path) -> list[dict]:
-    """Read a frames JSONL file into dicts with a parsed StateFrame under "state".
+# a frame record's fields before "coords_m": what each must be, and its check
+_INTEGER = ("a JSON integer in the int64 range", lambda v: type(v) is int and v in _INT64)
+_RECORD = {"t_ms": _INTEGER, "converged": ("a JSON boolean", lambda v: type(v) is bool),
+           "iters": _INTEGER, "residual_norm": ("a JSON float or an int64 integer",
+                                                lambda v: type(v) is float or _INTEGER[1](v))}
+
+
+def load_frames(path) -> np.recarray:
+    """Read a frames JSONL file into a frame table.
 
     A record needs a JSON integer "t_ms", a JSON boolean "converged" and an
-    Nx3 "coords_m"; anything else raises DataFormatError naming the 1-based
-    line.
+    Nx3 "coords_m" with the first record's N; "iters", a JSON integer, and
+    "residual_norm", a JSON float (NaN for a failed frame) or integer, default
+    to ground truth's 0 and 0.0.  Integers must fit int64.  Anything else
+    raises DataFormatError naming the 1-based line.
     """
-    out = []
+    records, coords = [], []
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            doc = json.loads(line)
-            t_ms, converged = doc["t_ms"], doc["converged"]
-            if type(t_ms) is not int:
-                raise DataFormatError(
-                    f'"t_ms" must be a JSON integer, got {t_ms!r}', line=lineno)
-            if not isinstance(converged, bool):
-                raise DataFormatError(
-                    f'"converged" must be a JSON boolean, got {converged!r}',
-                    line=lineno)
-            doc["state"] = StateFrame(timestamp_ms=t_ms,
-                                      coords=np.array(doc["coords_m"], dtype=float))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                TopologyError) as exc:
+            doc = {"iters": 0, "residual_norm": 0.0, **json.loads(line)}
+            for key, (kind, valid) in _RECORD.items():
+                if not valid(doc[key]):
+                    raise DataFormatError(f'"{key}" must be {kind}, got {doc[key]!r}', line=lineno)
+            record = [doc[key] for key in _RECORD]
+            state = StateFrame(record[0], np.array(doc["coords_m"], dtype=float))
+        except (KeyError, TypeError, ValueError, TopologyError) as exc:
             raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
-        out.append(doc)
-    return out
+        if coords and len(state.coords) != len(coords[0]):
+            raise DataFormatError(f"{len(state.coords)} nodes; the first frame has "
+                                  f"{len(coords[0])}", line=lineno)
+        records.append(record)
+        coords.append(state.coords)
+    t_ms, converged, iters, norms = zip(*records) if records else ([],) * 4
+    return frame_table(t_ms, np.stack(coords) if coords else np.empty((0, 0, 3)),
+                       converged, iters, norms)
 
 
 def _aligned(est, truth, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack both streams in timestamp order; they must share every timestamp and
-    hold n_nodes nodes in every frame."""
-    est = sorted(est, key=lambda s: int(s.timestamp_ms))
-    truth = sorted(truth, key=lambda s: int(s.timestamp_ms))
-    if not est or not truth:
+    """Both tables' coordinates in timestamp order; they must share every timestamp
+    and hold n_nodes nodes."""
+    if not len(est) or not len(truth):
         raise MetricsError("empty estimate or truth stream")
-    est_ts = [int(s.timestamp_ms) for s in est]
-    truth_ts = [int(s.timestamp_ms) for s in truth]
-    if est_ts != truth_ts:
-        overlap = sorted(set(est_ts) & set(truth_ts))
+    est, truth = (f[np.argsort(f.t_ms, kind="stable")] for f in (est, truth))
+    if not np.array_equal(est.t_ms, truth.t_ms):
+        overlap = np.intersect1d(est.t_ms, truth.t_ms).tolist()
         span = f"[{overlap[0]}..{overlap[-1]}] ({len(overlap)} frames)" if overlap else "empty"
         raise MetricsError(
             f"misaligned streams: {len(est)} estimate vs {len(truth)} truth frames; "
             f"common timestamp range {span}")
-    for name, stream in (("estimate", est), ("truth", truth)):
-        counts = sorted({len(s.coords) for s in stream})
-        if counts != [n_nodes]:
-            raise MetricsError(f"{name} frames have {counts} nodes; the topology has {n_nodes}")
-    return (np.stack([s.coords for s in est]),
-            np.stack([s.coords for s in truth]))
+    for name, frames in (("estimate", est), ("truth", truth)):
+        if frames.coords.shape[1] != n_nodes:
+            raise MetricsError(f"{name} frames have {frames.coords.shape[1]} nodes; "
+                               f"the topology has {n_nodes}")
+    return est.coords, truth.coords
 
 
 def _rms_mm(err: np.ndarray) -> float:
@@ -196,14 +198,13 @@ def _face_dz(a: np.ndarray, b: np.ndarray, t: Topology) -> np.ndarray:
     return np.ascontiguousarray((a[:, tris, 2].mean(axis=2) - b[:, tris, 2].mean(axis=2)).T)
 
 
-def write_length_series_csv(states, t: Topology, path) -> None:
-    """Write each state's timestamp and its 24 tendon lengths, one row per state."""
-    states = list(states)
-    if not states:
-        raise MetricsError("no states to tabulate")
-    series = edge_lengths(t, np.stack([s.coords for s in states]))
+def write_length_series_csv(frames: np.recarray, t: Topology, path) -> None:
+    """Write each frame's timestamp and its 24 tendon lengths, one row per frame."""
+    if not len(frames):
+        raise MetricsError("no frames to tabulate")
+    series = edge_lengths(t, frames.coords)
     write_csv_rows(path, "t_ms," + ",".join(f"len{k:02d}" for k in range(series.shape[1])),
-                   ([int(s.timestamp_ms), *row] for s, row in zip(states, series.tolist())))
+                   ([t_ms, *row] for t_ms, row in zip(frames.t_ms.tolist(), series.tolist())))
 
 
 @dataclass(frozen=True)
@@ -222,20 +223,18 @@ class MetricsReport:
                                 SYSTEM_RMSE_DEFINITION], **asdict(self)}
 
 
-def evaluate(est_states, truth_states, t: Topology, converged_flags) -> MetricsReport:
-    """Compute the full metrics report over aligned estimate/truth streams and
-    the estimates' converged flags."""
-    a, b = _aligned(est_states, truth_states, len(t.nominal_coords))
+def evaluate(est: np.recarray, truth: np.recarray, t: Topology) -> MetricsReport:
+    """Compute the full metrics report of an estimate frame table against its
+    aligned truth table; converged_fraction is the estimate's."""
+    a, b = _aligned(est, truth, len(t.nominal_coords))
     d = (a - b)[:, list(t.free_nodes)]
     dz = d[:, :, 2]
     per_frame = tuple(float(v) for v in np.sqrt(np.mean(dz ** 2, axis=1)) * 1000.0)
-    flags = list(converged_flags)
-    conv = float(sum(bool(f) for f in flags) / len(flags)) if flags else 0.0
     return MetricsReport(
         rmse_node_height_mm=_rms_mm(dz),
         rmse_face_height_mm=_rms_mm(_face_dz(a, b, t)),
         rmse_system_mm=_rms_mm(d),
         frames_evaluated=len(a),
-        converged_fraction=conv,
+        converged_fraction=float(np.mean(est.converged)),
         per_frame_node_height_mm=per_frame,
     )

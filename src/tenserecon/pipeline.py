@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import harness
 from .errors import SensorDomainError, TenseReconError, TopologyError
-from .harness import MetricsReport, evaluate
 from .lstm import LstmModel, predict_strain
-from .reconstruction import SolveOptions, SolveResult, Tracker
+from .reconstruction import SolveOptions, Tracker, frame_table
 from .sensors import (
     BendCalibration,
     Mode,
@@ -40,8 +40,8 @@ def _session_dr(r: np.ndarray) -> np.ndarray:
 def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibration,
                         model: LstmModel | None,
                         opts: SolveOptions = SolveOptions(), *,
-                        clamp: bool = False) -> list[SolveResult]:
-    """Track node positions through a session's sensor frames.
+                        clamp: bool = False) -> np.recarray:
+    """Track node positions through a session's sensor frames into a frame table.
 
     The session's first frame is the baseline (rest) frame for every dR/R.
     The first frame treats every sensor as stretching (the structure is
@@ -54,7 +54,7 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
     ``t=<ms> ms: sensor <k>: ...``.
     """
     if not len(session):
-        return []
+        return frame_table([], np.empty((0, *t.nominal_coords.shape)))
     if model is None:
         raise TenseReconError("reconstruct_session needs a stretching model")
 
@@ -65,7 +65,7 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
     dr = _session_dr(session.resistances)
     stretch = predict_strain(model, dr)
     tracker = Tracker(t, opts)
-    results: list[SolveResult] = []
+    rows = []  # each frame's frame_table fields after t_ms
     modes = [Mode.STRETCHING] * N_SENSORS
 
     for t_ms, dr_row, stretch_row in zip(session.timestamps_ms.tolist(), dr, stretch):
@@ -74,15 +74,13 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
             lengths = lengths_from_strain(strains, t)
         except SensorDomainError as exc:
             raise SensorDomainError(exc.detail, exc.sensor, t_ms) from exc
-        result = tracker.process(t_ms, lengths)
-        results.append(result)
-        shorter = edge_lengths(t, result.state.coords) < rest  # a tie stretches
+        frame = tracker.process(t_ms, lengths)
+        rows.append((frame.state.coords, frame.converged, frame.iterations, frame.residual_norm))
+        shorter = edge_lengths(t, frame.state.coords) < rest  # a tie stretches
         modes = [_REGIME[b] for b in shorter.tolist()]
-    return results
+    return frame_table(session.timestamps_ms, *zip(*rows))
 
 
-def evaluate_session(results, truth_frames, t: Topology) -> MetricsReport:
-    """Metrics over tracked results against ground-truth states."""
-    est_states = [r.state for r in results]
-    flags = [r.converged for r in results]
-    return evaluate(est_states, truth_frames, t, converged_flags=flags)
+def evaluate_session(frames, truth, t: Topology) -> harness.MetricsReport:
+    """Metrics of a reconstructed frame table against its ground-truth table."""
+    return harness.evaluate(frames, truth, t)

@@ -52,6 +52,20 @@ class StateFrame:
         object.__setattr__(self, "coords", c)
 
 
+def frame_table(timestamps_ms, coords, converged=True, iters=0,
+                residual_norm=0.0) -> np.recarray:
+    """A read-only record array, one row per frame, of the frames-JSONL record's fields: t_ms
+    (int64), converged, iters, residual_norm and coords (N, 3) m; truth keeps the defaults."""
+    coords = np.asarray(coords, dtype=float)
+    table = np.recarray(len(coords), dtype=np.dtype(
+        [("t_ms", np.int64), ("converged", bool), ("iters", np.int64),
+         ("residual_norm", float), ("coords", float, coords.shape[1:])], align=True))
+    table.t_ms, table.converged, table.iters = timestamps_ms, converged, iters
+    table.residual_norm, table.coords = residual_norm, coords
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Termination and damping controls for the least-squares solver.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
                      read_json, write_json)
-from .reconstruction import COINCIDENCE_LIMIT, StateFrame
+from .reconstruction import COINCIDENCE_LIMIT, frame_table
 from .sensors import BendCalibration, SensorSession, StretchTable, bend_inverse
 from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
 
@@ -190,17 +190,16 @@ def _collapsed(m, d: np.ndarray) -> str:
 
 
 def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
-                     stretch_inverse: StretchTable
-                     ) -> tuple[list[StateFrame], SensorSession]:
+                     stretch_inverse: StretchTable) -> tuple[np.recarray, SensorSession]:
     """Sample the scenario timeline into paired truth and sensor streams.
 
-    Returns (ground-truth StateFrames, their SensorSession), timestamp-aligned,
+    Returns (the ground-truth frame table, its SensorSession), timestamp-aligned,
     sampled at scenario.sample_rate_hz over [0, last keyframe), every sensor
     resting at DEFAULT_BASELINE_OHMS.  Output is bit-reproducible per scenario.
     The timeline is evaluated at all frame times at once.  A run of frames whose
     displacements agree in their bits is one shape: one stacked deform call
-    projects every run's first frame, and the frames of a run share its
-    read-only coordinates.  The shapes' tendon lengths come from one pass, and
+    projects every run's first frame, whose shape every frame of the run
+    takes.  The shapes' tendon lengths come from one pass, and
     their strains L/L0 - 1 become dR/R in one pass: compressive ones invert the
     bending polynomial, tensile ones the stretch table.  Only then are the dR/R
     gathered to frames and each frame's noise added before R = R0 * (1 + dR/R).
@@ -222,7 +221,6 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
         raise RelaxationError(f"t={stamps[f]} ms: {exc}", f) from exc
     # naming no node, the dict is one unstacked frame: the one run's shape, if any
     shapes = np.reshape(shapes, (-1, *t.nominal_coords.shape))[:len(first)]
-    shapes.flags.writeable = False
 
     lengths = edge_lengths(t, shapes)
     strains = lengths / t.rest_lengths() - 1.0
@@ -239,10 +237,7 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     dr = dr + scenario.noise.sample(rng, dr.shape)
     # noise can push dR/R through -1; floor keeps the frame physical
     resist = np.maximum(DEFAULT_BASELINE_OHMS * (1.0 + dr), 1.0)
-    coords = list(shapes)  # one view per run, shared by its frames
-    truth = [StateFrame(timestamp_ms=t_ms, coords=coords[r])
-             for t_ms, r in zip(stamps, run.tolist())]
-    return truth, SensorSession(stamps, resist)
+    return frame_table(stamps, shapes[run]), SensorSession(stamps, resist)
 
 
 def _invert(inverse, strains: np.ndarray, mask: np.ndarray, first, stamps) -> np.ndarray:

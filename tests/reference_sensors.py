@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from tenserecon.errors import RelaxationError, SensorDomainError
-from tenserecon.reconstruction import StateFrame
+from tenserecon.reconstruction import frame_table
 from tenserecon.sensors import BEND_INVERSE_TOLERANCE, SensorSession
 from tenserecon.simulator import DEFAULT_BASELINE_OHMS, deform
 from tenserecon.topology import edge_lengths
@@ -121,7 +121,7 @@ def ref_generate_session(scenario, t, cal, table):
     """Frame by frame: interpolate, deform, then convert that frame's strains alone."""
     rng = np.random.default_rng(scenario.noise.seed)
     n_frames = int(round(scenario.keyframes[-1][0] / 1000.0 * scenario.sample_rate_hz))
-    truth, rows = [], []
+    stamps, shapes, rows = [], [], []
     for k in range(n_frames):
         t_ms = int(round(k * 1000.0 / scenario.sample_rate_hz))
         try:
@@ -129,6 +129,8 @@ def ref_generate_session(scenario, t, cal, table):
             row = ref_resistances_from_state(coords, t, cal, table, scenario.noise, rng)
         except (RelaxationError, SensorDomainError) as exc:
             raise type(exc)(f"t={t_ms} ms: {exc}") from exc
-        truth.append(StateFrame(timestamp_ms=t_ms, coords=coords))
+        stamps.append(t_ms)
+        shapes.append(coords)
         rows.append(row)
-    return truth, SensorSession([s.timestamp_ms for s in truth], np.reshape(rows, (-1, 24)))
+    return (frame_table(stamps, np.reshape(shapes, (-1, *t.nominal_coords.shape))),
+            SensorSession(stamps, np.reshape(rows, (-1, 24))))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tenserecon import cli
+from tenserecon.harness import SENSOR_CSV_HEADER
 from tenserecon.lstm import init_model, save_model
 from tenserecon.sensors import (BendCalibration, bending_strain, default_stretch_table,
                                 save_calibration)
@@ -215,6 +216,16 @@ def test_reconstruct_nonconvergence_exits_3(tmp_path, model_path):
                     "--max-iterations", "1", "--clamp", "--out", str(frames)])
     assert code == cli.EXIT_NOCONV
     assert len(frames.read_text().splitlines()) == 300
+
+
+def test_reconstruct_of_no_frames_exits_0(tmp_path, model_path, capsys):
+    # an empty frame table has no truth value; none of its frames failed
+    sensors, frames = tmp_path / "s.csv", tmp_path / "f.jsonl"
+    sensors.write_text(SENSOR_CSV_HEADER + "\n")
+    code = cli.cli(["reconstruct", str(sensors), "--model", model_path, "--out", str(frames)])
+    assert code == cli.EXIT_OK
+    assert frames.read_text() == "# no frames\n"
+    assert capsys.readouterr().out == f"wrote {frames} (0 frames, 0 converged)\n"
 
 
 def test_unreadable_input_path_is_data_error(tmp_path, capsys):
@@ -531,16 +542,23 @@ def test_non_utf8_line_file_is_data_error(tmp_path, capsys, model_path, session_
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
-@pytest.mark.parametrize("est_nodes, truth_nodes", [(11, 12), (11, 11)],
-                         ids=["estimate-short", "both-short"])
+@pytest.mark.parametrize("est_nodes, truth_nodes, message", [
+    (11, 12, "error: estimate frames have 11 nodes; the topology has 12\n"),
+    (11, 11, "error: estimate frames have 11 nodes; the topology has 12\n"),
+    ((12, 11), 12, "error: line 2: 11 nodes; the first frame has 12\n"),
+], ids=["estimate-short", "both-short", "estimate-mixed"])
 def test_evaluate_wrong_node_count_is_data_error(tmp_path, capsys, session_files,
-                                                 est_nodes, truth_nodes):
+                                                 est_nodes, truth_nodes, message):
+    # an int keeps that many nodes in every frame; a tuple, frame by frame and
+    # then its last count for the rest
     truth_rows = [json.loads(ln) for ln in open(session_files[1], encoding="utf-8")]
     paths = []
     for name, nodes in (("est", est_nodes), ("truth", truth_nodes)):
+        counts = nodes if isinstance(nodes, tuple) else (nodes,)
         path = tmp_path / f"{name}.jsonl"
-        path.write_text("".join(json.dumps({**row, "coords_m": row["coords_m"][:nodes]}) + "\n"
-                                for row in truth_rows))
+        path.write_text("".join(
+            json.dumps({**row, "coords_m": row["coords_m"][:counts[min(k, len(counts) - 1)]]})
+            + "\n" for k, row in enumerate(truth_rows)))
         paths.append(str(path))
     assert cli.cli(["evaluate", "--est", paths[0], "--truth", paths[1]]) == cli.EXIT_DATA
-    assert "estimate frames have [11] nodes; the topology has 12" in capsys.readouterr().err
+    assert capsys.readouterr().err == message

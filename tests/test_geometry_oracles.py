@@ -25,6 +25,7 @@ from tenserecon.reconstruction import (
     SolveOptions,
     StateFrame,
     Tracker,
+    frame_table,
     jacobian,
     residuals,
 )
@@ -486,7 +487,8 @@ def test_evaluate_matches_face_loop(seed, n_frames, scale):
         est.append(StateFrame(100 * k, e))
         truth.append(StateFrame(100 * k, g))
     est = [est[i] for i in rng.permutation(n_frames)]
-    report = evaluate(est, truth, TOPO, [True] * n_frames)
+    report = evaluate(*(frame_table([s.timestamp_ms for s in frames], [s.coords for s in frames])
+                        for frames in (est, truth)), TOPO)
     node, face, system, per_frame = ref_rmses(est, truth, TOPO)
     assert report.rmse_node_height_mm == node
     assert report.rmse_face_height_mm == face

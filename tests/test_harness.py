@@ -17,7 +17,8 @@ from tenserecon.harness import (
     write_length_series_csv,
     write_sensor_csv,
 )
-from tenserecon.reconstruction import SolveResult, StateFrame, Tracker, nominal_state, solve
+from tenserecon.reconstruction import (SolveResult, Tracker, frame_table, nominal_state,
+                                       solve)
 from tenserecon.sensors import BendCalibration, SensorSession, default_stretch_table
 from tenserecon.simulator import generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths, tendon_triangles
@@ -36,8 +37,21 @@ def row(ts, values):
     return ",".join([str(ts)] + [repr(float(v)) for v in values])
 
 
-def state(ts, coords):
-    return StateFrame(timestamp_ms=ts, coords=coords)
+def table(frames):
+    """A ground-truth frame table of (t_ms, coords) pairs."""
+    stamps, coords = zip(*frames)
+    return frame_table(stamps, coords)
+
+
+def results_table(results):
+    """The frame table of per-frame SolveResults, one row per result."""
+    return frame_table([r.state.timestamp_ms for r in results],
+                       [r.state.coords for r in results], [r.converged for r in results],
+                       [r.iterations for r in results], [r.residual_norm for r in results])
+
+
+def no_frames(topo):
+    return frame_table([], np.empty((0, *topo.nominal_coords.shape)))
 
 
 class TestParse:
@@ -169,8 +183,8 @@ class TestParse:
 
 class TestRmse:
     def test_identical_streams_are_zero(self, topo):
-        frames = [state(i * 100, topo.nominal_coords) for i in range(3)]
-        report = evaluate(frames, frames, topo, [True] * 3)
+        frames = table((i * 100, topo.nominal_coords) for i in range(3))
+        report = evaluate(frames, frames, topo)
         assert report.rmse_node_height_mm == 0.0
         assert report.rmse_face_height_mm == 0.0
         assert report.rmse_system_mm == 0.0
@@ -179,9 +193,9 @@ class TestRmse:
         # one node off by 9 mm in z among 9 free nodes: sqrt(81/9) = 3 mm
         est = topo.nominal_coords.copy()
         est[5, 2] += 0.009
-        a = [state(0, est)]
-        b = [state(0, topo.nominal_coords)]
-        assert evaluate(a, b, topo, [True]).rmse_node_height_mm == pytest.approx(3.0, rel=1e-12)
+        a = table([(0, est)])
+        b = table([(0, topo.nominal_coords)])
+        assert evaluate(a, b, topo).rmse_node_height_mm == pytest.approx(3.0, rel=1e-12)
 
     def test_face_rmse_uniform_lift(self, topo):
         # oracle: recompute from the face composition directly
@@ -194,9 +208,9 @@ class TestRmse:
             n_free = sum(1 for n in tri if n in free)
             per_face.append(10.0 * n_free / 3.0)
         expected = math.sqrt(sum(v ** 2 for v in per_face) / len(per_face))
-        a = [state(0, est)]
-        b = [state(0, topo.nominal_coords)]
-        face = evaluate(a, b, topo, [True]).rmse_face_height_mm
+        a = table([(0, est)])
+        b = table([(0, topo.nominal_coords)])
+        face = evaluate(a, b, topo).rmse_face_height_mm
         assert face == pytest.approx(expected, rel=1e-12)
         # the anchored face contributes zero
         anchored_face = [v for tri, v in zip(tris, per_face)
@@ -207,9 +221,9 @@ class TestRmse:
         # one node off by (3,0,4) mm: sqrt(25/27) mm over 9 free nodes
         est = topo.nominal_coords.copy()
         est[7] += np.array([0.003, 0.0, 0.004])
-        a = [state(0, est)]
-        b = [state(0, topo.nominal_coords)]
-        assert evaluate(a, b, topo, [True]).rmse_system_mm == pytest.approx(
+        a = table([(0, est)])
+        b = table([(0, topo.nominal_coords)])
+        assert evaluate(a, b, topo).rmse_system_mm == pytest.approx(
             math.sqrt(25.0 / 27.0), rel=1e-12)
 
     def test_system_rmse_matches_brute_force(self, topo):
@@ -221,17 +235,17 @@ class TestRmse:
             g = topo.nominal_coords.copy()
             e[free] += rng.normal(scale=0.01, size=(9, 3))
             g[free] += rng.normal(scale=0.01, size=(9, 3))
-            est.append(state(i * 100, e))
-            truth.append(state(i * 100, g))
+            est.append((i * 100, e))
+            truth.append((i * 100, g))
         total = 0.0
         count = 0
-        for a, b in zip(est, truth):
+        for (_, a), (_, b) in zip(est, truth):
             for n in free:
                 for ax in range(3):
-                    total += (a.coords[n, ax] - b.coords[n, ax]) ** 2
+                    total += (a[n, ax] - b[n, ax]) ** 2
                     count += 1
         expected = math.sqrt(total / count) * 1000.0
-        system = evaluate(est, truth, topo, [True] * 5).rmse_system_mm
+        system = evaluate(table(est), table(truth), topo).rmse_system_mm
         assert system == pytest.approx(expected, rel=1e-12)
 
     def test_reorder_invariance(self, topo):
@@ -241,52 +255,52 @@ class TestRmse:
         for i in range(6):
             e = topo.nominal_coords.copy()
             e[free] += rng.normal(scale=0.01, size=(9, 3))
-            est.append(state(i * 100, e))
-            truth.append(state(i * 100, topo.nominal_coords))
+            est.append((i * 100, e))
+            truth.append((i * 100, topo.nominal_coords))
         perm = [3, 0, 5, 1, 4, 2]
-        base = evaluate(est, truth, topo, [True] * 6)
-        shuffled = evaluate([est[i] for i in perm], [truth[i] for i in perm], topo,
-                            [True] * 6)
+        base = evaluate(table(est), table(truth), topo)
+        shuffled = evaluate(table(est[i] for i in perm), table(truth[i] for i in perm), topo)
         for field in ("rmse_node_height_mm", "rmse_face_height_mm", "rmse_system_mm"):
             assert getattr(shuffled, field) == pytest.approx(getattr(base, field), rel=1e-15)
 
     def test_misaligned_streams_diagnosed(self, topo):
-        est = [state(i * 100, topo.nominal_coords) for i in range(5)]
-        truth = [state(i * 100, topo.nominal_coords) for i in range(3)]
+        est = table((i * 100, topo.nominal_coords) for i in range(5))
+        truth = table((i * 100, topo.nominal_coords) for i in range(3))
         with pytest.raises(MetricsError) as err:
-            evaluate(est, truth, topo, [True] * 5)
+            evaluate(est, truth, topo)
         assert "common timestamp range" in str(err.value)
 
     def test_empty_streams_rejected(self, topo):
         with pytest.raises(MetricsError):
-            evaluate([], [], topo, [])
+            evaluate(no_frames(topo), no_frames(topo), topo)
 
 
-def length_series(states, topo, path):
+def length_series(frames, topo, path):
     """write_length_series_csv's file read back: (timestamps, (frames, 24) lengths)."""
-    write_length_series_csv(states, topo, path)
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return table[:, 0], table[:, 1:]
+    write_length_series_csv(frames, topo, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return rows[:, 0], rows[:, 1:]
 
 
 class TestSeries:
     def test_constant_stream_flat(self, topo, tmp_path):
-        frames = [state(i * 100, topo.nominal_coords) for i in range(4)]
+        frames = table((i * 100, topo.nominal_coords) for i in range(4))
         ts, series = length_series(frames, topo, tmp_path / "series.csv")
         assert ts.tolist() == [0, 100, 200, 300]
         assert series.shape == (4, 24)
         assert np.all(series == series[0])
 
     def test_nominal_values(self, topo, tmp_path):
-        _, series = length_series([state(0, topo.nominal_coords)], topo, tmp_path / "series.csv")
+        _, series = length_series(table([(0, topo.nominal_coords)]), topo,
+                                  tmp_path / "series.csv")
         assert np.max(np.abs(series - 0.30 * math.sqrt(6.0) / 4.0)) < 1e-12
 
     def test_empty_stream_rejected(self, topo, tmp_path):
-        with pytest.raises(MetricsError, match="no states"):
-            write_length_series_csv([], topo, tmp_path / "series.csv")
+        with pytest.raises(MetricsError, match="no frames"):
+            write_length_series_csv(no_frames(topo), topo, tmp_path / "series.csv")
 
     def test_csv_written(self, topo, tmp_path):
-        frames = [state(i * 100, topo.nominal_coords) for i in range(3)]
+        frames = table((i * 100, topo.nominal_coords) for i in range(3))
         path = tmp_path / "series.csv"
         write_length_series_csv(frames, topo, path)
         lines = path.read_text().splitlines()
@@ -294,26 +308,19 @@ class TestSeries:
         assert len(lines) == 4
 
 
-def ref_export_frames(results, path):
+def ref_export_frames(frames, path):
     """The frames JSONL writer as a plain loop: one json.dumps per frame."""
-    rows = []
-    for r in results:
-        if isinstance(r, SolveResult):
-            rows.append({"t_ms": int(r.state.timestamp_ms), "converged": bool(r.converged),
-                         "iters": int(r.iterations), "residual_norm": float(r.residual_norm),
-                         "coords_m": r.state.coords.tolist()})
-        else:
-            rows.append({"t_ms": int(r.timestamp_ms), "converged": True, "iters": 0,
-                         "residual_norm": 0.0, "coords_m": r.coords.tolist()})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if not rows:
+        if not len(frames):
             fh.write("# no frames\n")
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+        for r in frames:
+            fh.write(json.dumps({"t_ms": int(r.t_ms), "converged": bool(r.converged),
+                                 "iters": int(r.iters), "residual_norm": float(r.residual_norm),
+                                 "coords_m": r.coords.tolist()}) + "\n")
 
 
-def press_truth(topo):
-    truth, _ = generate_session(press_scenario(topo), topo, BendCalibration(),
+def press_truth(topo, seed=0):
+    truth, _ = generate_session(press_scenario(topo, seed=seed), topo, BendCalibration(),
                                 default_stretch_table())
     return truth
 
@@ -321,29 +328,40 @@ def press_truth(topo):
 def tracked_with_failed_frame(topo):
     tracker = Tracker(topo)
     lengths = edge_lengths(topo, press_truth(topo)[30].coords)
-    return [tracker.process(0, lengths),
-            tracker.process(100, np.full(24, -1.0)),  # fails: re-emits the warm state
-            tracker.process(200, lengths * 1.001)]
+    results = [tracker.process(0, lengths),
+               tracker.process(100, np.full(24, -1.0)),  # fails: re-emits the warm state
+               tracker.process(200, lengths * 1.001)]
+    assert results[1].error and not results[1].converged
+    return results_table(results)
 
 
 def edge_residual_norms(topo):
-    """Results whose residual norms are spelled unlike a plain repr, or only just like one."""
-    return [SolveResult(state=nominal_state(topo, 100 * k), converged=False, iterations=k,
-                        residual_norm=norm, residuals=np.zeros(30))
-            for k, norm in enumerate((math.inf, 1e16, 5e-324, np.float64(0.1)))]
+    """Frames whose residual norms are spelled unlike a plain repr, or only just like one."""
+    return results_table([
+        SolveResult(state=nominal_state(topo, 100 * k), converged=False, iterations=k,
+                    residual_norm=norm, residuals=np.zeros(30))
+        for k, norm in enumerate((math.inf, 1e16, 5e-324, np.float64(0.1), math.nan))])
+
+
+def frames_file(tmp_path, *records):
+    """A frames JSONL file of the given JSON lines."""
+    path = tmp_path / "frames.jsonl"
+    path.write_text("".join(r + "\n" for r in records))
+    return path
 
 
 class TestExport:
     @pytest.mark.parametrize("stream", [press_truth, tracked_with_failed_frame,
-                                        edge_residual_norms, lambda topo: []],
+                                        edge_residual_norms, no_frames],
                              ids=["press-truth-with-holds", "solve-results-with-failure",
                                   "edge-residual-norms", "empty"])
     def test_matches_per_frame_reference_writer(self, topo, tmp_path, stream):
         frames = stream(topo)
-        if stream is press_truth:  # held frames share their coordinates object
-            assert sum(a.coords is b.coords for a, b in zip(frames, frames[1:])) > 100
-        elif stream is tracked_with_failed_frame:
-            assert frames[1].error and frames[1].state.coords is frames[0].state.coords
+        if stream is press_truth:  # held frames repeat their run's coordinate bits
+            assert sum(a.coords.tobytes() == b.coords.tobytes()
+                       for a, b in zip(frames, frames[1:])) > 100
+        elif stream is tracked_with_failed_frame:  # the failed frame repeats the warm state
+            assert frames.coords[1].tobytes() == frames.coords[0].tobytes()
         export_frames(frames, tmp_path / "fast.jsonl")
         ref_export_frames(frames, tmp_path / "ref.jsonl")
         assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
@@ -351,7 +369,7 @@ class TestExport:
     def test_lines_follow_coordinate_bits_not_objects(self, topo, tmp_path):
         zero, neg = topo.nominal_coords.copy(), topo.nominal_coords.copy()
         zero[5, 0], neg[5, 0] = 0.0, -0.0
-        frames = [state(0, zero), state(0, zero.copy()), state(0, neg)]
+        frames = table([(0, zero), (0, zero.copy()), (0, neg)])
         path = tmp_path / "f.jsonl"
         export_frames(frames, path)
         ref_export_frames(frames, tmp_path / "ref.jsonl")
@@ -359,14 +377,23 @@ class TestExport:
         assert path.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
         assert lines[0] == lines[1] and lines[1] != lines[2] and "[-0.0, " in lines[2]
 
-    def test_generator_writes_its_list_bytes(self, topo, tmp_path):
-        # each fresh copy is dropped once the writer moves on, so an object
-        # identity could be reused by the next frame's coordinates
-        frames = press_truth(topo)
-        export_frames(frames, tmp_path / "list.jsonl")
-        export_frames((state(s.timestamp_ms, s.coords.copy()) for s in frames),
-                      tmp_path / "gen.jsonl")
-        assert (tmp_path / "gen.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
+    def test_press_truth_encodes_each_distinct_shape_once(self, topo, tmp_path, monkeypatch):
+        # seed 7: 300 frames in 101 runs, and the release ramp retraces the
+        # press ramp's shapes, so only 54 coordinate bit patterns
+        truth = press_truth(topo, seed=7)
+        assert len({c.tobytes() for c in truth.coords}) == 54
+        dumps, encoded = json.dumps, []
+
+        def counted(obj, **kw):
+            encoded.append(obj)
+            return dumps(obj, **kw)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        export_frames(truth, tmp_path / "truth.jsonl")
+        monkeypatch.undo()
+        assert len(encoded) == 54
+        ref_export_frames(truth, tmp_path / "ref.jsonl")
+        assert (tmp_path / "truth.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
     def test_round_trip_bit_exact(self, topo, tmp_path):
         results = []
@@ -377,26 +404,32 @@ class TestExport:
             coords[free] += rng.normal(scale=0.01, size=(9, 3))
             results.append(solve(nominal_state(topo, i * 100),
                                  edge_lengths(topo, coords), topo))
+        frames = results_table(results)
         path = tmp_path / "frames.jsonl"
-        export_frames(results, path)
+        export_frames(frames, path)
         back = load_frames(path)
-        assert len(back) == 5
-        for r, d in zip(results, back):
-            assert np.array_equal(r.state.coords, d["state"].coords)
-            assert d["converged"] == r.converged
-            assert d["residual_norm"] == r.residual_norm
+        assert back.dtype == frames.dtype and len(back) == 5
+        for name in frames.dtype.names:
+            assert np.array_equal(back[name], frames[name]), name
+        assert not back.flags.writeable
 
-    def test_empty_stream_writes_comment(self, tmp_path):
+    def test_empty_stream_writes_comment(self, topo, tmp_path):
         path = tmp_path / "empty.jsonl"
-        export_frames([], path)
+        export_frames(no_frames(topo), path)
         assert path.read_text() == "# no frames\n"
-        assert load_frames(path) == []
+        assert len(load_frames(path)) == 0
 
     def test_three_hundred_frames_three_hundred_lines(self, topo, tmp_path):
-        frames = [state(i * 100, topo.nominal_coords) for i in range(300)]
+        frames = table((i * 100, topo.nominal_coords) for i in range(300))
         path = tmp_path / "f.jsonl"
         export_frames(frames, path)
         assert len(path.read_text().splitlines()) == 300
+
+    @pytest.mark.parametrize("record", ["[0, true]", "5", "null", '"t_ms"'])
+    def test_record_must_be_json_object(self, tmp_path, record):
+        with pytest.raises(DataFormatError) as err:
+            load_frames(frames_file(tmp_path, TestLoad.GOOD, record))
+        assert str(err.value).startswith("line 2: bad frame record: ")
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -433,7 +466,7 @@ class TestExport:
 
     def test_wrong_coords_shape_is_data_error(self, topo, tmp_path):
         path = tmp_path / "bad.jsonl"
-        export_frames([state(0, topo.nominal_coords)], path)
+        export_frames(table([(0, topo.nominal_coords)]), path)
         doc = json.loads(path.read_text())
         doc["coords_m"] = [row[:2] for row in doc["coords_m"]]  # 12x2
         path.write_text(path.read_text() + json.dumps(doc) + "\n")
@@ -443,10 +476,62 @@ class TestExport:
         assert "Nx3" in str(err.value)
 
 
+class TestLoad:
+    GOOD = '{"t_ms": 0, "converged": true, "coords_m": [[0,0,0]]}'
+
+    def test_t_ms_outside_int64_names_line(self, tmp_path):
+        for t_ms in (2**63, -2**63 - 1, 2**70):
+            bad = self.GOOD.replace('"t_ms": 0', f'"t_ms": {t_ms}')
+            with pytest.raises(DataFormatError) as err:
+                load_frames(frames_file(tmp_path, self.GOOD, bad))
+            assert str(err.value) == \
+                f'line 2: "t_ms" must be a JSON integer in the int64 range, got {t_ms}'
+        path = frames_file(tmp_path, *(self.GOOD.replace('"t_ms": 0', f'"t_ms": {t_ms}')
+                                       for t_ms in (-2**63, 2**63 - 1)))
+        assert load_frames(path).t_ms.tolist() == [-2**63, 2**63 - 1]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("iters", "1.5", '"iters" must be a JSON integer in the int64 range, got 1.5'),
+        ("iters", "true", '"iters" must be a JSON integer in the int64 range, got True'),
+        ("iters", str(2**63), f'"iters" must be a JSON integer in the int64 range, got {2**63}'),
+        ("residual_norm", '"0.1"', '"residual_norm" must be a JSON float or an int64 integer, '
+                                   'got \'0.1\''),
+        ("residual_norm", "null",
+         '"residual_norm" must be a JSON float or an int64 integer, got None'),
+        ("residual_norm", str(10**400),  # no float holds it
+         f'"residual_norm" must be a JSON float or an int64 integer, got {10**400}'),
+    ])
+    def test_solver_fields_must_be_json_numbers(self, tmp_path, field, value, message):
+        bad = self.GOOD.replace("{", '{"' + field + '": ' + value + ", ", 1)
+        with pytest.raises(DataFormatError) as err:
+            load_frames(frames_file(tmp_path, self.GOOD, bad))
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_solver_fields_default_to_ground_truth(self, tmp_path):
+        failed = '{"t_ms": 100, "converged": false, "iters": 0, "residual_norm": NaN, ' \
+                 '"coords_m": [[0,0,0]]}'
+        frames = load_frames(frames_file(tmp_path, self.GOOD, failed))
+        assert frames.iters.tolist() == [0, 0] and frames.converged.tolist() == [True, False]
+        assert frames.residual_norm[0] == 0.0 and math.isnan(frames.residual_norm[1])
+
+    def test_node_count_change_names_first_differing_line(self, topo, tmp_path):
+        path = tmp_path / "f.jsonl"
+        export_frames(table((i * 100, topo.nominal_coords) for i in range(4)), path)
+        lines = path.read_text().splitlines()
+        for k in (2, 3):
+            doc = json.loads(lines[k])
+            lines[k] = json.dumps({**doc, "coords_m": doc["coords_m"][:11]})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_frames(path)
+        assert str(err.value) == "line 3: 11 nodes; the first frame has 12"
+
+
 class TestEvaluate:
     def test_report_fields(self, topo):
-        est = [state(i * 100, topo.nominal_coords) for i in range(4)]
-        report = evaluate(est, est, topo, converged_flags=[True, True, False, True])
+        est = frame_table([0, 100, 200, 300], [topo.nominal_coords] * 4,
+                          converged=[True, True, False, True])
+        report = evaluate(est, est, topo)
         assert report.frames_evaluated == 4
         assert report.converged_fraction == 0.75
         assert report.rmse_node_height_mm == 0.0

@@ -19,8 +19,10 @@ def test_no_module_attribute_is_a_wrapper():
     assert wrapped == []
 
 
-def test_readme_python_blocks_run():
-    # the README's library examples, in order and in one namespace as a reader runs them
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the README's library examples, in order and in one namespace as a reader
+    # runs them, in an empty directory for the files they write
+    monkeypatch.chdir(tmp_path)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     assert len(blocks) >= 2

@@ -9,7 +9,7 @@ from tenserecon import pipeline
 from tenserecon.errors import ModelFormatError, SensorDomainError, TenseReconError, TopologyError
 from tenserecon.lstm import init_model
 from tenserecon.pipeline import reconstruct_session
-from tenserecon.reconstruction import SolveOptions, Tracker
+from tenserecon.reconstruction import SolveOptions, Tracker, frame_table
 from tenserecon.sensors import (BendCalibration, Mode, SensorSession, default_stretch_table,
                                 lengths_from_strain, strains_from_frame)
 from tenserecon.simulator import NoiseModel, Scenario, generate_session, press_scenario
@@ -37,7 +37,8 @@ def test_every_frame_yields_a_result(topo, clean_session, clean_model):
     results = reconstruct_session(sensed, topo, BendCalibration(), clean_model,
                                   SolveOptions(prior_weight=0.5), clamp=True)
     assert len(results) == len(sensed)
-    assert [r.state.timestamp_ms for r in results] == sensed.timestamps_ms.tolist()
+    assert results.t_ms.tolist() == sensed.timestamps_ms.tolist()
+    assert not results.flags.writeable
 
 
 def test_sensor_error_names_its_frame(topo, clean_session, clean_model, monkeypatch):
@@ -99,7 +100,7 @@ def test_regime_follows_previous_solved_lengths(topo, clean_session, clean_model
     rest = topo.rest_lengths()
     ties = bending = 0
     for modes, prev in zip(seen[1:], results):
-        solved = edge_lengths(topo, prev.state.coords)
+        solved = edge_lengths(topo, prev.coords)
         assert [m is Mode.BENDING for m in modes] == (solved < rest).tolist()
         ties += int(np.sum(solved == rest))
         bending += int(np.sum(solved < rest))
@@ -114,7 +115,8 @@ def test_missing_model_rejected(topo, clean_session):
 
 def test_empty_stream_gives_empty_results(topo, clean_model):
     empty = SensorSession([], np.empty((0, 24)))
-    assert reconstruct_session(empty, topo, BendCalibration(), clean_model) == []
+    results = reconstruct_session(empty, topo, BendCalibration(), clean_model)
+    assert len(results) == 0 and results.coords.shape == (0, 12, 3)
 
 
 def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
@@ -124,7 +126,7 @@ def test_first_frame_is_near_nominal(topo, clean_session, clean_model):
                                   clamp=True)
     free = list(topo.free_nodes)
     err = np.sqrt(np.mean(np.sum(
-        (results[0].state.coords[free] - topo.nominal_coords[free]) ** 2,
+        (results[0].coords[free] - topo.nominal_coords[free]) ** 2,
         axis=1)))
     assert err < 0.005  # at rest, within model-bias tolerance of nominal
 
@@ -169,14 +171,17 @@ def exact_loop_rmse_mm(topo, sc):
     truth, sensed = generate_session(sc, topo, cal, table)
     rest = topo.rest_lengths()
     tracker = Tracker(topo, SolveOptions(residual_tolerance=0.0))
-    results = []
+    coords, converged = [], []
     for state, dr in zip(truth, pipeline._session_dr(sensed.resistances)):
         bending = edge_lengths(topo, state.coords) / rest - 1.0 < -1e-12
         stretch = np.zeros(24)
         stretch[~bending] = table.strain_from_dr(dr[~bending])
         modes = [Mode.BENDING if b else Mode.STRETCHING for b in bending]
         lengths = lengths_from_strain(strains_from_frame(dr, cal, modes, stretch), topo)
-        results.append(tracker.process(state.timestamp_ms, lengths))
+        result = tracker.process(state.t_ms, lengths)
+        coords.append(result.state.coords)
+        converged.append(result.converged)
+    results = frame_table(truth.t_ms, coords, converged)
     return pipeline.evaluate_session(results, truth, topo).rmse_node_height_mm
 
 
