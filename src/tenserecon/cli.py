@@ -38,12 +38,6 @@ def _resolve_calibration(args) -> sensors.BendCalibration:
     return sensors.BendCalibration()
 
 
-def _resolve_stretch_table(args) -> sensors.StretchTable:
-    if args.stretch_table:
-        return sensors.load_stretch_table(args.stretch_table)
-    return sensors.default_stretch_table()
-
-
 def _press_scenario(args, topo) -> simulator.Scenario:
     noise = simulator.NoiseModel(kind="none" if args.no_noise else "uniform", seed=args.seed)
     return simulator.press_scenario(topo, noise=noise)
@@ -123,7 +117,8 @@ def cmd_train_lstm(args) -> int:
 def cmd_simulate(args) -> int:
     topo = _resolve_topology(args)
     cal = _resolve_calibration(args)
-    table = _resolve_stretch_table(args)
+    table = (sensors.load_stretch_table(args.stretch_table) if args.stretch_table
+             else sensors.default_stretch_table())
     sc = simulator.load_scenario(args.scenario) if args.scenario else _press_scenario(args, topo)
     truth, sensed = simulator.generate_session(sc, topo, cal, table)
     harness.write_sensor_csv(sensed, args.sensors_out)
@@ -161,7 +156,6 @@ def cmd_run_all(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     topo = _resolve_topology(args)
     cal = _resolve_calibration(args)
-    table = _resolve_stretch_table(args)
     # loaded before anything is written, so a rejected model leaves no outputs
     model = lstm.load_model(args.model) if args.model else None
 
@@ -169,7 +163,7 @@ def cmd_run_all(args) -> int:
 
     sc = _press_scenario(args, topo)
     simulator.save_scenario(sc, outdir / "scenario.json")
-    truth, sensed = simulator.generate_session(sc, topo, cal, table)
+    truth, sensed = simulator.generate_session(sc, topo, cal, sensors.default_stretch_table())
     harness.write_sensor_csv(sensed, outdir / "sensors.csv")
     harness.export_frames(truth, outdir / "truth.jsonl")
 
@@ -288,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(sp)
     sp.add_argument("--topology")
     sp.add_argument("--calibration")
-    sp.add_argument("--stretch-table")
     # a reused model is not trained, so --epochs would go unread; the string
     # default keeps an explicit "--epochs 60" counted as given, as in _add_seed
     model = sp.add_mutually_exclusive_group()

@@ -22,13 +22,11 @@ from .sensors import (
     Mode,
     N_SENSORS,
     SensorSession,
+    is_bending,
     lengths_from_strain,
     strains_from_frame,
 )
 from .topology import Topology, edge_lengths, rest_length_problems
-
-
-_REGIME = {False: Mode.STRETCHING, True: Mode.BENDING}  # keyed on "shorter than rest"
 
 
 def _session_dr(r: np.ndarray) -> np.ndarray:
@@ -45,13 +43,13 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
 
     The session's first frame is the baseline (rest) frame for every dR/R.
     The first frame treats every sensor as stretching (the structure is
-    pre-tensioned at rest); later frames pick each sensor's regime from the
-    previously reconstructed tendon length against its rest length.  A rest
-    length that is not finite and > 0 is a TopologyError naming the tendon,
-    raised before any frame.  The model's windows are left-padded with the
-    first frame's dR/R until enough history accumulates, so every frame
-    yields a result.  A sensor error names its frame:
-    ``t=<ms> ms: sensor <k>: ...``.
+    pre-tensioned at rest); later frames pick each sensor's regime by
+    sensors.is_bending, the generator's rule, on the previous frame's solved
+    strains L/L0 - 1.  A rest length that is not finite and > 0 is a
+    TopologyError naming the tendon, raised before any frame.  The model's
+    windows are left-padded with the first frame's dR/R until enough history
+    accumulates, so every frame yields a result.  A sensor error names its
+    frame: ``t=<ms> ms: sensor <k>: ...``.
     """
     if not len(session):
         return frame_table([], np.empty((0, *t.nominal_coords.shape)))
@@ -76,8 +74,8 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
             raise SensorDomainError(exc.detail, exc.sensor, t_ms) from exc
         frame = tracker.process(t_ms, lengths)
         rows.append((frame.state.coords, frame.converged, frame.iterations, frame.residual_norm))
-        shorter = edge_lengths(t, frame.state.coords) < rest  # a tie stretches
-        modes = [_REGIME[b] for b in shorter.tolist()]
+        bending = is_bending(edge_lengths(t, frame.state.coords) / rest - 1.0)
+        modes = [Mode.BENDING if b else Mode.STRETCHING for b in bending.tolist()]
     return frame_table(session.timestamps_ms, *zip(*rows))
 
 

@@ -3,8 +3,8 @@
 Each tendon doubles as a conductive-rubber strain sensor with two regimes:
 a bending (compressive) regime described by a degree-5 polynomial in the
 normalized resistance change, and a stretching (tensile) regime handled by
-the learned sequence model in :mod:`tenserecon.lstm`.  This module owns the
-per-sensor math, the regime dispatch, and a session's (frames, 24) readings.
+the learned sequence model in :mod:`tenserecon.lstm`.  This module owns the per-sensor
+math, the regime rule and dispatch, the strain -> dR/R forward, and a session's readings.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ N_SENSORS = 24
 # highest power first.  Valid on dR/R in [-1, 0].
 DEFAULT_BEND_COEFFS = (-4.7589, -16.521, -20.239, -9.9675, -0.5464, -0.0016)
 BEND_INVERSE_TOLERANCE = 1e-12  # width of bend_inverse's final dR/R bracket
+BEND_DEAD_BAND = 1e-12  # rest-level rounding stretches: bend_inverse(-1e-13) is -0.0031, not 0
 STRETCH_TABLE_MAX_STRAIN = 1.0  # default_stretch_table covers strain [0, 1]
 STRETCH_TABLE_POINTS = 2001
 
@@ -256,6 +257,28 @@ def default_stretch_curve(strain):
 def default_stretch_table() -> StretchTable:
     e = np.linspace(0.0, STRETCH_TABLE_MAX_STRAIN, STRETCH_TABLE_POINTS)
     return StretchTable(strain=e, dr_ratio=default_stretch_curve(e))
+
+
+def is_bending(strains) -> np.ndarray:
+    """The regime rule, elementwise: a strain below -BEND_DEAD_BAND bends, any other stretches."""
+    return np.asarray(strains) < -BEND_DEAD_BAND
+
+
+def dr_from_strains(strains: np.ndarray, cal: BendCalibration, stretch: StretchTable):
+    """The sensor forward: (rows, 24) strains to dR/R, by bend_inverse where is_bending and
+    the stretch table at max(strain, 0) elsewhere.  An entry outside its model's range is a
+    SensorDomainError with ``sensor`` its column and ``frame`` its row."""
+    bending = is_bending(strains)
+    dr = np.empty_like(strains)
+    try:
+        mask = bending  # the entries of the call that may raise
+        dr[mask] = bend_inverse(strains[mask], cal)  # the module global, so a wrapper sees it
+        mask = ~bending
+        dr[mask] = stretch.dr_from_strain(np.maximum(strains[mask], 0.0))
+    except SensorDomainError as exc:
+        r, k = (int(i) for i in np.argwhere(mask)[exc.sensor])
+        raise SensorDomainError(exc.detail, k, frame=r) from exc
+    return dr
 
 
 def save_calibration(cal: BendCalibration, path) -> None:

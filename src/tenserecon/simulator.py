@@ -12,14 +12,13 @@ own noise.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
                      read_json, write_json)
 from .reconstruction import COINCIDENCE_LIMIT, frame_table
-from .sensors import BendCalibration, SensorSession, StretchTable, bend_inverse
+from .sensors import BendCalibration, SensorSession, StretchTable, dr_from_strains
 from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
 
 DEFAULT_NOISE_BAND = (-0.23, 0.13)  # observed dR/R noise envelope
@@ -200,8 +199,8 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     displacements agree in their bits is one shape: one stacked deform call
     projects every run's first frame, whose shape every frame of the run
     takes.  The shapes' tendon lengths come from one pass, and
-    their strains L/L0 - 1 become dR/R in one pass: compressive ones invert the
-    bending polynomial, tensile ones the stretch table.  Only then are the dR/R
+    their strains L/L0 - 1 become dR/R in one sensors.dr_from_strains call, which
+    owns the regime rule and both sensor models.  Only then are the dR/R
     gathered to frames and each frame's noise added before R = R0 * (1 + dR/R).
     A projection or sensor error names the first frame of its run.
     """
@@ -222,15 +221,12 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     # naming no node, the dict is one unstacked frame: the one run's shape, if any
     shapes = np.reshape(shapes, (-1, *t.nominal_coords.shape))[:len(first)]
 
-    lengths = edge_lengths(t, shapes)
-    strains = lengths / t.rest_lengths() - 1.0
-    # dead band keeps rounding-level strains on the stretch side,
-    # matching the ties-go-to-stretching convention
-    bending = strains < -1e-12
-    dr = np.empty_like(strains)
-    dr[bending] = _invert(partial(bend_inverse, cal=cal), strains, bending, first, stamps)
-    dr[~bending] = _invert(stretch_inverse.dr_from_strain, np.maximum(strains, 0.0),
-                           ~bending, first, stamps)
+    strains = edge_lengths(t, shapes) / t.rest_lengths() - 1.0
+    try:
+        dr = dr_from_strains(strains, cal, stretch_inverse)
+    except SensorDomainError as exc:
+        f = int(first[exc.frame])
+        raise SensorDomainError(exc.detail, exc.sensor, stamps[f], f) from exc
     run = np.cumsum(moved) - 1  # each frame's run
     dr = dr[run]
     rng = np.random.default_rng(scenario.noise.seed)
@@ -238,16 +234,6 @@ def generate_session(scenario: Scenario, t: Topology, cal: BendCalibration,
     # noise can push dR/R through -1; floor keeps the frame physical
     resist = np.maximum(DEFAULT_BASELINE_OHMS * (1.0 + dr), 1.0)
     return frame_table(stamps, shapes[run]), SensorSession(stamps, resist)
-
-
-def _invert(inverse, strains: np.ndarray, mask: np.ndarray, first, stamps) -> np.ndarray:
-    """inverse(strains[mask]) of the runs' strains; an entry out of its range names the
-    first frame of its run and its sensor."""
-    try:
-        return inverse(strains[mask])
-    except SensorDomainError as exc:
-        r, k = (int(i) for i in np.argwhere(mask)[exc.sensor])
-        raise SensorDomainError(exc.detail, k, stamps[first[r]], int(first[r])) from exc
 
 
 def scenario_to_json_dict(sc: Scenario) -> dict:

@@ -82,10 +82,17 @@ def ref_bend_inverse(strain, cal):
         f"strain {strain} outside invertible range [{y_lo:.4f}, {y_peak:.4f}]")
 
 
-def ref_dr_from_strain(table, e):
+def ref_stretch_lookup(table, e):
     if e < table.strain[0] or e > table.strain[-1]:
         raise SensorDomainError(f"strain {e} outside stretch table range")
     return float(np.interp(e, table.strain, table.dr_ratio))
+
+
+def ref_dr_from_strain(eps, cal, table):
+    """One tendon's strain -> dR/R: the regime rule, restated on purpose, then its model."""
+    if eps < -1e-12:
+        return ref_bend_inverse(eps, cal)
+    return ref_stretch_lookup(table, max(eps, 0.0))
 
 
 def ref_resistances_from_state(coords, t, cal, table, noise, rng):
@@ -94,10 +101,7 @@ def ref_resistances_from_state(coords, t, cal, table, noise, rng):
     dr = np.empty(len(strains))
     for k, eps in enumerate(strains):
         try:
-            if eps < -1e-12:
-                dr[k] = ref_bend_inverse(eps, cal)
-            else:
-                dr[k] = ref_dr_from_strain(table, max(eps, 0.0))
+            dr[k] = ref_dr_from_strain(eps, cal, table)
         except SensorDomainError as exc:
             raise SensorDomainError(str(exc), sensor=k) from exc
     dr = dr + noise.sample(rng, len(dr))

@@ -507,11 +507,13 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, model_path,
     ["simulate", "--seed", "3", "--no-noise"],
     ["reconstruct", "s.csv"],
     ["run-all", "--model", "m.json", "--epochs", "60"],
+    ["run-all", "--stretch-table", "t.json"],
     ["topology", "--validate", "t.json", "--out", "x.json", "--strut-length", "0.5"],
     ["validate-topology", "t.json", "--out", "x.json"],
 ], ids=["config", "seed-before-command", "topology-seed", "evaluate-seed",
         "scenario-seed", "scenario-seed-0", "scenario-no-noise", "seed-no-noise",
-        "reconstruct-no-model", "run-all-model-epochs", "topology-validate",
+        "reconstruct-no-model", "run-all-model-epochs", "run-all-stretch-table",
+        "topology-validate",
         "validate-topology-out"])
 def test_unread_or_missing_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from tenserecon.lstm import init_model
 from tenserecon.pipeline import reconstruct_session
 from tenserecon.reconstruction import SolveOptions, Tracker, frame_table
 from tenserecon.sensors import (BendCalibration, Mode, SensorSession, default_stretch_table,
-                                lengths_from_strain, strains_from_frame)
+                                is_bending, lengths_from_strain, strains_from_frame)
 from tenserecon.simulator import NoiseModel, Scenario, generate_session, press_scenario
 from tenserecon.topology import build_canonical, edge_lengths
 
@@ -82,8 +82,8 @@ def test_strain_error_names_its_frame(topo, clean_session, clean_model, monkeypa
 
 def test_regime_follows_previous_solved_lengths(topo, clean_session, clean_model,
                                                 monkeypatch):
-    # frame 0 is all stretching; frame n bends exactly the tendons that frame
-    # n - 1 solved shorter than rest, and a tie stretches
+    # frame 0 is all stretching; frame n bends exactly the tendons whose strain
+    # frame n - 1 solved below the dead band, the generator's rule, so a tie stretches
     _, sensed = clean_session
     exact = pipeline.strains_from_frame
     seen = []
@@ -101,9 +101,10 @@ def test_regime_follows_previous_solved_lengths(topo, clean_session, clean_model
     ties = bending = 0
     for modes, prev in zip(seen[1:], results):
         solved = edge_lengths(topo, prev.coords)
-        assert [m is Mode.BENDING for m in modes] == (solved < rest).tolist()
+        rule = is_bending(solved / rest - 1.0)
+        assert [m is Mode.BENDING for m in modes] == rule.tolist()
         ties += int(np.sum(solved == rest))
-        bending += int(np.sum(solved < rest))
+        bending += int(np.sum(rule))
     assert ties > 0 and bending > 0  # both rules were exercised
 
 
@@ -164,8 +165,8 @@ LATERAL_PUSH = {8: (0.020, 0.0, 0.0)}
 
 def exact_loop_rmse_mm(topo, sc):
     """Node-height RMSE of the public stages composed on a noise-free session
-    with every approximation off: the regimes from the truth's strains (the
-    generator's dead band), the stretch table's exact inverse in place of
+    with every approximation off: the regimes from the truth's strains (by
+    is_bending, the generator's rule), the stretch table's exact inverse in place of
     the model, and the tracker with neither a prior nor a residual stop."""
     cal, table = BendCalibration(), default_stretch_table()
     truth, sensed = generate_session(sc, topo, cal, table)
@@ -173,7 +174,7 @@ def exact_loop_rmse_mm(topo, sc):
     tracker = Tracker(topo, SolveOptions(residual_tolerance=0.0))
     coords, converged = [], []
     for state, dr in zip(truth, pipeline._session_dr(sensed.resistances)):
-        bending = edge_lengths(topo, state.coords) / rest - 1.0 < -1e-12
+        bending = is_bending(edge_lengths(topo, state.coords) / rest - 1.0)
         stretch = np.zeros(24)
         stretch[~bending] = table.strain_from_dr(dr[~bending])
         modes = [Mode.BENDING if b else Mode.STRETCHING for b in bending]

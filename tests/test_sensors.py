@@ -19,7 +19,9 @@ from tenserecon.sensors import (
     _bend_peak,
     bending_strain,
     default_stretch_table,
+    dr_from_strains,
     fit_bending_polynomial,
+    is_bending,
     lengths_from_strain,
     load_calibration,
     save_calibration,
@@ -32,7 +34,10 @@ from reference_sensors import (
     ref_bend_peak,
     ref_bending_strain,
     ref_dr_from_strain,
+    ref_stretch_lookup,
 )
+
+DEAD_BAND_EDGES = (-2e-12, -1e-12, -1e-13, -0.0, 0.0)
 
 
 class TestBendingPolynomial:
@@ -175,7 +180,7 @@ class TestArraysMatchScalarReference:
     def test_stretch_table_lookup(self):
         table = default_stretch_table()
         e = np.random.default_rng(4).uniform(0.0, 1.0, size=500)
-        assert table.dr_from_strain(e).tolist() == [ref_dr_from_strain(table, v) for v in e]
+        assert table.dr_from_strain(e).tolist() == [ref_stretch_lookup(table, v) for v in e]
 
     def test_out_of_range_entry_named_by_index(self):
         cal = BendCalibration()
@@ -251,6 +256,42 @@ class TestFit:
         save_calibration(cal, path)
         cal2 = load_calibration(path)
         assert cal2 == cal
+
+
+class TestForward:
+    """dr_from_strains, the one strain -> dR/R forward, against the per-tendon scalar loop."""
+
+    @pytest.mark.parametrize("strain", DEAD_BAND_EDGES)
+    def test_regime_rule_at_the_dead_band(self, strain):
+        # only a strain below -1e-12 bends; a rounding-level compression stretches
+        assert is_bending(strain) == (strain == -2e-12)
+        assert is_bending(np.array([strain])).tolist() == [strain == -2e-12]
+
+    def test_matches_scalar_reference_bit_for_bit(self):
+        cal, table = BendCalibration(), default_stretch_table()
+        strains = np.random.default_rng(27).uniform(-0.9, 0.99, size=(30, 24))
+        strains[3, :5] = DEAD_BAND_EDGES
+        strains[7, 10:15] = DEAD_BAND_EDGES[::-1]
+        bending = is_bending(strains)
+        assert bending.any() and (~bending).any()
+        got = dr_from_strains(strains, cal, table)
+        expected = [[ref_dr_from_strain(float(e), cal, table) for e in row] for row in strains]
+        assert got.tolist() == expected
+        assert got[3, 1:5].tolist() == [0.0] * 4  # the dead band and both zeros: dR/R 0
+
+    @pytest.mark.parametrize("bad, message", [(-0.99, r"strain -0\.99 outside invertible"),
+                                              (1.5, r"strain 1\.5 outside stretch table")],
+                             ids=["bending", "stretching"])
+    def test_out_of_range_entry_names_row_and_column(self, bad, message):
+        strains = np.zeros((6, 24))
+        strains[2, 20] = -0.5  # earlier bending and stretching entries: the index within
+        strains[3, 0] = 0.5    # a regime's subset is not the index in the array
+        strains[4, 7] = bad
+        strains[5, 3] = bad
+        with pytest.raises(SensorDomainError, match=rf"^sensor 7: {message}") as err:
+            dr_from_strains(strains, BendCalibration(), default_stretch_table())
+        assert err.value.sensor == 7 and err.value.frame == 4
+        assert err.value.detail.startswith(f"strain {bad} outside")
 
 
 class TestModeAndLengths:

@@ -17,6 +17,7 @@ from tenserecon.sensors import (
     BendCalibration,
     bending_strain,
     default_stretch_table,
+    is_bending,
 )
 from tenserecon.simulator import (
     DEFAULT_BASELINE_OHMS,
@@ -118,7 +119,7 @@ class TestResistances:
         lengths = np.stack([edge_lengths(topo, s.coords) for s in truth])
         eps_true = lengths / topo.rest_lengths() - 1.0
         dr = sensed.resistances / DEFAULT_BASELINE_OHMS - 1.0
-        compressed = eps_true < -1e-12  # the dead band routes rest-level strains to stretch
+        compressed = is_bending(eps_true)  # the dead band routes rest-level strains to stretch
         assert compressed.any() and (~compressed).any()
         assert bending_strain(dr[compressed], cal) == pytest.approx(
             eps_true[compressed], abs=1e-6)
