@@ -315,10 +315,7 @@ def cli(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except TenseReconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (TenseReconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

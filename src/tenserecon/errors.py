@@ -54,10 +54,6 @@ class RelaxationError(TenseReconError):
         self.frame = frame
 
 
-class OrderingError(TenseReconError):
-    """Frame timestamps are not strictly increasing."""
-
-
 class DataFormatError(TenseReconError):
     """Malformed input data file; carries a 1-based line number when known."""
 

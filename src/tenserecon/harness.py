@@ -154,7 +154,7 @@ def load_frames(path) -> np.recarray:
                 if not valid(doc[key]):
                     raise DataFormatError(f'"{key}" must be {kind}, got {doc[key]!r}', line=lineno)
             record = [doc[key] for key in _RECORD]
-            state = StateFrame(record[0], np.array(doc["coords_m"], dtype=float))
+            state = StateFrame(np.array(doc["coords_m"], dtype=float))
         except (KeyError, TypeError, ValueError, TopologyError) as exc:
             raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
         if coords and len(state.coords) != len(coords[0]):

@@ -48,8 +48,8 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
     strains L/L0 - 1.  A rest length that is not finite and > 0 is a
     TopologyError naming the tendon, raised before any frame.  The model's
     windows are left-padded with the first frame's dR/R until enough history
-    accumulates, so every frame yields a result.  A sensor error names its
-    frame: ``t=<ms> ms: sensor <k>: ...``.
+    accumulates, so every frame yields a result.  The tracker sees lengths alone, and
+    a sensor error names its frame, ``t=<ms> ms: sensor <k>: ...``, index in ``.frame``.
     """
     if not len(session):
         return frame_table([], np.empty((0, *t.nominal_coords.shape)))
@@ -66,15 +66,15 @@ def reconstruct_session(session: SensorSession, t: Topology, cal: BendCalibratio
     rows = []  # each frame's frame_table fields after t_ms
     modes = [Mode.STRETCHING] * N_SENSORS
 
-    for t_ms, dr_row, stretch_row in zip(session.timestamps_ms.tolist(), dr, stretch):
+    for f, t_ms in enumerate(session.timestamps_ms.tolist()):
         try:
-            strains = strains_from_frame(dr_row, cal, modes, stretch_row, clamp=clamp)
+            strains = strains_from_frame(dr[f], cal, modes, stretch[f], clamp=clamp)
             lengths = lengths_from_strain(strains, t)
         except SensorDomainError as exc:
-            raise SensorDomainError(exc.detail, exc.sensor, t_ms) from exc
-        frame = tracker.process(t_ms, lengths)
-        rows.append((frame.state.coords, frame.converged, frame.iterations, frame.residual_norm))
-        bending = is_bending(edge_lengths(t, frame.state.coords) / rest - 1.0)
+            raise SensorDomainError(exc.detail, exc.sensor, t_ms, frame=f) from exc
+        out = tracker.process(lengths)
+        rows.append((out.state.coords, out.converged, out.iterations, out.residual_norm))
+        bending = is_bending(edge_lengths(t, out.state.coords) / rest - 1.0)
         modes = [Mode.BENDING if b else Mode.STRETCHING for b in bending.tolist()]
     return frame_table(session.timestamps_ms, *zip(*rows))
 

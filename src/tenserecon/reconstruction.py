@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OrderingError, SingularGeometryError, TopologyError
+from .errors import SingularGeometryError, TopologyError
 from .topology import Topology, edge_pass, length_jacobian
 
 COINCIDENCE_LIMIT = 1e-9  # connected nodes closer than this are corrupt input
@@ -37,9 +37,8 @@ STEP_TOLERANCE = 1e-12  # m; a shorter proposed update ends the solve
 
 @dataclass(frozen=True)
 class StateFrame:
-    """Timestamped 12x3 node positions in meters."""
+    """Checked, read-only Nx3 node positions in meters: a shape, untimed."""
 
-    timestamp_ms: int
     coords: np.ndarray
 
     def __post_init__(self):
@@ -258,20 +257,19 @@ def solve(initial: StateFrame, tendon_lengths: np.ndarray, t: Topology,
             break
 
     mirrored = bool(np.mean(coords[free, 2]) < 0.0)
-    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords)
     return SolveResult(
-        state=state, converged=converged and not mirrored,
+        state=StateFrame(coords), converged=converged and not mirrored,
         iterations=iterations, residual_norm=float(np.sqrt(res @ res)),
         residuals=res, cost_history=tuple(history), mirrored=mirrored,
     )
 
 
-def nominal_state(t: Topology, timestamp_ms: int = 0) -> StateFrame:
-    return StateFrame(timestamp_ms=timestamp_ms, coords=t.nominal_coords.copy())
+def nominal_state(t: Topology) -> StateFrame:
+    return StateFrame(t.nominal_coords.copy())
 
 
 class Tracker:
-    """Frame-to-frame tracking with warm starts.
+    """Frame-to-frame tracking with warm starts, from each frame's lengths alone.
 
     Frame 0 solves from the topology's nominal coordinates; every later
     frame starts from the previous good solution.  Solver failures are
@@ -286,14 +284,9 @@ class Tracker:
         self.topology = t
         self.opts = opts
         self._last_good = nominal_state(t)
-        self._last_ts: int | None = None
 
-    def process(self, timestamp_ms: int, tendon_lengths: np.ndarray) -> SolveResult:
-        if self._last_ts is not None and timestamp_ms <= self._last_ts:
-            raise OrderingError(
-                f"timestamp {timestamp_ms} not after previous {self._last_ts}")
-        self._last_ts = timestamp_ms
-        warm = replace(self._last_good, timestamp_ms=timestamp_ms)
+    def process(self, tendon_lengths: np.ndarray) -> SolveResult:
+        warm = self._last_good
         try:
             result = solve(warm, tendon_lengths, self.topology, self.opts)
             if result.mirrored:

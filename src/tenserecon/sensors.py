@@ -52,10 +52,16 @@ class SensorSession:
     resistances: np.ndarray
 
     def __post_init__(self):
-        ts = np.array(self.timestamps_ms, dtype=np.int64)
+        ts = np.asarray(self.timestamps_ms)
         r = np.array(self.resistances, dtype=float)
         if ts.ndim != 1 or r.shape != (len(ts), N_SENSORS):
             raise SensorDomainError(f"shapes {ts.shape}, {r.shape} are not (n,), (n, {N_SENSORS})")
+        if ts.dtype.kind != "i":  # a cast rounds a fraction, wraps or raises without the frame
+            for f, v in enumerate(ts.tolist()):
+                if not (isinstance(v, (int, float)) and v % 1 == 0 and -2**63 <= v < 2**63):
+                    raise SensorDomainError(f"frame {f}: timestamp {v!r} is not an integer "
+                                            "inside int64", frame=f)
+        ts = ts.astype(np.int64)
         bad_r = ~(np.isfinite(r) & (r > 0))
         bad = bad_r.any(axis=1) | np.r_[False, ts[1:] <= ts[:-1]]
         if bad.any():  # the first bad frame, and in it a bad resistance before its order
@@ -312,12 +318,9 @@ def strains_from_frame(dr: np.ndarray, cal: BendCalibration, modes, stretch: np.
     if len(modes) != N_SENSORS:
         raise SensorDomainError(f"expected {N_SENSORS} mode flags, got {len(modes)}")
     bending = np.array([m is Mode.BENDING for m in modes])
-    out = np.array(stretch, dtype=float)
-    try:
-        out[bending] = bending_strain(dr[bending], cal, clamp=clamp)
-    except SensorDomainError as exc:
-        k = int(np.flatnonzero(bending)[exc.sensor])
-        raise SensorDomainError(exc.detail, sensor=k) from exc
+    # the whole row, a stretching entry at the domain's edge, so an error's index is its sensor
+    poly = bending_strain(np.where(bending, dr, cal.domain[1]), cal, clamp=clamp)
+    out = np.where(bending, poly, stretch)
     if clamp:
         np.clip(out, -0.95, 2.0, out=out)
     return out

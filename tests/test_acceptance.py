@@ -139,7 +139,7 @@ def test_criterion_4_noiseless_round_trip():
     for eps in (0.015, -0.015):
         coords = topo.nominal_coords.copy()
         coords[free] += eps * flex.reshape(9, 3)
-        flexed.append(StateFrame(timestamp_ms=0, coords=coords))
+        flexed.append(StateFrame(coords=coords))
 
     def rmse(coords, coords_gt):
         return np.sqrt(np.mean(np.sum(

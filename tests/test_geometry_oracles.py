@@ -129,11 +129,12 @@ def ref_deform(t, displacements, tol=1e-10, max_iter=100):
 
 
 def ref_rmses(est, truth, t):
-    """(node, face, system) RMSEs in mm and the per-frame node trace, face by face."""
-    est = sorted(est, key=lambda s: s.timestamp_ms)
-    truth = sorted(truth, key=lambda s: s.timestamp_ms)
-    a = np.stack([s.coords for s in est])
-    b = np.stack([s.coords for s in truth])
+    """(node, face, system) RMSEs in mm and the per-frame node trace, face by face, of
+    two streams of (t_ms, coords) pairs."""
+    est = sorted(est, key=lambda s: s[0])
+    truth = sorted(truth, key=lambda s: s[0])
+    a = np.stack([coords for _, coords in est])
+    b = np.stack([coords for _, coords in truth])
     dz = a[:, FREE, 2] - b[:, FREE, 2]
     errs = []
     for tri in tendon_triangles(t):
@@ -377,9 +378,9 @@ def noisy_press_lengths(seed=3, n_frames=40):
     frames = []
     stamps = [200 * k for k in range(n_frames)]
     nodes, disp = sc.timeline(stamps)
-    for t_ms, d in zip(stamps, disp):
+    for d in disp:
         exact = edge_lengths(TOPO, deform(TOPO, dict(zip(nodes, d))))
-        frames.append((t_ms, exact * (1.0 + rng.normal(0.0, 2e-3, size=24))))
+        frames.append(exact * (1.0 + rng.normal(0.0, 2e-3, size=24)))
     return frames
 
 
@@ -411,10 +412,10 @@ def test_tracked_noisy_solve_matches_reference(monkeypatch):
     frames = noisy_press_lengths()
     opts = SolveOptions(prior_weight=1.0)
     tracker = Tracker(TOPO, opts)
-    fast = [tracker.process(ts, lengths) for ts, lengths in frames]
+    fast = [tracker.process(lengths) for lengths in frames]
     use_references(monkeypatch)
     tracker = Tracker(TOPO, opts)
-    slow = [tracker.process(ts, lengths) for ts, lengths in frames]
+    slow = [tracker.process(lengths) for lengths in frames]
     assert len(fast) == len(slow) == len(frames)
     assert sum(r.iterations for r in fast) > len(frames)  # real solves, not no-ops
     assert_same_solves(fast, slow)
@@ -450,7 +451,7 @@ def test_exact_lengths_leave_no_tendon_residual():
 def test_cold_solves_with_rejected_steps_match_reference(monkeypatch):
     # cold solves from rest reject damping tries, which the tracked stream does not
     draws = cold_draw_lengths(24)
-    start = StateFrame(0, TOPO.nominal_coords)
+    start = StateFrame(TOPO.nominal_coords)
     fast = [reconstruction.solve(start, lengths, TOPO) for lengths in draws]
     points = use_references(monkeypatch)
     slow = [reconstruction.solve(start, lengths, TOPO) for lengths in draws]
@@ -467,7 +468,7 @@ def test_bad_lengths_fail_solve_before_any_kernel_call(lengths, monkeypatch):
     calls = []
     for name in ("residuals", "jacobian"):
         monkeypatch.setattr(reconstruction, name, lambda *args: calls.append(args))
-    got = outcome(reconstruction.solve, StateFrame(0, TOPO.nominal_coords), lengths, TOPO)
+    got = outcome(reconstruction.solve, StateFrame(TOPO.nominal_coords), lengths, TOPO)
     assert expected[0] is TopologyError
     assert got == expected
     assert calls == []
@@ -484,11 +485,10 @@ def test_evaluate_matches_face_loop(seed, n_frames, scale):
         g = TOPO.nominal_coords.copy()
         e[FREE] += rng.normal(scale=scale, size=(9, 3))
         g[FREE] += rng.normal(scale=scale, size=(9, 3))
-        est.append(StateFrame(100 * k, e))
-        truth.append(StateFrame(100 * k, g))
+        est.append((100 * k, e))
+        truth.append((100 * k, g))
     est = [est[i] for i in rng.permutation(n_frames)]
-    report = evaluate(*(frame_table([s.timestamp_ms for s in frames], [s.coords for s in frames])
-                        for frames in (est, truth)), TOPO)
+    report = evaluate(*(frame_table(*zip(*frames)) for frames in (est, truth)), TOPO)
     node, face, system, per_frame = ref_rmses(est, truth, TOPO)
     assert report.rmse_node_height_mm == node
     assert report.rmse_face_height_mm == face

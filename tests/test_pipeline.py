@@ -56,7 +56,7 @@ def test_sensor_error_names_its_frame(topo, clean_session, clean_model, monkeypa
     with pytest.raises(SensorDomainError) as err:
         reconstruct_session(head(sensed, 10), topo, BendCalibration(), clean_model)
     assert str(err.value) == "t=300 ms: sensor 5: dR/R = 0.01 outside calibration domain"
-    assert err.value.sensor == 5
+    assert (err.value.frame, err.value.sensor) == (3, 5)
     assert err.value.detail == "dR/R = 0.01 outside calibration domain"
 
 
@@ -77,7 +77,18 @@ def test_strain_error_names_its_frame(topo, clean_session, clean_model, monkeypa
     with pytest.raises(SensorDomainError) as err:
         reconstruct_session(head(sensed, 10), topo, BendCalibration(), clean_model)
     assert str(err.value) == "t=200 ms: sensor 7: strain must be finite and > -1, got -1.0"
-    assert err.value.sensor == 7
+    assert (err.value.frame, err.value.sensor) == (2, 7)
+
+
+def test_unclamped_domain_error_of_a_noisy_press_names_its_frame(topo):
+    # an untrained model's strains send a sensor out of the bending domain at frame 2
+    _, sensed = generate_session(press_scenario(topo, seed=7), topo, BendCalibration(),
+                                 default_stretch_table())
+    with pytest.raises(SensorDomainError,
+                       match=r"^t=200 ms: sensor 3: dR/R = .* outside calibration domain"
+                       ) as err:
+        reconstruct_session(head(sensed, 10), topo, BendCalibration(), init_model(2, 4, 20))
+    assert (err.value.frame, err.value.sensor) == (2, 3)
 
 
 def test_regime_follows_previous_solved_lengths(topo, clean_session, clean_model,
@@ -179,7 +190,7 @@ def exact_loop_rmse_mm(topo, sc):
         stretch[~bending] = table.strain_from_dr(dr[~bending])
         modes = [Mode.BENDING if b else Mode.STRETCHING for b in bending]
         lengths = lengths_from_strain(strains_from_frame(dr, cal, modes, stretch), topo)
-        result = tracker.process(state.t_ms, lengths)
+        result = tracker.process(lengths)
         coords.append(result.state.coords)
         converged.append(result.converged)
     results = frame_table(truth.t_ms, coords, converged)

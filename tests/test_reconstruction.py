@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tenserecon import pipeline, reconstruction
-from tenserecon.errors import OrderingError, SingularGeometryError, TopologyError
+from tenserecon.errors import SingularGeometryError, TopologyError
 from tenserecon.reconstruction import (
     SolveOptions,
     SolveResult,
@@ -34,9 +34,9 @@ def topo():
 
 
 def run_tracker(frames, topo, opts=SolveOptions()):
-    """One Tracker over (timestamp_ms, 24 lengths) pairs, a result per frame."""
+    """One Tracker over each frame's 24 lengths, a result per frame."""
     tracker = Tracker(topo, opts)
-    return [tracker.process(ts, lengths) for ts, lengths in frames]
+    return [tracker.process(lengths) for lengths in frames]
 
 
 def random_feasible_state(topo, rng, scale=0.045):
@@ -245,7 +245,7 @@ class TestSolve:
     def test_bad_initial_anchors_rejected(self, topo):
         coords = topo.nominal_coords.copy()
         coords[0, 0] += 1e-6
-        bad = StateFrame(timestamp_ms=0, coords=coords)
+        bad = StateFrame(coords=coords)
         with pytest.raises(TopologyError):
             solve(bad, topo.rest_lengths(), topo)
 
@@ -287,7 +287,7 @@ class TestSolve:
             for sign in (1.0, -1.0):
                 init = topo.nominal_coords.copy()
                 init[free] = (init[free].reshape(-1) + sign * 0.015 * null).reshape(9, 3)
-                st = StateFrame(timestamp_ms=0, coords=init)
+                st = StateFrame(coords=init)
                 outs.append(solve(st, lengths, topo,
                                   SolveOptions(residual_tolerance=0.0)))
             sep = np.linalg.norm(outs[0].state.coords - outs[1].state.coords)
@@ -300,7 +300,7 @@ class TestSolve:
 class TestTrack:
     def test_constant_stream_fixed_point(self, topo):
         lengths = edge_lengths(topo, deform(topo, {8: np.array([0, 0, -0.02])}))
-        frames = [(i * 100, lengths) for i in range(6)]
+        frames = [lengths] * 6
         results = run_tracker(frames, topo)
         ref = results[1].state.coords
         for r in results[2:]:
@@ -319,7 +319,7 @@ class TestTrack:
             else:
                 a = 0.0
             disp = {n: np.array([0.0, 0.0, -0.030 * a]) for n in (4, 8, 11)}
-            frames.append((i * 100, edge_lengths(topo, deform(topo, disp))))
+            frames.append(edge_lengths(topo, deform(topo, disp)))
         # exact lengths deserve a tight stop: near rest the flex direction
         # is only pinned to ~1 mm at the default cost tolerance
         results = run_tracker(frames, topo, SolveOptions(residual_tolerance=0.0))
@@ -336,7 +336,7 @@ class TestTrack:
         sc = press_scenario(topo)
         nodes, disp = sc.timeline([100 * k for k in range(300)])
         truth = [deform(topo, dict(zip(nodes, d))) for d in disp]
-        frames = [(100 * k, edge_lengths(topo, c)) for k, c in enumerate(truth)]
+        frames = [edge_lengths(topo, c) for c in truth]
         results = run_tracker(frames, topo, SolveOptions(residual_tolerance=0.0))
         assert all(r.converged for r in results)
         worst = max(float(np.max(np.abs(r.state.coords - c)))
@@ -347,13 +347,6 @@ class TestTrack:
                           for r, c in zip(loose, truth))
         assert worst_loose > 1e-3
 
-    def test_non_monotone_timestamps_rejected(self, topo):
-        lengths = topo.rest_lengths()
-        tracker = Tracker(topo)
-        tracker.process(0, lengths)
-        with pytest.raises(OrderingError):
-            tracker.process(0, lengths)
-
     def test_warm_start_dominance(self, topo):
         frames = []
         for i in range(40):
@@ -362,20 +355,19 @@ class TestTrack:
             frames.append(edge_lengths(topo, deform(topo, disp)))
         opts = SolveOptions(residual_tolerance=0.0)
         tracker = Tracker(topo, opts)
-        warm_iters = [tracker.process(i * 100, f).iterations
-                      for i, f in enumerate(frames)]
+        warm_iters = [tracker.process(f).iterations for f in frames]
         cold_iters = [solve(nominal_state(topo), f, topo, opts).iterations
                       for f in frames]
         assert np.mean(warm_iters) <= np.mean(cold_iters)
 
     def test_error_emitted_in_stream(self, topo):
         tracker = Tracker(topo)
-        good = tracker.process(0, topo.rest_lengths())
+        good = tracker.process(topo.rest_lengths())
         assert good.converged
-        bad = tracker.process(100, np.full(24, -1.0))
+        bad = tracker.process(np.full(24, -1.0))
         assert not bad.converged
         assert bad.error is not None
-        after = tracker.process(200, topo.rest_lengths())
+        after = tracker.process(topo.rest_lengths())
         assert after.converged  # tracker continued from the last good state
 
 
@@ -397,8 +389,8 @@ class TestMirroredRetry:
         monkeypatch.setattr(reconstruction, "solve", patched)
         lengths = edge_lengths(topo, deform(topo, {8: np.array([0.0, 0.0, -0.010])}))
         tracker = Tracker(topo)
-        first = tracker.process(0, lengths)
-        tracker.process(100, lengths)
+        first = tracker.process(lengths)
+        tracker.process(lengths)
         assert [damping for _, damping in calls[:2]] == [1e-3, 1e-1]
         return first, calls, lengths
 
@@ -410,7 +402,6 @@ class TestMirroredRetry:
     def test_mirrored_retry_emits_warm_state(self, topo, monkeypatch):
         first, calls, lengths = self.track_two_frames(topo, monkeypatch, {1, 2})
         assert first.mirrored and not first.converged
-        assert first.state.timestamp_ms == 0
         assert np.array_equal(first.state.coords, topo.nominal_coords)
         assert np.array_equal(calls[2][0], topo.nominal_coords)  # last good state kept
         # the diagnostics describe the emitted coordinates, not the mirrored solve
@@ -465,9 +456,9 @@ class TestBenchmarkBoundaries:
         rng = np.random.default_rng(3)
         frames = []
         nodes, disp = sc.timeline([200 * k for k in range(20)])
-        for k, d in enumerate(disp):
+        for d in disp:
             exact = edge_lengths(topo, deform(topo, dict(zip(nodes, d))))
-            frames.append((200 * k, exact * (1.0 + rng.normal(0.0, 2e-3, size=24))))
+            frames.append(exact * (1.0 + rng.normal(0.0, 2e-3, size=24)))
         results = run_tracker(frames, topo, SolveOptions(prior_weight=1.0))
         assert len(per_solve) == len(results) == 20
         assert all(out is r for (out, _, _), r in zip(per_solve, results))
@@ -561,7 +552,7 @@ def reference_solve(initial, tendon_lengths, t, opts=SolveOptions()):
             converged = True
             break
     mirrored = bool(np.mean(coords[free, 2]) < 0.0)
-    state = StateFrame(timestamp_ms=initial.timestamp_ms, coords=coords)
+    state = StateFrame(coords=coords)
     return SolveResult(state=state, converged=converged and not mirrored,
                        iterations=iterations,
                        residual_norm=float(np.linalg.norm(res)), residuals=res,
@@ -578,7 +569,7 @@ def noisy_draws(topo, noise, n):
 
 @pytest.fixture(scope="module")
 def press_lengths(topo, noisy_model):
-    """The (t_ms, 24 lengths) stream the pipeline hands its tracker on the
+    """The 24-length frames the pipeline hands its tracker on the
     noisy seed-7 press session, the benchmark's press_session workload."""
     scenario = press_scenario(topo, depth=0.030, seed=7,
                               noise=NoiseModel(kind="uniform",
@@ -588,9 +579,9 @@ def press_lengths(topo, noisy_model):
     stream = []
 
     class Recording(Tracker):
-        def process(self, timestamp_ms, tendon_lengths):
-            stream.append((timestamp_ms, np.array(tendon_lengths)))
-            return super().process(timestamp_ms, tendon_lengths)
+        def process(self, tendon_lengths):
+            stream.append(np.array(tendon_lengths))
+            return super().process(tendon_lengths)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "Tracker", Recording)
@@ -631,7 +622,7 @@ class TestNoiseFloorStop:
 
     def test_iterations_stable_under_ulp_lengths(self, topo, press_lengths):
         base = [r.iterations for r in run_tracker(press_lengths, topo, self.OPTS)]
-        nudged = [(ts, lengths * (1.0 + 2.2e-16)) for ts, lengths in press_lengths]
+        nudged = [lengths * (1.0 + 2.2e-16) for lengths in press_lengths]
         moved = [r.iterations for r in run_tracker(nudged, topo, self.OPTS)]
         assert sum(a == b for a, b in zip(base, moved)) >= 299
 

@@ -417,6 +417,27 @@ class TestSensorSession:
             f"t=100 ms: sensor 17: resistance must be finite and > 0, got {bad}"
         assert (err.value.frame, err.value.sensor) == (1, 17)
 
+    @pytest.mark.parametrize("stamps, frame", [
+        ([0.5, 1.7], 0), ([1.2, 1.9], 0), ([0, np.nan], 1), ([0, np.inf], 1), ([0, 2**63], 1),
+        ([0, 1e300], 1), ([0, 2**64], 1), ([-2**63 - 1, 0], 0), ([0, 100, 250.5], 2)],
+        ids=["halves", "fractions", "nan", "inf", "2**63", "1e300", "2**64", "below-int64",
+             "late-fraction"])
+    def test_timestamp_not_an_int64_integer_names_its_frame(self, stamps, frame):
+        # the int64 cast would round these, wrap them or fail without naming the frame
+        with pytest.raises(SensorDomainError,
+                           match=rf"^frame {frame}: timestamp .* is not an integer inside int64$"
+                           ) as err:
+            SensorSession(stamps, np.full((len(stamps), 24), 5.8e6))
+        assert (err.value.frame, err.value.sensor) == (frame, None)
+
+    @pytest.mark.parametrize("stamps", [
+        [0.0, 100.0, 2.0**62], np.array([0, 2**63 - 1], dtype=np.uint64), [-2**63, 2**63 - 1]],
+        ids=["integral-floats", "uint64-max-int64", "int64-range"])
+    def test_integral_timestamps_cast_exactly(self, stamps):
+        session = SensorSession(stamps, np.full((len(stamps), 24), 5.8e6))
+        assert session.timestamps_ms.dtype == np.int64
+        assert session.timestamps_ms.tolist() == [int(v) for v in stamps]
+
     def test_first_bad_frame_wins_and_its_resistance_before_its_timestamp(self):
         values = np.full((4, 24), 5.8e6)
         values[2, 5] = 0.0

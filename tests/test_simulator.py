@@ -440,9 +440,9 @@ class TestZeroNoiseEndToEnd:
         sc = press_scenario(topo, seed=3, noise=NoiseModel(kind="none"))
         truth, _ = generate_session(sc, topo, BendCalibration(),
                                     default_stretch_table())
-        frames = [(s.t_ms, edge_lengths(topo, s.coords)) for s in truth]
+        frames = [edge_lengths(topo, s.coords) for s in truth]
         tracker = Tracker(topo, SolveOptions(residual_tolerance=0.0))
-        results = [tracker.process(ts, lengths) for ts, lengths in frames]
+        results = [tracker.process(lengths) for lengths in frames]
         free = list(topo.free_nodes)
         worst = max(
             float(np.sqrt(np.mean(np.sum(
