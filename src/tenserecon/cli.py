@@ -152,12 +152,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     topo = _resolve_topology(args)
     cal = _resolve_calibration(args)
     # loaded before anything is written, so a rejected model leaves no outputs
     model = lstm.load_model(args.model) if args.model else None
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     topology.save_topology(topo, outdir / "topology.json")
 

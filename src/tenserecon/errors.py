@@ -1,6 +1,7 @@
 """Exception types shared across the package, the JSON read/write pair that every
-JSON format goes through, so a bad file raises its format's error naming it, and
-the reader of the line-based formats, so a file that is not UTF-8 does the same."""
+JSON format goes through, so a bad file raises its format's error naming it, with
+the rule for an integer field, and the reader of the line-based formats, so a file
+that is not UTF-8 does the same."""
 
 import json
 
@@ -83,6 +84,14 @@ def read_json(path, error, build):
     # AttributeError: .get and .items on a JSON list where an object belongs
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise error(f"malformed {path}: {exc}") from exc
+
+
+def json_int(value) -> int:
+    """An integer field's value: a JSON integer, not a float, a boolean or a string.
+    Anything else is a ValueError, which read_json reports as its format's error."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not a JSON integer")
+    return value
 
 
 def read_lines(path):

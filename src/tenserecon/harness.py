@@ -138,10 +138,10 @@ def load_frames(path) -> np.recarray:
     """Read a frames JSONL file into a frame table.
 
     A record needs a JSON integer "t_ms", a JSON boolean "converged" and an
-    Nx3 "coords_m" with the first record's N; "iters", a JSON integer, and
-    "residual_norm", a JSON float (NaN for a failed frame) or integer, default
-    to ground truth's 0 and 0.0.  Integers must fit int64.  Anything else
-    raises DataFormatError naming the 1-based line.
+    Nx3 "coords_m" of JSON numbers with the first record's N; "iters", a
+    JSON integer, and "residual_norm", a JSON float (NaN for a failed frame)
+    or integer, default to ground truth's 0 and 0.0.  Integers must fit
+    int64.  Anything else raises DataFormatError naming the 1-based line.
     """
     records, coords = [], []
     for lineno, raw in enumerate(read_lines(path), start=1):
@@ -154,8 +154,10 @@ def load_frames(path) -> np.recarray:
                 if not valid(doc[key]):
                     raise DataFormatError(f'"{key}" must be {kind}, got {doc[key]!r}', line=lineno)
             record = [doc[key] for key in _RECORD]
+            if not all(type(v) in (int, float) for row in doc["coords_m"] for v in row):
+                raise DataFormatError('"coords_m" must hold JSON numbers', line=lineno)
             state = StateFrame(np.array(doc["coords_m"], dtype=float))
-        except (KeyError, TypeError, ValueError, TopologyError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, TopologyError) as exc:
             raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
         if coords and len(state.coords) != len(coords[0]):
             raise DataFormatError(f"{len(state.coords)} nodes; the first frame has "

@@ -7,8 +7,10 @@ sample plus its in-window first difference, a proxy for the stretch rate,
 because the tensile response depends on how fast the tendon is pulled.
 
 Training is plain mini-batch gradient descent with gradient-norm clipping,
-deterministic for a fixed seed.  The model and its normalization statistics
-serialize to a small versioned JSON file.
+deterministic for a fixed seed.  The model stores its gates as the kernels
+run them: one (4H, D+H) weight block, rows f, i, o, g, and one (3H,) bias
+of f, i and o.  It serializes with its normalization statistics to a small
+versioned JSON file, whose codec alone names the gates one by one.
 
 The batched kernels (_run_steps, _backward_batch) keep the four gates
 gate-major, as one (4, B, H) block, so each gate op is one contiguous pass
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, ModelFormatError, read_json, write_json
+from .errors import DivergenceError, ModelFormatError, json_int, read_json, write_json
 from .sensors import default_stretch_curve
 
 MODEL_FORMAT_VERSION = 1
@@ -48,14 +50,14 @@ STRETCH_SAMPLE_RATE_HZ = 10.0
 STRETCH_HOLD_S = 4.0
 STRETCH_RATE_GAIN = 0.05  # dR/R gain per unit strain rate
 VAL_FRACTION = 0.3  # tail of each session held out for validation
+STRETCH_CYCLES = 2  # trapezoidal strain cycles per pull rate
 BATCH_SIZE = 32
+GRAD_CLIP = 5.0  # gradient-norm clip of each update; 0 turns clipping off
 # Windows per inference pass of predict_strain: 16 frames of 24 sensors.  A
 # pass costs least per window at a few hundred windows, and a window's bits
 # depend on the batch it is in (OpenBLAS tail kernels), so another size
 # changes the session strains in the last bit.
 FORWARD_BATCH = 384
-
-_PARAM_NAMES = ("w_f", "b_f", "w_i", "b_i", "w_h", "w_o", "b_o", "w_out", "b_out")
 
 
 def _sigmoid(z):
@@ -105,18 +107,18 @@ class Normalization:
 
 @dataclass(frozen=True)
 class LstmModel:
-    """Gate weights, scalar readout head, window length, normalization."""
+    """Gate weights, scalar readout head, window length, normalization.
+
+    w is the (4H, D+H) gate block, rows f, i, o, g, and b the (3H,) biases
+    of f, i and o: the candidate g has no bias by design.  The model file
+    keeps the v1 per-gate keys; its codec alone splits and stacks them.
+    """
 
     input_size: int
     hidden_size: int
     window: int
-    w_f: np.ndarray
-    b_f: np.ndarray
-    w_i: np.ndarray
-    b_i: np.ndarray
-    w_h: np.ndarray  # candidate cell weights; no bias by design
-    w_o: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
     w_out: np.ndarray
     b_out: float
     norm: Normalization
@@ -125,10 +127,7 @@ class LstmModel:
         d, h = self.input_size, self.hidden_size
         if h < 1 or self.window < 1:
             raise ModelFormatError(f"hidden_size {h} and window {self.window} must be >= 1")
-        expect = {
-            "w_f": (h, d + h), "w_i": (h, d + h), "w_h": (h, d + h), "w_o": (h, d + h),
-            "b_f": (h,), "b_i": (h,), "b_o": (h,), "w_out": (h,),
-        }
+        expect = {"w": (4 * h, d + h), "b": (3 * h,), "w_out": (h,)}
         for name, shape in expect.items():
             arr = getattr(self, name)
             if np.asarray(arr).shape != shape:
@@ -153,12 +152,10 @@ def init_model(input_size: int = N_FEATURES, hidden_size: int = 32, window: int 
 
     if norm is None:
         norm = Normalization(input_mean=np.zeros(d), input_scale=np.ones(d))
+    w_f, w_i, w_g, w_o = w(), w(), w(), w()  # the per-gate draw order: a seed keeps its model
     m = LstmModel(
         input_size=d, hidden_size=h, window=window,
-        w_f=w(), b_f=np.zeros(h),
-        w_i=w(), b_i=np.zeros(h),
-        w_h=w(),
-        w_o=w(), b_o=np.zeros(h),
+        w=np.concatenate([w_f, w_i, w_o, w_g]), b=np.zeros(3 * h),
         w_out=rng.uniform(-s, s, size=h), b_out=0.0,
         norm=norm,
     )
@@ -172,7 +169,7 @@ def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
     f = sig(W_f [x, h] + b_f)    how much old cell state survives
     i = sig(W_i [x, h] + b_i)    how much new candidate enters
-    g = tanh(W_h [x, h])         candidate cell state (bias-free)
+    g = tanh(W_g [x, h])         candidate cell state (bias-free)
     c = f * c_prev + i * g
     o = sig(W_o [x, h] + b_o)
     h = o * tanh(c)
@@ -189,24 +186,21 @@ def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
             and np.all(np.isfinite(c_prev))):
         raise DivergenceError("non-finite input to lstm_step")
     z = np.concatenate([x_t, h_prev])
-    f = _sigmoid(m.w_f @ z + m.b_f)
-    i = _sigmoid(m.w_i @ z + m.b_i)
-    g = np.tanh(m.w_h @ z)
+    w_f, w_i, w_o, w_g = np.split(m.w, 4)
+    b_f, b_i, b_o = np.split(m.b, 3)
+    f = _sigmoid(w_f @ z + b_f)
+    i = _sigmoid(w_i @ z + b_i)
+    g = np.tanh(w_g @ z)
     c_t = f * c_prev + i * g
-    o = _sigmoid(m.w_o @ z + m.b_o)
+    o = _sigmoid(w_o @ z + b_o)
     h_t = o * np.tanh(c_t)
     return h_t, c_t
 
 
-def _stacked_gates(m: LstmModel) -> tuple[np.ndarray, np.ndarray]:
-    """Gate weights as one (4H, D+H) matrix, rows [f; i; o; g], and its bias."""
-    return (np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h]),
-            np.concatenate([m.b_f, m.b_i, m.b_o, np.zeros(m.hidden_size)]))  # g has no bias
-
-
-def _forward_gates(w: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward's copy of the stacked gates: the sigmoid's inner 0.5 folded
-    into the f/i/o rows, and the bias as a (4, 1, H) gate-major block.
+def _forward_gates(m: LstmModel) -> tuple[np.ndarray, np.ndarray]:
+    """The forward's copy of the gates: the sigmoid's inner 0.5 folded into
+    the f/i/o rows of m.w, and the bias as a (4, 1, H) gate-major block
+    whose g block is zero.
 
     A power-of-two scale commutes with rounding, so z @ (0.5 w).T + 0.5 b is
     0.5 (z @ w.T + b) bit for bit, and one tanh covers all four gates:
@@ -214,12 +208,10 @@ def _forward_gates(w: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndar
     A pre-activation small enough for the halving to round (a subnormal)
     gives sigmoid 0.5 either way.
     """
-    hs = len(bias) // 4
-    w = w.copy()
+    hs = m.hidden_size
+    w = m.w.copy()
     w[:3 * hs] *= 0.5
-    bias = bias.reshape(4, 1, hs).copy()
-    bias[:3] *= 0.5
-    return w, bias
+    return w, np.concatenate([0.5 * m.b, np.zeros(hs)]).reshape(4, 1, hs)
 
 
 def _step_buffers(z, gates, c_prev, c, tc, h) -> tuple:
@@ -269,7 +261,7 @@ def _forward_batch(m: LstmModel, x: np.ndarray) -> np.ndarray:
     """
     b, t, d = x.shape
     hs = m.hidden_size
-    w, bias = _forward_gates(*_stacked_gates(m))
+    w, bias = _forward_gates(m)
     z = np.zeros((b, d + hs))
     a = np.empty((b, 4 * hs))
     c = np.zeros((b, hs))
@@ -410,21 +402,20 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
     """
     b, t, d = x.shape
     hs = m.hidden_size
-    w, bias = _stacked_gates(m)
     zs = np.zeros((t + 1, b, d + hs))
     gates = np.empty((t, 4, b, hs))
     cs = np.zeros((t + 1, b, hs))
     tcs = np.empty((t, b, hs))
     steps = [_step_buffers(zs[s], gates[s], cs[s], cs[s + 1], tcs[s], zs[s + 1, :, d:])
              for s in range(t)]
-    _run_steps(x, *_forward_gates(w, bias), np.empty((b, 4 * hs)), steps)
+    _run_steps(x, *_forward_gates(m), np.empty((b, 4 * hs)), steps)
     h = np.ascontiguousarray(zs[t, :, d:])
     y = h @ m.w_out + m.b_out
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite forward pass during backprop")
     dy = 2.0 * (y - targets) / b
 
-    g_w = np.zeros_like(w)
+    g_w = np.zeros_like(m.w)
     g_b = np.zeros(4 * hs)
     dh = np.outer(dy, m.w_out)
     dc = np.zeros((b, hs))
@@ -458,12 +449,10 @@ def _backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
         da_gates[...] = dgates
         g_w += da.T @ z
         g_b += da.sum(axis=0)
-        np.matmul(da, w, out=dz)
+        np.matmul(da, m.w, out=dz)
         dh = dz[:, d:]
         dc *= f
-    grads = {"w_f": g_w[:hs], "b_f": g_b[:hs], "w_i": g_w[hs:2 * hs], "b_i": g_b[hs:2 * hs],
-             "w_o": g_w[2 * hs:3 * hs], "b_o": g_b[2 * hs:3 * hs], "w_h": g_w[3 * hs:],
-             "w_out": h.T @ dy, "b_out": float(dy.sum())}
+    grads = {"w": g_w, "b": g_b[:3 * hs], "w_out": h.T @ dy, "b_out": float(dy.sum())}
     return y, grads
 
 
@@ -499,12 +488,11 @@ class TrainReport:
     best_epoch: int
 
 
-def make_stretch_dataset(seed: int = 0, cycles: int = 2,
-                         noise_band: tuple[float, float] | None = None,
+def make_stretch_dataset(seed: int = 0, noise_band: tuple[float, float] | None = None,
                          window: int = 20) -> SequenceDataset:
     """Synthetic tensile sessions at several pull rates, windowed for training.
 
-    Each of STRETCH_RATES gives ``cycles`` trapezoidal strain cycles (ramp
+    Each of STRETCH_RATES gives STRETCH_CYCLES trapezoidal strain cycles (ramp
     up to STRETCH_MAX_STRAIN, hold STRETCH_HOLD_S, ramp down, hold) whose
     dR/R follows the default saturating curve times 1 + STRETCH_RATE_GAIN *
     strain rate; the holds put constant-input windows in distribution, like
@@ -519,7 +507,7 @@ def make_stretch_dataset(seed: int = 0, cycles: int = 2,
     for rate in STRETCH_RATES:
         ramp = max_strain / rate
         period = 2.0 * (ramp + hold_s)
-        t = np.arange(0.0, period * cycles, dt)
+        t = np.arange(0.0, period * STRETCH_CYCLES, dt)
         phase = t % period
         strain = np.where(
             phase < ramp, rate * phase,
@@ -542,18 +530,17 @@ def make_stretch_dataset(seed: int = 0, cycles: int = 2,
         train_idx=np.flatnonzero(~is_val), val_idx=np.flatnonzero(is_val))
 
 
-def _clipped_update(m: LstmModel, grads: dict, lr: float, clip: float) -> LstmModel:
+def _clipped_update(m: LstmModel, grads: dict, lr: float) -> LstmModel:
     norm_sq = sum(float(np.sum(np.asarray(g) ** 2)) for g in grads.values())
     gnorm = np.sqrt(norm_sq)
-    scale = lr * (clip / gnorm if (clip > 0 and gnorm > clip) else 1.0)
-    updates = {name: getattr(m, name) - scale * grads[name] for name in _PARAM_NAMES}
-    updates["b_out"] = float(updates["b_out"])
-    return replace(m, **updates)
+    scale = lr * (GRAD_CLIP / gnorm if (GRAD_CLIP > 0 and gnorm > GRAD_CLIP) else 1.0)
+    return replace(m, w=m.w - scale * grads["w"], b=m.b - scale * grads["b"],
+                   w_out=m.w_out - scale * grads["w_out"],
+                   b_out=float(m.b_out - scale * grads["b_out"]))
 
 
 def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
-          seed: int = 0, hidden_size: int = 32,
-          clip: float = 5.0) -> tuple[LstmModel, TrainReport]:
+          seed: int = 0, hidden_size: int = 32) -> tuple[LstmModel, TrainReport]:
     """Mini-batch gradient descent; returns the best-validation model.
 
     Batches hold BATCH_SIZE training windows.  Normalization statistics come
@@ -604,7 +591,7 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}: {exc}", epoch=epoch
                 ) from exc
-            m = _clipped_update(m, grads, learning_rate, clip)
+            m = _clipped_update(m, grads, learning_rate)
         tl = sequence_loss(m, x_tr, t_tr)
         vl = sequence_loss(m, x_va, t_va)
         if not (np.isfinite(tl) and np.isfinite(vl)):
@@ -620,17 +607,17 @@ def train(data: SequenceDataset, learning_rate: float = 0.1, epochs: int = 200,
 
 
 def save_model(m: LstmModel, path) -> None:
+    """Write the v1 model file, whose weights name each gate's rows of m.w and m.b."""
     m.validate_shapes()
+    (w_f, w_i, w_o, w_h), (b_f, b_i, b_o) = np.split(m.w, 4), np.split(m.b, 3)
+    weights = dict(w_f=w_f, b_f=b_f, w_i=w_i, b_i=b_i, w_h=w_h, w_o=w_o, b_o=b_o, w_out=m.w_out)
     write_json({
         "version": MODEL_FORMAT_VERSION,
         "D": m.input_size,
         "H": m.hidden_size,
         "window": m.window,
-        "weights": {
-            name: (np.asarray(getattr(m, name)).tolist()
-                   if name != "b_out" else float(m.b_out))
-            for name in _PARAM_NAMES
-        },
+        "weights": {**{name: np.asarray(v).tolist() for name, v in weights.items()},
+                    "b_out": float(m.b_out)},
         "norm": {
             "input_mean": [float(v) for v in m.norm.input_mean],
             "input_scale": [float(v) for v in m.norm.input_scale],
@@ -653,7 +640,7 @@ def load_model(path) -> LstmModel:
 
 
 def _model_from_json_dict(doc: dict) -> LstmModel:
-    if doc["version"] != MODEL_FORMAT_VERSION:
+    if json_int(doc["version"]) != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"model format version {doc['version']} unsupported "
             f"(expected {MODEL_FORMAT_VERSION})")
@@ -668,8 +655,10 @@ def _model_from_json_dict(doc: dict) -> LstmModel:
         input_high=None if hi is None else np.array(hi, dtype=float),
     )
     m = LstmModel(
-        input_size=int(doc["D"]), hidden_size=int(doc["H"]), window=int(doc["window"]),
-        norm=norm, **{name: float(w[name]) if name == "b_out" else np.array(w[name], dtype=float)
-                      for name in _PARAM_NAMES})
+        input_size=json_int(doc["D"]), hidden_size=json_int(doc["H"]),
+        window=json_int(doc["window"]),
+        w=np.concatenate([w[name] for name in ("w_f", "w_i", "w_o", "w_h")], dtype=float),
+        b=np.concatenate([w[name] for name in ("b_f", "b_i", "b_o")], dtype=float),
+        w_out=np.array(w["w_out"], dtype=float), b_out=float(w["b_out"]), norm=norm)
     m.validate_shapes()
     return m

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
-                     read_json, write_json)
+                     json_int, read_json, write_json)
 from .reconstruction import COINCIDENCE_LIMIT, frame_table
 from .sensors import BendCalibration, SensorSession, StretchTable, dr_from_strains
 from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
@@ -253,9 +253,9 @@ def scenario_to_json_dict(sc: Scenario) -> dict:
 def scenario_from_json_dict(d: dict) -> Scenario:
     noise = NoiseModel(kind=d["noise"].get("kind", "uniform"),
                        band=tuple(d["noise"].get("band", DEFAULT_NOISE_BAND)),
-                       seed=int(d["noise"].get("seed", 0)))
+                       seed=json_int(d["noise"].get("seed", 0)))
     keyframes = tuple(
-        (int(kf["t_ms"]),
+        (json_int(kf["t_ms"]),
          {int(n): tuple(float(v) for v in vec)
           for n, vec in kf["displacements"].items()})
         for kf in d["keyframes"]

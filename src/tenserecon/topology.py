@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TopologyError, read_json, write_json
+from .errors import TopologyError, json_int, read_json, write_json
 
 SQRT6_OVER_4 = np.sqrt(6.0) / 4.0
 CANONICAL_TENDONS = (
@@ -312,17 +312,17 @@ def to_json_dict(t: Topology) -> dict:
 
 
 def _topology_from_doc(d: dict) -> Topology:
-    """Tendon rows in "k" order; the indices must be 0..n-1, each once."""
-    rows = sorted(d["tendons"], key=lambda r: int(r["k"]))
-    ks = [int(r["k"]) for r in rows]
+    """Tendon rows in "k" order; the indices must be JSON integers 0..n-1, each once."""
+    rows = sorted(d["tendons"], key=lambda r: json_int(r["k"]))
+    ks = [r["k"] for r in rows]
     if ks != list(range(len(rows))):
         raise ValueError(f"tendon indices must be 0..{len(rows) - 1}, each once; got {ks}")
     return Topology(
         strut_length=float(d["strut_length_m"]),
-        struts=tuple((int(a), int(b)) for a, b in d["struts"]),
-        tendons=tuple(Tendon(int(r["i"]), int(r["j"]), float(r["rest_length_m"]))
-                      for r in rows),
-        anchored=frozenset(int(x) for x in d["anchored"]),
+        struts=tuple((json_int(a), json_int(b)) for a, b in d["struts"]),
+        tendons=tuple(Tendon(json_int(r["i"]), json_int(r["j"]),
+                             float(r["rest_length_m"])) for r in rows),
+        anchored=frozenset(json_int(x) for x in d["anchored"]),
         nominal_coords=np.array(d["nominal_coords_m"], dtype=float),
     )
 

@@ -11,15 +11,15 @@ for bit.
 import numpy as np
 
 from tenserecon.errors import DivergenceError
-from tenserecon.lstm import LstmModel, _sigmoid, _stacked_gates
+from tenserecon.lstm import LstmModel, _sigmoid
 
 
 def ref_forward_batch(m, x):
     """Normalized windows x (B, T, D) -> normalized predictions (B,)."""
     b, t, _ = x.shape
     hs = m.hidden_size
-    w_t = np.concatenate([m.w_f, m.w_i, m.w_o, m.w_h]).T
-    bias = np.concatenate([m.b_f, m.b_i, m.b_o, np.zeros(hs)])  # g has no bias
+    w_t = m.w.T
+    bias = np.concatenate([m.b, np.zeros(hs)])  # g has no bias
     h = np.zeros((b, hs))
     c = np.zeros((b, hs))
     for step in range(t):
@@ -45,7 +45,7 @@ def ref_backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
     """
     b, t, d = x.shape
     hs = m.hidden_size
-    w, bias = _stacked_gates(m)
+    w, bias = m.w, np.concatenate([m.b, np.zeros(hs)])  # g has no bias
     h = np.zeros((b, hs))
     c = np.zeros((b, hs))
     cache = []
@@ -77,7 +77,5 @@ def ref_backward_batch(m: LstmModel, x: np.ndarray, targets: np.ndarray):
         g_b += da.sum(axis=0)
         dh = (da @ w)[:, d:]
         dc = dc * f
-    grads = {"w_f": g_w[:hs], "b_f": g_b[:hs], "w_i": g_w[hs:2 * hs], "b_i": g_b[hs:2 * hs],
-             "w_o": g_w[2 * hs:3 * hs], "b_o": g_b[2 * hs:3 * hs], "w_h": g_w[3 * hs:],
-             "w_out": h.T @ dy, "b_out": float(dy.sum())}
+    grads = {"w": g_w, "b": g_b[:3 * hs], "w_out": h.T @ dy, "b_out": float(dy.sum())}
     return y, grads

@@ -406,6 +406,7 @@ def test_model_input_size_other_than_two_is_data_error(tmp_path, capsys, session
     assert not [name for name in ("topology.json", "scenario.json", "sensors.csv",
                                   "truth.jsonl", "frames.jsonl")
                 if (tmp_path / "ra" / name).exists()]
+    assert not (tmp_path / "ra").exists()  # nor makes its --outdir
 
 
 def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, capsys):

@@ -507,6 +507,19 @@ class TestLoad:
             load_frames(frames_file(tmp_path, self.GOOD, bad))
         assert str(err.value) == f"line 2: {message}"
 
+    @pytest.mark.parametrize("coord", ['"0.106"', "true"], ids=["string", "bool"])
+    def test_coordinates_must_be_json_numbers(self, tmp_path, coord):
+        bad = self.GOOD.replace("[[0,0,0]]", f"[[0,{coord},0]]")
+        with pytest.raises(DataFormatError) as err:
+            load_frames(frames_file(tmp_path, self.GOOD, bad))
+        assert str(err.value) == 'line 2: "coords_m" must hold JSON numbers'
+
+    def test_coordinate_no_float_holds_names_line(self, tmp_path):
+        bad = self.GOOD.replace("[[0,0,0]]", f"[[0,{10**400},0]]")
+        with pytest.raises(DataFormatError) as err:
+            load_frames(frames_file(tmp_path, self.GOOD, bad))
+        assert str(err.value) == "line 2: bad frame record: int too large to convert to float"
+
     def test_solver_fields_default_to_ground_truth(self, tmp_path):
         failed = '{"t_ms": 100, "converged": false, "iters": 0, "residual_norm": NaN, ' \
                  '"coords_m": [[0,0,0]]}'

@@ -92,6 +92,42 @@ def test_non_finite_literal_is_calibration_error(tmp_path, capsys, fmt, value):
     assert not sensors.exists() and not truth.exists()
 
 
+# reader, and the key path of one integer field in the file its writer gives
+INTEGER_FIELDS = {
+    "scenario-t_ms": ("scenario", ("keyframes", 1, "t_ms")),
+    "scenario-noise-seed": ("scenario", ("noise", "seed")),
+    "topology-tendon-k": ("topology", ("tendons", 0, "k")),
+    "topology-tendon-i": ("topology", ("tendons", 0, "i")),
+    "topology-tendon-j": ("topology", ("tendons", 0, "j")),
+    "topology-strut": ("topology", ("struts", 0, 1)),
+    "topology-anchored": ("topology", ("anchored", 0)),
+    "model-version": ("model", ("version",)),
+    "model-D": ("model", ("D",)),
+    "model-H": ("model", ("H",)),
+    "model-window": ("model", ("window",)),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [5000.7, True, "5000"], ids=["float", "true", "string"])
+def test_integer_field_must_be_json_integer(tmp_path, field, value):
+    # int() once took each of these: 5000.7 as 5000, true as 1, "5000" as 5000
+    fmt, (*parents, key) = INTEGER_FIELDS[field]
+    load, error, save, _ = FORMATS[fmt]
+    path = tmp_path / f"{fmt}.json"
+    save(path)
+    doc = json.loads(path.read_text())
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    assert type(node[key]) is int
+    node[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value) == f"malformed {path}: {value!r} is not a JSON integer"
+
+
 def _reverse_strain(doc):
     doc["strain"].reverse()
 
