@@ -1,9 +1,14 @@
 """Exception types shared across the package, the JSON read/write pair that every
 JSON format goes through, so a bad file raises its format's error naming it, with
-the rule for an integer field, and the reader of the line-based formats, so a file
-that is not UTF-8 does the same."""
+the one rule for what an integer and a number in an input file are, and the reader
+of the line-based formats, so a file that is not UTF-8 does the same."""
 
+import contextlib
 import json
+
+import numpy as np
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1  # the range of every integer an input gives
 
 
 class TenseReconError(Exception):
@@ -87,11 +92,28 @@ def read_json(path, error, build):
 
 
 def json_int(value) -> int:
-    """An integer field's value: a JSON integer, not a float, a boolean or a string.
-    Anything else is a ValueError, which read_json reports as its format's error."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not a JSON integer")
+    """An integer field's value: a JSON integer inside int64, not a float, a boolean or a
+    string.  Anything else is a ValueError, which read_json reports as its format's error."""
+    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"{value!r} is not an integer inside int64")
     return value
+
+
+def json_float(value) -> float:
+    """A number field's value as a float: a JSON integer or float that a float holds, else a
+    ValueError, as for json_int.  NaN and the infinities pass: each format checks its own."""
+    if type(value) in (int, float):
+        with contextlib.suppress(OverflowError):  # an integer no float holds
+            return float(value)
+    raise ValueError(f"{value!r} is not a JSON number a float holds")
+
+
+def json_floats(value) -> np.ndarray:
+    """Nested lists of numbers json_float takes, as a float array."""
+    items = np.array(value, dtype=object)
+    if set(map(type, items.flat)) <= {float}:  # all floats, the common case: nothing to check
+        return items.astype(float)
+    return np.vectorize(json_float, otypes=[float])(items)
 
 
 def read_lines(path):

@@ -21,12 +21,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, MetricsError, SensorDomainError, TopologyError, read_lines
+from .errors import (DataFormatError, MetricsError, SensorDomainError, TopologyError, json_float,
+                     json_floats, json_int, read_lines)
 from .reconstruction import StateFrame, frame_table
 from .sensors import N_SENSORS, SensorSession
 from .topology import Topology, edge_lengths, tendon_triangles
 
-_INT64 = range(-2**63, 2**63)
 SENSOR_CSV_HEADER = "t_ms," + ",".join(f"r{k:02d}" for k in range(N_SENSORS))
 
 NODE_RMSE_DEFINITION = ("node height RMSE: sqrt(mean over frames and free nodes of "
@@ -79,9 +79,7 @@ def parse_sensor_csv(source) -> SensorSession:
     try:
         for lineno, cells in read_csv_rows(source, SENSOR_CSV_HEADER):
             try:
-                t_ms, row = int(cells[0]), [float(c) for c in cells[1:]]
-                if t_ms not in _INT64:
-                    raise ValueError(f"timestamp {t_ms} outside the int64 range")
+                t_ms, row = json_int(int(cells[0])), [float(c) for c in cells[1:]]
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=lineno) from exc
             lines.append(lineno)
@@ -127,11 +125,18 @@ def export_frames(frames: np.recarray, path) -> None:
         fh.write("\n".join(lines) + "\n" if lines else "# no frames\n")
 
 
-# a frame record's fields before "coords_m": what each must be, and its check
-_INTEGER = ("a JSON integer in the int64 range", lambda v: type(v) is int and v in _INT64)
-_RECORD = {"t_ms": _INTEGER, "converged": ("a JSON boolean", lambda v: type(v) is bool),
-           "iters": _INTEGER, "residual_norm": ("a JSON float or an int64 integer",
-                                                lambda v: type(v) is float or _INTEGER[1](v))}
+def _json_bool(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{value!r} is not a JSON boolean")
+    return value
+
+
+# a frame record's fields: what each must be, and its reader
+_RECORD = {"t_ms": ("be a JSON integer in the int64 range", json_int),
+           "converged": ("be a JSON boolean", _json_bool),
+           "iters": ("be a JSON integer in the int64 range", json_int),
+           "residual_norm": ("be a JSON number a float holds", json_float),
+           "coords_m": ("hold JSON numbers", json_floats)}
 
 
 def load_frames(path) -> np.recarray:
@@ -139,9 +144,9 @@ def load_frames(path) -> np.recarray:
 
     A record needs a JSON integer "t_ms", a JSON boolean "converged" and an
     Nx3 "coords_m" of JSON numbers with the first record's N; "iters", a
-    JSON integer, and "residual_norm", a JSON float (NaN for a failed frame)
-    or integer, default to ground truth's 0 and 0.0.  Integers must fit
-    int64.  Anything else raises DataFormatError naming the 1-based line.
+    JSON integer, and "residual_norm", a JSON number (NaN for a failed frame),
+    default to ground truth's 0 and 0.0, as errors.json_int and json_float read
+    them.  Anything else raises DataFormatError naming the 1-based line.
     """
     records, coords = [], []
     for lineno, raw in enumerate(read_lines(path), start=1):
@@ -150,14 +155,14 @@ def load_frames(path) -> np.recarray:
             continue
         try:
             doc = {"iters": 0, "residual_norm": 0.0, **json.loads(line)}
-            for key, (kind, valid) in _RECORD.items():
-                if not valid(doc[key]):
-                    raise DataFormatError(f'"{key}" must be {kind}, got {doc[key]!r}', line=lineno)
-            record = [doc[key] for key in _RECORD]
-            if not all(type(v) in (int, float) for row in doc["coords_m"] for v in row):
-                raise DataFormatError('"coords_m" must hold JSON numbers', line=lineno)
-            state = StateFrame(np.array(doc["coords_m"], dtype=float))
-        except (KeyError, TypeError, ValueError, OverflowError, TopologyError) as exc:
+            record = []
+            for key, (kind, read) in _RECORD.items():
+                try:
+                    record.append(read(doc[key]))
+                except ValueError:
+                    raise DataFormatError(f'"{key}" must {kind}, got {doc[key]!r}', lineno)
+            state = StateFrame(record.pop())
+        except (KeyError, TypeError, ValueError, TopologyError) as exc:
             raise DataFormatError(f"bad frame record: {exc}", line=lineno) from exc
         if coords and len(state.coords) != len(coords[0]):
             raise DataFormatError(f"{len(state.coords)} nodes; the first frame has "

@@ -37,7 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, ModelFormatError, json_int, read_json, write_json
+from .errors import (DivergenceError, ModelFormatError, json_float, json_floats, json_int,
+                     read_json, write_json)
 from .sensors import default_stretch_curve
 
 MODEL_FORMAT_VERSION = 1
@@ -647,18 +648,18 @@ def _model_from_json_dict(doc: dict) -> LstmModel:
     w, nd = doc["weights"], doc["norm"]
     lo, hi = nd.get("input_low"), nd.get("input_high")
     norm = Normalization(
-        input_mean=np.array(nd["input_mean"], dtype=float),
-        input_scale=np.array(nd["input_scale"], dtype=float),
-        target_mean=float(nd["target_mean"]),
-        target_scale=float(nd["target_scale"]),
-        input_low=None if lo is None else np.array(lo, dtype=float),
-        input_high=None if hi is None else np.array(hi, dtype=float),
+        input_mean=json_floats(nd["input_mean"]),
+        input_scale=json_floats(nd["input_scale"]),
+        target_mean=json_float(nd["target_mean"]),
+        target_scale=json_float(nd["target_scale"]),
+        input_low=None if lo is None else json_floats(lo),
+        input_high=None if hi is None else json_floats(hi),
     )
     m = LstmModel(
         input_size=json_int(doc["D"]), hidden_size=json_int(doc["H"]),
         window=json_int(doc["window"]),
-        w=np.concatenate([w[name] for name in ("w_f", "w_i", "w_o", "w_h")], dtype=float),
-        b=np.concatenate([w[name] for name in ("b_f", "b_i", "b_o")], dtype=float),
-        w_out=np.array(w["w_out"], dtype=float), b_out=float(w["b_out"]), norm=norm)
+        w=np.concatenate([json_floats(w[name]) for name in ("w_f", "w_i", "w_o", "w_h")]),
+        b=np.concatenate([json_floats(w[name]) for name in ("b_f", "b_i", "b_o")]),
+        w_out=json_floats(w["w_out"]), b_out=json_float(w["b_out"]), norm=norm)
     m.validate_shapes()
     return m

@@ -9,13 +9,15 @@ math, the regime rule and dispatch, the strain -> dR/R forward, and a session's 
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CalibrationError, SensorDomainError, read_json, write_json
+from .errors import (INT64_MAX, INT64_MIN, CalibrationError, SensorDomainError, json_float,
+                     json_floats, read_json, write_json)
 
 N_SENSORS = 24
 
@@ -56,9 +58,11 @@ class SensorSession:
         r = np.array(self.resistances, dtype=float)
         if ts.ndim != 1 or r.shape != (len(ts), N_SENSORS):
             raise SensorDomainError(f"shapes {ts.shape}, {r.shape} are not (n,), (n, {N_SENSORS})")
-        if ts.dtype.kind != "i":  # a cast rounds a fraction, wraps or raises without the frame
-            for f, v in enumerate(ts.tolist()):
-                if not (isinstance(v, (int, float)) and v % 1 == 0 and -2**63 <= v < 2**63):
+        # a cast rounds a fraction, wraps, raises or reads a boolean as 0 or 1, without the frame
+        if ts.dtype.kind != "i" or bool in map(type, self.timestamps_ms):
+            for f, v in enumerate(np.asarray(self.timestamps_ms, dtype=object).tolist()):
+                if type(v) is bool or not (isinstance(v, numbers.Real) and v % 1 == 0
+                                           and INT64_MIN <= v <= INT64_MAX):
                     raise SensorDomainError(f"frame {f}: timestamp {v!r} is not an integer "
                                             "inside int64", frame=f)
         ts = ts.astype(np.int64)
@@ -293,14 +297,13 @@ def save_calibration(cal: BendCalibration, path) -> None:
 
 def load_calibration(path) -> BendCalibration:
     return read_json(path, CalibrationError, lambda d: BendCalibration(
-        coefficients=tuple(float(c) for c in d["coefficients"]),
-        domain=tuple(float(v) for v in d["domain"])))
+        coefficients=tuple(map(json_float, d["coefficients"])),
+        domain=tuple(map(json_float, d["domain"]))))
 
 
 def load_stretch_table(path) -> StretchTable:
     return read_json(path, CalibrationError, lambda d: StretchTable(
-        strain=np.array(d["strain"], dtype=float),
-        dr_ratio=np.array(d["dr_ratio"], dtype=float)))
+        strain=json_floats(d["strain"]), dr_ratio=json_floats(d["dr_ratio"])))
 
 
 def strains_from_frame(dr: np.ndarray, cal: BendCalibration, modes, stretch: np.ndarray, *,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CalibrationError, RelaxationError, SensorDomainError, TopologyError,
-                     json_int, read_json, write_json)
+                     json_float, json_int, read_json, write_json)
 from .reconstruction import COINCIDENCE_LIMIT, frame_table
 from .sensors import BendCalibration, SensorSession, StretchTable, dr_from_strains
 from .topology import Topology, edge_lengths, edge_pass, length_jacobian, tendon_triangles
@@ -26,6 +26,7 @@ DEFAULT_BASELINE_OHMS = 5.8e6
 DEFORM_TOL = 1e-10  # m; deform's strut projection stops once every gap is smaller
 DEFORM_MAX_ITER = 100
 MAX_SAMPLE_RATE_HZ = 1000.0  # frame timestamps are whole milliseconds
+MAX_FRAMES = 1_000_000  # a session's cap, 27.8 h at 10 Hz, checked before any array is built
 _NOT_REACHED = (f"strut projection did not reach {DEFORM_TOL} m in {DEFORM_MAX_ITER} "
                 "iterations")
 
@@ -59,8 +60,8 @@ class Scenario:
     nodes not named in a keyframe have zero target there.  Displacements
     interpolate linearly between keyframes.  Sampling covers t in
     [0, last keyframe) at sample_rate_hz, at most one frame per millisecond
-    because frame timestamps are whole milliseconds; the noise model holds
-    the seed.
+    because frame timestamps are whole milliseconds, and at most MAX_FRAMES
+    frames; the noise model holds the seed.
     """
 
     keyframes: tuple[tuple[int, dict[int, tuple[float, float, float]]], ...]
@@ -78,6 +79,8 @@ class Scenario:
             raise TopologyError(
                 f"sample_rate_hz must be <= {MAX_SAMPLE_RATE_HZ:g}, got {self.sample_rate_hz}: "
                 "frame timestamps are whole milliseconds")
+        if times[-1] * self.sample_rate_hz > 1000.0 * MAX_FRAMES:
+            raise TopologyError(f"more than {MAX_FRAMES} frames at {self.sample_rate_hz:g} Hz")
         for t_ms, disp in self.keyframes:
             for node, vec in disp.items():
                 if np.shape(vec) != (3,) or not np.all(np.isfinite(vec)):
@@ -250,18 +253,23 @@ def scenario_to_json_dict(sc: Scenario) -> dict:
     }
 
 
+def _node_id(key: str) -> int:
+    if str(int(key)) != key:  # else "04" or " 4" would name node 4 beside "4"
+        raise ValueError(f"node key {key!r} is not a canonical decimal integer")
+    return int(key)
+
+
 def scenario_from_json_dict(d: dict) -> Scenario:
     noise = NoiseModel(kind=d["noise"].get("kind", "uniform"),
-                       band=tuple(d["noise"].get("band", DEFAULT_NOISE_BAND)),
+                       band=tuple(map(json_float, d["noise"].get("band", DEFAULT_NOISE_BAND))),
                        seed=json_int(d["noise"].get("seed", 0)))
     keyframes = tuple(
         (json_int(kf["t_ms"]),
-         {int(n): tuple(float(v) for v in vec)
-          for n, vec in kf["displacements"].items()})
+         {_node_id(n): tuple(map(json_float, vec)) for n, vec in kf["displacements"].items()})
         for kf in d["keyframes"]
     )
     return Scenario(keyframes=keyframes,
-                    sample_rate_hz=float(d["sample_rate_hz"]), noise=noise)
+                    sample_rate_hz=json_float(d["sample_rate_hz"]), noise=noise)
 
 
 def save_scenario(sc: Scenario, path) -> None:

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TopologyError, json_int, read_json, write_json
+from .errors import TopologyError, json_float, json_floats, json_int, read_json, write_json
 
 SQRT6_OVER_4 = np.sqrt(6.0) / 4.0
 CANONICAL_TENDONS = (
@@ -318,12 +318,12 @@ def _topology_from_doc(d: dict) -> Topology:
     if ks != list(range(len(rows))):
         raise ValueError(f"tendon indices must be 0..{len(rows) - 1}, each once; got {ks}")
     return Topology(
-        strut_length=float(d["strut_length_m"]),
+        strut_length=json_float(d["strut_length_m"]),
         struts=tuple((json_int(a), json_int(b)) for a, b in d["struts"]),
         tendons=tuple(Tendon(json_int(r["i"]), json_int(r["j"]),
-                             float(r["rest_length_m"])) for r in rows),
+                             json_float(r["rest_length_m"])) for r in rows),
         anchored=frozenset(json_int(x) for x in d["anchored"]),
-        nominal_coords=np.array(d["nominal_coords_m"], dtype=float),
+        nominal_coords=json_floats(d["nominal_coords_m"]),
     )
 
 

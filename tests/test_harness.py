@@ -161,7 +161,7 @@ class TestParse:
         for t_ms in (2**63, -2**63 - 1):
             with pytest.raises(DataFormatError) as err:
                 parse_sensor_csv(csv_stream([row(t_ms, np.full(24, 1e6))]))
-            assert str(err.value) == f"line 2: timestamp {t_ms} outside the int64 range"
+            assert str(err.value) == f"line 2: {t_ms} is not an integer inside int64"
         frames = parse_sensor_csv(csv_stream([row(-2**63, np.full(24, 1e6)),
                                               row(2**63 - 1, np.full(24, 1e6))]))
         assert frames.timestamps_ms.tolist() == [-2**63, 2**63 - 1]
@@ -494,12 +494,12 @@ class TestLoad:
         ("iters", "1.5", '"iters" must be a JSON integer in the int64 range, got 1.5'),
         ("iters", "true", '"iters" must be a JSON integer in the int64 range, got True'),
         ("iters", str(2**63), f'"iters" must be a JSON integer in the int64 range, got {2**63}'),
-        ("residual_norm", '"0.1"', '"residual_norm" must be a JSON float or an int64 integer, '
+        ("residual_norm", '"0.1"', '"residual_norm" must be a JSON number a float holds, '
                                    'got \'0.1\''),
         ("residual_norm", "null",
-         '"residual_norm" must be a JSON float or an int64 integer, got None'),
+         '"residual_norm" must be a JSON number a float holds, got None'),
         ("residual_norm", str(10**400),  # no float holds it
-         f'"residual_norm" must be a JSON float or an int64 integer, got {10**400}'),
+         f'"residual_norm" must be a JSON number a float holds, got {10**400}'),
     ])
     def test_solver_fields_must_be_json_numbers(self, tmp_path, field, value, message):
         bad = self.GOOD.replace("{", '{"' + field + '": ' + value + ", ", 1)
@@ -512,13 +512,15 @@ class TestLoad:
         bad = self.GOOD.replace("[[0,0,0]]", f"[[0,{coord},0]]")
         with pytest.raises(DataFormatError) as err:
             load_frames(frames_file(tmp_path, self.GOOD, bad))
-        assert str(err.value) == 'line 2: "coords_m" must hold JSON numbers'
+        assert str(err.value) == \
+            f'line 2: "coords_m" must hold JSON numbers, got [[0, {json.loads(coord)!r}, 0]]'
 
     def test_coordinate_no_float_holds_names_line(self, tmp_path):
         bad = self.GOOD.replace("[[0,0,0]]", f"[[0,{10**400},0]]")
         with pytest.raises(DataFormatError) as err:
             load_frames(frames_file(tmp_path, self.GOOD, bad))
-        assert str(err.value) == "line 2: bad frame record: int too large to convert to float"
+        assert str(err.value) == \
+            f'line 2: "coords_m" must hold JSON numbers, got [[0, {10**400}, 0]]'
 
     def test_solver_fields_default_to_ground_truth(self, tmp_path):
         failed = '{"t_ms": 100, "converged": false, "iters": 0, "residual_norm": NaN, ' \

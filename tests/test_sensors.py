@@ -419,11 +419,13 @@ class TestSensorSession:
 
     @pytest.mark.parametrize("stamps, frame", [
         ([0.5, 1.7], 0), ([1.2, 1.9], 0), ([0, np.nan], 1), ([0, np.inf], 1), ([0, 2**63], 1),
-        ([0, 1e300], 1), ([0, 2**64], 1), ([-2**63 - 1, 0], 0), ([0, 100, 250.5], 2)],
+        ([0, 1e300], 1), ([0, 2**64], 1), ([-2**63 - 1, 0], 0), ([0, 100, 250.5], 2),
+        ([0, True], 1), (np.array([False, True]), 0)],
         ids=["halves", "fractions", "nan", "inf", "2**63", "1e300", "2**64", "below-int64",
-             "late-fraction"])
+             "late-fraction", "bool-in-list", "bool-array"])
     def test_timestamp_not_an_int64_integer_names_its_frame(self, stamps, frame):
-        # the int64 cast would round these, wrap them or fail without naming the frame
+        # the int64 cast would round these, wrap them, read a boolean as 0 or 1 or fail
+        # without naming the frame
         with pytest.raises(SensorDomainError,
                            match=rf"^frame {frame}: timestamp .* is not an integer inside int64$"
                            ) as err:

@@ -21,6 +21,7 @@ from tenserecon.sensors import (
 )
 from tenserecon.simulator import (
     DEFAULT_BASELINE_OHMS,
+    MAX_FRAMES,
     NoiseModel,
     Scenario,
     deform,
@@ -420,6 +421,12 @@ class TestScenarioFormat:
         Scenario(keyframes=((0, {}), (1000, {})), sample_rate_hz=1000.0)
         with pytest.raises(TopologyError, match="frame timestamps are whole milliseconds"):
             Scenario(keyframes=((0, {}), (1000, {})), sample_rate_hz=1e300)
+
+    def test_session_over_the_frame_cap_rejected(self):
+        Scenario(keyframes=((0, {}), (MAX_FRAMES, {})), sample_rate_hz=1000.0)
+        with pytest.raises(TopologyError,
+                           match=f"^more than {MAX_FRAMES} frames at 1000 Hz$"):
+            Scenario(keyframes=((0, {}), (MAX_FRAMES + 1, {})), sample_rate_hz=1000.0)
 
     def test_displacements_interpolate_linearly(self, topo):
         sc = Scenario(keyframes=(
