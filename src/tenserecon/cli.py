@@ -120,7 +120,12 @@ def cmd_simulate(args) -> int:
     table = (sensors.load_stretch_table(args.stretch_table) if args.stretch_table
              else sensors.default_stretch_table())
     sc = simulator.load_scenario(args.scenario) if args.scenario else _press_scenario(args, topo)
-    truth, sensed = simulator.generate_session(sc, topo, cal, table)
+    try:
+        truth, sensed = simulator.generate_session(sc, topo, cal, table)
+    except TopologyError as exc:  # deform's rule for which nodes move: name the file
+        if args.scenario:
+            raise TopologyError(f"{args.scenario}: {exc}") from exc
+        raise
     harness.write_sensor_csv(sensed, args.sensors_out)
     harness.export_frames(truth, args.truth_out)
     print(f"wrote {args.sensors_out} ({len(sensed)} frames)")

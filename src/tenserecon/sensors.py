@@ -12,7 +12,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -100,11 +99,6 @@ class BendCalibration:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise CalibrationError(f"empty or invalid domain {self.domain}")
 
-    @cached_property
-    def peak(self) -> tuple[float, float]:
-        """Argmax and max over the domain, searched once per calibration."""
-        return _bend_peak(self)
-
 
 def bending_strain(x, cal: BendCalibration = BendCalibration(), *, clamp: bool = False):
     """Evaluate the bending polynomial at dR/R = x (Horner form), elementwise.
@@ -153,24 +147,15 @@ def fit_bending_polynomial(samples) -> tuple[BendCalibration, float]:
 
 
 def _bend_peak(cal: BendCalibration) -> tuple[float, float]:
-    """Argmax and max of the bend polynomial over its domain (golden section)."""
+    """Argmax and max of the bend polynomial over its domain: the largest value at the
+    domain's edges and at the real parts of the derivative's roots inside it (a complex
+    root's real part is one more candidate, which cannot move the argmax)."""
     lo, hi = cal.domain
-    grid = np.linspace(lo, hi, 2001)
-    vals = bending_strain(grid, cal)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    for _ in range(80):
-        if bending_strain(c, cal) > bending_strain(d, cal):
-            b, d = d, c
-            c = b - phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + phi * (b - a)
-    xp = 0.5 * (a + b)
-    return xp, bending_strain(xp, cal)
+    roots = np.roots(np.polyder(cal.coefficients)).real
+    x = np.r_[lo, hi, roots[(roots >= lo) & (roots <= hi)]]
+    y = np.polyval(cal.coefficients, x)
+    k = int(np.argmax(y))
+    return x[k], y[k]
 
 
 def bend_inverse(strain, cal: BendCalibration = BendCalibration()):
@@ -184,24 +169,21 @@ def bend_inverse(strain, cal: BendCalibration = BendCalibration()):
     """
     s = np.asarray(strain, dtype=float)
     lo, hi = cal.domain
-    x_peak, y_peak = cal.peak
+    x_peak, y_peak = _bend_peak(cal)
     y_lo, y_hi = bending_strain(np.array(cal.domain), cal)
     _reject_first(s, ~((s >= min(y_lo, y_hi)) & (s <= y_peak)),
                   lambda v: f"strain {v} outside invertible range [{y_lo:.4f}, {y_peak:.4f}]")
     decreasing = s >= y_hi
     a = np.where(decreasing, x_peak, lo)
     b = np.where(decreasing, hi, x_peak)
-    out = np.full(s.shape, np.nan)  # nan: still bisecting
-    for _ in range(200):
+    # every bracket is at most hi - lo wide, so this many halvings leave it within tolerance
+    for _ in range(int(np.ceil(np.log2((hi - lo) / BEND_INVERSE_TOLERANCE)))):
         m = 0.5 * (a + b)
-        out = np.where(np.isnan(out) & (b - a < BEND_INVERSE_TOLERANCE), m, out)
-        if not np.isnan(out).any():
-            break
         # m stays inside [lo, hi], so the polynomial needs no domain check here
         raise_a = (np.polyval(cal.coefficients, m) > s) == decreasing
         a = np.where(raise_a, m, a)
         b = np.where(raise_a, b, m)
-    return np.where(np.isnan(out), 0.5 * (a + b), out)[()]
+    return (0.5 * (a + b))[()]
 
 
 def lengths_from_strain(strains: np.ndarray, topology) -> np.ndarray:

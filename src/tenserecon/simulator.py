@@ -45,6 +45,8 @@ class NoiseModel:
             raise CalibrationError(f"noise band must satisfy lo < hi, got {self.band}")
         if self.kind not in ("uniform", "none"):
             raise CalibrationError(f"unknown noise kind {self.kind!r}")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise CalibrationError(f"noise seed must be >= 0, got {self.seed}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "none":

@@ -2,19 +2,22 @@
 
 One tendon and one strain at a time, as plain Python floats: the bending
 polynomial in Horner form, its peak by scalar scan and golden section (once
-per calibration), the bisection inverse, the stretch-table lookup, a scalar
+per calibration; the tolerance oracle for ``sensors._bend_peak``), the
+bisection inverse, split at ``sensors._bend_peak`` and halving every bracket
+the same fixed number of times, the stretch-table lookup, a scalar
 keyframe interpolation, and a session generator that interpolates, projects
 and converts each frame alone with a per-tendon loop.  The array code in
 ``sensors`` and ``simulator.generate_session`` must match it bit for bit.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from tenserecon.errors import RelaxationError, SensorDomainError
 from tenserecon.reconstruction import frame_table
-from tenserecon.sensors import BEND_INVERSE_TOLERANCE, SensorSession
+from tenserecon.sensors import BEND_INVERSE_TOLERANCE, SensorSession, _bend_peak
 from tenserecon.simulator import DEFAULT_BASELINE_OHMS, deform
 from tenserecon.topology import edge_lengths
 
@@ -58,17 +61,14 @@ def ref_bend_inverse(strain, cal):
     if not np.isfinite(strain):
         raise SensorDomainError(f"non-finite strain {strain}")
     lo, hi = cal.domain
-    x_peak, y_peak = ref_bend_peak(cal)
+    x_peak, y_peak = (float(v) for v in _bend_peak(cal))
     y_lo = ref_bending_strain(lo, cal)
     y_hi = ref_bending_strain(hi, cal)
 
     def bisect(a, b, decreasing):
-        for _ in range(200):
+        for _ in range(math.ceil(math.log2((hi - lo) / BEND_INVERSE_TOLERANCE))):
             m = 0.5 * (a + b)
-            v = ref_bending_strain(m, cal)
-            if b - a < BEND_INVERSE_TOLERANCE:
-                return m
-            if (v > strain) == decreasing:
+            if (ref_bending_strain(m, cal) > strain) == decreasing:
                 a = m
             else:
                 b = m

@@ -426,6 +426,27 @@ def test_scenario_legacy_seed_loads_and_unknown_noise_kind_rejected(tmp_path, ca
     assert "unknown noise kind 'gaussian'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed, node, message", [
+    (-1, "8", "noise seed must be >= 0, got -1"),
+    (1, "12", "unknown node id 12"),
+    (1, "-1", "unknown node id -1"),
+    (1, "0", "cannot displace anchored node 0"),
+], ids=["negative-seed", "node-past-the-last", "negative-node", "anchored-node"])
+def test_scenario_value_error_names_the_file(tmp_path, capsys, seed, node, message):
+    # each of these loaded, then ended simulate in a traceback from np.random.default_rng
+    # (the seed) or in deform's error, which named no file (the nodes)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "sample_rate_hz": 10.0, "noise": {"kind": "uniform", "seed": seed},
+        "keyframes": [{"t_ms": 0, "displacements": {}},
+                      {"t_ms": 500, "displacements": {node: [0.0, 0.0, -0.01]}}]}))
+    code = cli.cli(["simulate", "--scenario", str(scenario), "--sensors-out",
+                    str(tmp_path / "s.csv"), "--truth-out", str(tmp_path / "t.jsonl")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [scenario]
+
+
 def _shift_k(rows):
     for row in rows:
         row["k"] += 1

@@ -101,31 +101,22 @@ class TestBendInverse:
             bend_inverse(0.5)
 
 
+def noisy_fit() -> BendCalibration:
+    """A fit of the default curve's samples under 1e-3 noise: a peak near -0.029, and a
+    complex pair of derivative roots whose real part, -0.727, lies inside the domain."""
+    xs = np.linspace(-1.0, 0.0, 60)
+    ys = bending_strain(xs) + np.random.default_rng(5).normal(0.0, 1e-3, xs.size)
+    return fit_bending_polynomial(zip(xs, ys))[0]
+
+
 class TestBendInverseFastPath:
-    """The bend peak is found once per calibration; inversions stay exact."""
-
-    @staticmethod
-    def counting(monkeypatch, name):
-        calls = [0]
-        inner = getattr(sensors, name)
-
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(sensors, name, wrapper)
-        return calls
-
-    def test_cached_peak_equals_fresh_search(self):
-        cal = BendCalibration()
-        bend_inverse(-0.3, cal)
-        assert cal.peak == _bend_peak(BendCalibration())
+    """Both branches of the inverse meet at the closed-form peak; inversions stay exact."""
 
     @settings(max_examples=60, deadline=None)
     @given(u=st.floats(0.0, 1.0))
     def test_round_trips_both_branches(self, u):
         cal = BendCalibration()
-        x_peak, y_peak = cal.peak
+        x_peak, y_peak = _bend_peak(cal)
         y_lo, y_hi = bending_strain(-1.0, cal), bending_strain(0.0, cal)
         near = y_hi + u * (y_peak - y_hi)
         x = bend_inverse(near, cal)
@@ -136,18 +127,6 @@ class TestBendInverseFastPath:
         assert -1.0 <= x <= x_peak
         assert bending_strain(x, cal) == pytest.approx(wide, abs=1e-9)
 
-    def test_calls_per_inversion_after_first(self, monkeypatch):
-        cal = BendCalibration()
-        peaks = self.counting(monkeypatch, "_bend_peak")
-        calls = self.counting(monkeypatch, "bending_strain")
-        bend_inverse(-0.3, cal)
-        assert peaks[0] == 1  # the first inversion searches the domain for the peak
-        for strain in np.linspace(-0.9, 0.0, 40):
-            peaks[0] = calls[0] = 0
-            bend_inverse(float(strain), cal)
-            assert peaks[0] == 0
-            assert calls[0] == 1  # the domain ends; the bisection evaluates the polynomial
-
 
 class TestArraysMatchScalarReference:
     """Array evaluation and bisection against the scalar loop, entry by entry."""
@@ -155,14 +134,14 @@ class TestArraysMatchScalarReference:
     @settings(max_examples=60, deadline=None)
     @given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
     def test_bend_inverse_both_branches(self, u):
-        cal = BendCalibration()
-        _, y_peak = cal.peak
-        y_lo, y_hi = bending_strain(-1.0, cal), bending_strain(0.0, cal)
-        u = np.array(u)
-        strains = np.concatenate([y_hi + u * (y_peak - y_hi), y_lo + u * (y_hi - y_lo)])
-        expected = [ref_bend_inverse(float(e), cal) for e in strains]
-        assert bend_inverse(strains, cal).tolist() == expected
-        assert bend_inverse(float(strains[0]), cal) == expected[0]
+        for cal in (BendCalibration(), noisy_fit()):
+            _, y_peak = _bend_peak(cal)
+            y_lo, y_hi = bending_strain(-1.0, cal), bending_strain(0.0, cal)
+            u = np.array(u)
+            strains = np.concatenate([y_hi + u * (y_peak - y_hi), y_lo + u * (y_hi - y_lo)])
+            expected = [ref_bend_inverse(float(e), cal) for e in strains]
+            assert bend_inverse(strains, cal).tolist() == expected
+            assert bend_inverse(float(strains[0]), cal) == expected[0]
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.lists(st.floats(-1.2, 0.2), min_size=1, max_size=30), clamp=st.booleans())
@@ -175,7 +154,16 @@ class TestArraysMatchScalarReference:
             [ref_bending_strain(float(v), cal, clamp=clamp) for v in x]
 
     def test_peak_equals_scalar_search(self):
-        assert BendCalibration().peak == ref_bend_peak(BendCalibration())
+        # the closed form against the scan and golden section: two interior peaks, then
+        # a curve that rises to its domain's upper edge and one that falls from its lower
+        cals = (BendCalibration(), noisy_fit(), BendCalibration(domain=(-1.0, -0.1)),
+                BendCalibration(domain=(-0.01, 0.0)))
+        for cal in cals:
+            x, y = _bend_peak(cal)
+            x_ref, y_ref = ref_bend_peak(cal)
+            assert abs(x - x_ref) <= 1e-8 and abs(y - y_ref) <= 1e-15, cal
+            assert y == bending_strain(x, cal)
+        assert _bend_peak(cals[2])[0] == -0.1 and _bend_peak(cals[3])[0] == -0.01
 
     def test_stretch_table_lookup(self):
         table = default_stretch_table()
